@@ -1,9 +1,9 @@
-"""Ablation A: SPCF computation mode (exact / over-approximate / simulation).
+"""Ablation A: SPCF evaluation (exact / over-approximate / signature).
 
-DESIGN.md calls out the SPCF mode as the key accuracy/efficiency knob: the
-paper argues the over-approximation suffices because the SPCF is only a
-guide metric.  This bench measures final depth and runtime under each mode
-on circuits small enough for the exact computation.
+DESIGN.md calls out the SPCF evaluation as the key accuracy/efficiency
+knob: the paper argues the over-approximation suffices because the SPCF is
+only a guide metric.  This bench measures final depth and runtime under
+each ``spcf_tier`` on circuits small enough for the exact computation.
 
 Run:  pytest benchmarks/bench_ablation_spcf.py --benchmark-only -s
 """
@@ -27,10 +27,9 @@ CIRCUITS = {
 }
 
 MODES = {
-    "exact": dict(mode="tt", spcf_kind="exact"),
-    "overapprox": dict(mode="tt", spcf_kind="overapprox"),
-    "bdd": dict(mode="bdd"),
-    "simulation": dict(mode="sim", sim_width=512),
+    "exact": dict(spcf_tier="exact"),
+    "overapprox": dict(spcf_tier="overapprox"),
+    "signature": dict(spcf_tier="signature", sim_width=512),
 }
 
 _results: Dict[str, Dict[str, int]] = {}
@@ -54,7 +53,7 @@ def test_spcf_mode(benchmark, circuit, spcf_mode):
 
 def test_print_spcf_ablation(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    print("\n\nAblation A: final AIG depth by SPCF mode")
+    print("\n\nAblation A: final AIG depth by spcf_tier")
     print(f"{'circuit':10s}" + "".join(f"{m:>12}" for m in MODES))
     for circuit, per_mode in _results.items():
         print(

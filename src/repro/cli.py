@@ -35,7 +35,12 @@ from typing import Callable, Dict, Optional
 from . import perf
 from .aig import AIG, depth, read_aag, read_blif, write_aag, write_blif
 from .cec import check_equivalence
-from .core import lookahead_flow, optimize_lookahead, validate_walk_modes
+from .core import (
+    SPCF_TIERS,
+    lookahead_flow,
+    optimize_lookahead,
+    validate_walk_modes,
+)
 from .mapping import dynamic_power_uw, map_aig, mapped_delay
 from .mapping.verilog import write_verilog
 from .opt import abc_resyn2rs, dc_map_effort_high, sis_best
@@ -182,7 +187,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         return 2
     if args.flow.startswith("lookahead"):
         flow_kwargs["spcf_tier"] = args.spcf_tier
-        flow_kwargs["spcf_prefilter"] = not args.no_spcf_prefilter
         flow_kwargs["area_recovery"] = not args.no_area_recovery
         flow_kwargs["area_effort"] = args.area_effort
         flow_kwargs["sat_portfolio"] = args.sat_portfolio
@@ -197,7 +201,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             flow_kwargs["rank_data"] = args.rank_data
     elif (
         args.spcf_tier != "auto"
-        or args.no_spcf_prefilter
         or args.no_area_recovery
         or args.area_effort != "medium"
         or args.sat_portfolio != "off"
@@ -207,8 +210,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     ):
         print(
             f"warning: flow {args.flow!r} ignores --spcf-tier/"
-            "--no-spcf-prefilter/--area-effort/--no-area-recovery/"
-            "--sat-portfolio/--store/--walk-modes/--rank",
+            "--area-effort/--no-area-recovery/--sat-portfolio/--store/"
+            "--walk-modes/--rank",
             file=sys.stderr,
         )
     perf.reset()
@@ -622,19 +625,12 @@ def build_parser() -> argparse.ArgumentParser:
              f"(overrides ${perf.WORKERS_ENV}; 1 = serial)",
     )
     p_opt.add_argument(
-        "--spcf-tier",
-        choices=("auto", "exact", "overapprox", "signature"),
-        default="auto",
-        help="SPCF kernel tier ceiling: auto degrades exact -> "
-             "overapprox -> signature by cone support size; "
-             "exact/overapprox pin the DP flavour; signature forces the "
-             "timed-simulation estimate (lookahead flows only)",
-    )
-    p_opt.add_argument(
-        "--no-spcf-prefilter", action="store_true",
-        help="disable the floating-mode arrival bound that prunes "
-             "provably-empty SPCF DP entries (results are identical; "
-             "useful for timing comparisons)",
+        "--spcf-tier", choices=SPCF_TIERS, default="auto",
+        help="SPCF evaluation: auto/exact pick truth tables (<=12 PIs), "
+             "BDDs (<=26) or simulation signatures by circuit size; "
+             "overapprox swaps in the over-approximate truth-table DP; "
+             "signature forces the timed-simulation estimate everywhere "
+             "(lookahead flows only)",
     )
     p_opt.add_argument(
         "--area-effort", choices=("low", "medium", "high"),

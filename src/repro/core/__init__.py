@@ -35,6 +35,7 @@ from .flow import (
 )
 from .lookahead import (
     RANK_MODES,
+    SPCF_TIERS,
     TT_MODE_PI_LIMIT,
     WALK_MODES,
     LookaheadOptimizer,
@@ -76,6 +77,7 @@ __all__ = [
     "remove_redundant_edges",
     "sat_sweep",
     "RANK_MODES",
+    "SPCF_TIERS",
     "TT_MODE_PI_LIMIT",
     "WALK_MODES",
     "JOB_FLOWS",

@@ -13,10 +13,8 @@ from typing import Dict, List, Optional
 
 from ..aig import AIG, depth, levels, lit_var
 from ..netlist import compute_levels, renode
-from .lookahead import LookaheadOptimizer
-from .model import ExactModel, SignatureModel
+from .lookahead import LookaheadOptimizer, _cone_spcf, _domain_model
 from .reduce import primary_reduce
-from .spcf import Spcf
 
 
 class OutputReport:
@@ -80,23 +78,13 @@ def analyze_round(
     ][:max_outputs]
     net = renode(aig, opt.k)
 
-    pi_words: List[int] = []
-    timed = None
-    if mode == "sim":
-        from ..aig import random_patterns
-        from .spcf import timed_simulation, unpack_patterns
-
-        pi_words = random_patterns(aig.num_pis, opt.sim_width, opt.seed)
-        timed = timed_simulation(
-            aig, unpack_patterns(pi_words, opt.sim_width)
-        )
-
     reports: List[OutputReport] = []
     for po_index in critical:
-        spcf = opt._compute_spcf(
-            aig, po_index, aig_levels, mode, timed, pi_words
+        found = _cone_spcf(
+            aig.extract([aig.pos[po_index]]), mode, opt.sim_width,
+            opt.seed, spcf_tier=opt.spcf_tier,
         )
-        if spcf is None or spcf.is_empty():
+        if found is None:
             reports.append(
                 OutputReport(
                     po_index=po_index,
@@ -110,11 +98,9 @@ def analyze_round(
                 )
             )
             continue
+        _delta, spcf = found
         cone = net.extract_po_cone(po_index)
-        if mode == "tt":
-            model = ExactModel(cone)
-        else:
-            model = SignatureModel(cone, pi_words, opt.sim_width)
+        model = _domain_model(cone, spcf, opt.sim_width, opt.seed)
         root, _neg = cone.pos[0]
         before = compute_levels(cone)[root]
         result = primary_reduce(cone, 0, model, model.spcf_fn(spcf))

@@ -8,9 +8,9 @@ circuits, so identical cones recur constantly.  :class:`ConeCache` memoizes
 three things across rounds (and, with a persistent store, across
 *invocations*):
 
-* **SPCF payloads** per ``(cone fingerprint, mode, kind, sim params)`` —
-  the chosen Δ's truth table or signature, serialized to plain ints so the
-  entry is process-independent;
+* **SPCF payloads** per ``(cone fingerprint, domain, sim params, tier)``
+  — the chosen Δ's truth table or signature (or, in the BDD domain, just
+  Δ), serialized to plain ints so the entry is process-independent;
 * **node truth tables** per cone fingerprint (tt mode), shared by the
   Δ-relaxation loop and later rounds;
 * **rejected-cone fingerprints**: cones whose decomposition produced no
@@ -40,7 +40,8 @@ from ..store import runtime as store_runtime
 from ..tt import TruthTable
 
 SpcfPayload = Tuple
-"""Serialized SPCF: ``('tt', bits, nvars)`` or ``('sim', signature)``."""
+"""Serialized SPCF: ``('tt', bits, nvars)``, ``('bdd', delta)`` or
+``('sim', signature)``."""
 
 
 def _encode_tts(tts: List[TruthTable]) -> list:

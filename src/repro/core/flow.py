@@ -14,6 +14,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..aig import AIG
 from .lookahead import (
+    SPCF_TIERS,
     WALK_MODES,
     LookaheadOptimizer,
     make_runtime_optimizer,
@@ -54,7 +55,6 @@ def lookahead_flow(
     arrival_times: Optional[Dict[str, int]] = None,
     verify: bool = False,
     spcf_tier: str = "auto",
-    spcf_prefilter: bool = True,
     area_recovery: bool = True,
     area_effort: str = "medium",
     sat_portfolio: str = "off",
@@ -77,17 +77,17 @@ def lookahead_flow(
     and the quality gate in the non-uniform arrival regime; when an
     explicit ``optimizer`` is passed its own ``arrival_times`` win.
 
-    ``spcf_tier`` / ``spcf_prefilter`` configure the tiered SPCF kernels
-    of the default optimizer, ``area_recovery`` / ``area_effort`` its
-    post-round area-recovery pipeline, ``sat_portfolio`` the solver
-    portfolio racing its SAT-bound care and redundancy queries (see
+    ``spcf_tier`` selects the SPCF evaluation of the default optimizer,
+    ``area_recovery`` / ``area_effort`` its post-round area-recovery
+    pipeline, ``sat_portfolio`` the solver portfolio racing its
+    SAT-bound care and redundancy queries (see
     :class:`LookaheadOptimizer` and :mod:`repro.sat.portfolio`), and
     ``store`` the persistent result store (a database path or
     :class:`repro.store.StoreConfig`) that lets every memo layer survive
     across invocations, ``walk_modes`` its critical-walk strategies
     (``None`` keeps the optimizer default), and ``rank`` /
     ``rank_model`` / ``rank_data`` its learned candidate ranker (see
-    :mod:`repro.rank` and DESIGN 3.23); all ten are ignored when an
+    :mod:`repro.rank` and DESIGN 3.23); all nine are ignored when an
     explicit ``optimizer`` is passed.
 
     ``verify=True`` equivalence-checks every accepted candidate against
@@ -105,9 +105,8 @@ def lookahead_flow(
         optimizer_kwargs["walk_modes"] = validate_walk_modes(walk_modes)
     opt = optimizer or LookaheadOptimizer(
         max_rounds=16, max_outputs_per_round=8, arrival_times=arrival_times,
-        spcf_tier=spcf_tier, spcf_prefilter=spcf_prefilter,
-        area_recovery=area_recovery, area_effort=area_effort,
-        sat_portfolio=sat_portfolio, store=store,
+        spcf_tier=spcf_tier, area_recovery=area_recovery,
+        area_effort=area_effort, sat_portfolio=sat_portfolio, store=store,
         rank=rank, rank_model=rank_model, rank_data=rank_data,
         **optimizer_kwargs,
     )
@@ -167,7 +166,6 @@ _JOB_OPTION_DEFAULTS: Dict[str, Any] = {
     "flow": "lookahead",
     "arrivals": None,
     "spcf_tier": "auto",
-    "spcf_prefilter": True,
     "area_recovery": True,
     "area_effort": "medium",
     "sat_portfolio": "off",
@@ -211,7 +209,7 @@ def normalize_job_config(options: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         raise ValueError(
             f"unknown job flow {merged['flow']!r}; expected one of {JOB_FLOWS}"
         )
-    if merged["spcf_tier"] not in ("auto", "exact", "overapprox", "signature"):
+    if merged["spcf_tier"] not in SPCF_TIERS:
         raise ValueError(f"unknown SPCF tier {merged['spcf_tier']!r}")
     if merged["area_effort"] not in AREA_EFFORTS:
         raise ValueError(f"unknown area effort {merged['area_effort']!r}")
@@ -266,7 +264,7 @@ def normalize_job_config(options: Optional[Dict[str, Any]]) -> Dict[str, Any]:
                 )
             clean[name] = t
         merged["arrivals"] = clean
-    for key in ("spcf_prefilter", "area_recovery", "verify"):
+    for key in ("area_recovery", "verify"):
         merged[key] = bool(merged[key])
     return merged
 
@@ -293,7 +291,6 @@ def job_config_key(config: Dict[str, Any]) -> Tuple:
         config["flow"],
         tuple(sorted(arrivals.items())) if arrivals else None,
         config["spcf_tier"],
-        config["spcf_prefilter"],
         config["area_recovery"],
         config["area_effort"],
         config["sat_portfolio"],
@@ -321,7 +318,6 @@ def make_job_optimizer(
     common = dict(
         arrival_times=config["arrivals"],
         spcf_tier=config["spcf_tier"],
-        spcf_prefilter=config["spcf_prefilter"],
         area_recovery=config["area_recovery"],
         area_effort=config["area_effort"],
         sat_portfolio=config["sat_portfolio"],

@@ -23,9 +23,12 @@ state.  The round therefore fans the per-output pipeline out over a
 :mod:`repro.perf`): each worker receives one extracted cone, returns the
 serialized replacement networks, and the main process applies accepted
 replacements in fixed output order — so the result is bit-identical to the
-serial path.  A cross-round :class:`~repro.core.cache.ConeCache` memoizes
-SPCFs and rejected-cone fingerprints by structural hash, skipping cones
-that did not change between rounds (or between ``optimize()`` calls).
+serial path.  Every circuit takes this one pipeline: the SPCF domain
+(truth tables, BDDs or signatures; :func:`spcf_domain`) is a per-cone
+choice, and a BDD cone builds its own manager inside the task.  A
+cross-round :class:`~repro.core.cache.ConeCache` memoizes SPCFs and
+rejected-cone fingerprints by structural hash, skipping cones that did
+not change between rounds (or between ``optimize()`` calls).
 """
 
 from __future__ import annotations
@@ -65,10 +68,7 @@ from .spcf import (
     Spcf,
     SpcfKernel,
     SpcfTierConfig,
-    resolve_spcf_tier,
     spcf_exact_bdd,
-    spcf_exact_tt,
-    spcf_overapprox_tt,
     spcf_signature,
     timed_simulation,
     unpack_patterns,
@@ -79,6 +79,9 @@ TT_MODE_PI_LIMIT = 12
 
 BDD_MODE_PI_LIMIT = 26
 """BDD-domain exact functions are attempted up to this many PIs."""
+
+SPCF_TIERS = ("auto", "exact", "overapprox", "signature")
+"""Admissible ``spcf_tier`` values (see :class:`LookaheadOptimizer`)."""
 
 WALK_MODES = ("target", "full")
 """Admissible critical-walk strategies for ``walk_modes``."""
@@ -121,40 +124,115 @@ def validate_walk_modes(walk_modes) -> Tuple[str, ...]:
 #
 # A cone task is a plain picklable tuple:
 #
-#   (po_index, cone_aig | None, cone_net, mode, spcf_kind, sim_width, seed,
-#    walk_mode, spcf_payload | None, arrival_map | None, spcf_tier,
-#    spcf_prefilter, sat_portfolio, store_spec)
+#   (po_index, cone_aig | None, cone_net, sim_width, seed, walk_mode,
+#    spcf_payload | None, arrival_map | None, spcf_tier, sat_portfolio,
+#    store_spec)
 #
 # ``arrival_map`` is the raw PI-name -> arrival-time dict (delay-model
 # objects stay out of the tuple so pickling never depends on model state);
 # workers rebuild the cone-local timing engine from it.
 #
 # ``cone_aig`` is the output's critical cone extracted over the full PI
-# space (``AIG.extract``), needed only when the SPCF is not already cached;
+# space (``AIG.extract``), needed whenever the SPCF is not already cached
+# — and always in the BDD domain, whose payload names only Δ;
 # ``cone_net`` is the renoded cone (``Network.extract_po_cone``).  The
-# result is (po_index, ok, pos_net, sigma_nid, neg_net, spcf_payload,
-# phase_seconds, perf_delta) — everything a worker touches is a private
-# copy, so the pipeline is deterministic regardless of scheduling.  The
-# perf delta carries the worker-registry counters this task bumped
-# (spcf.tier.*, prefilter hits, cache pools) back to the parent; the
-# serial path discards it, since those bumps already hit the parent
-# registry directly.
+# SPCF domain follows from the cone's PI count and ``spcf_tier``
+# (:func:`spcf_domain`).  The result is (po_index, ok, pos_net,
+# sigma_nid, neg_net, spcf_payload, phase_seconds, perf_delta) —
+# everything a worker touches is a private copy, so the pipeline is
+# deterministic regardless of scheduling.  The perf delta carries the
+# worker-registry counters this task bumped (spcf.tier.*, prefilter hits,
+# cache pools) back to the parent; the serial path discards it, since
+# those bumps already hit the parent registry directly.
 
 
-def _serialize_spcf(spcf: Spcf) -> Optional[Tuple]:
-    """SPCF -> process-independent payload (tt/sim modes only)."""
+def spcf_domain(num_pis: int, spcf_tier: str) -> str:
+    """Function domain of a circuit's SPCFs and node models.
+
+    Exhaustive truth tables ('tt') up to :data:`TT_MODE_PI_LIMIT` PIs,
+    BDDs ('bdd') up to :data:`BDD_MODE_PI_LIMIT`, simulation signatures
+    ('sim') beyond — or everywhere when ``spcf_tier`` is 'signature'.
+    """
+    if spcf_tier == "signature":
+        return "sim"
+    if num_pis <= TT_MODE_PI_LIMIT:
+        return "tt"
+    if num_pis <= BDD_MODE_PI_LIMIT:
+        return "bdd"
+    return "sim"
+
+
+def _relax_delta(
+    spcf_at: Callable[[int], Optional[Spcf]], po_depth: int, sim_width: int
+) -> Optional[Tuple[int, Spcf]]:
+    """The Δ-relaxation loop: ``(Δ, SPCF)`` for one critical output.
+
+    Starts at the full output depth and relaxes Δ down to half of it:
+    longest paths may be statically unsensitizable, and a near-empty SPCF
+    makes a useless weight metric — the paper's Δ is a free threshold.
+    The first SPCF with enough minterms wins (one for truth tables, a
+    width-scaled floor for BDD counts and signatures), else the first
+    non-empty one.  ``None`` when every Δ is empty or ``spcf_at`` gives
+    up (a BDD blowup).
+    """
+    fallback = None
+    for delta in range(po_depth, max(1, po_depth // 2) - 1, -1):
+        spcf = spcf_at(delta)
+        if spcf is None:
+            return None
+        min_count = 1 if spcf.mode == "tt" else max(8, sim_width // 128)
+        if spcf.count >= min_count:
+            return delta, spcf
+        if fallback is None and not spcf.is_empty():
+            fallback = (delta, spcf)
+    return fallback
+
+
+def _bdd_spcf(
+    cone_aig: AIG, delta: int, arrivals: Sequence[int]
+) -> Optional[Spcf]:
+    """BDD-domain SPCF of a single-PO cone at Δ, in a fresh manager.
+
+    A fresh manager per Δ makes the SPCF — and the manager state the
+    cone's :class:`BddModel` then grows in — a pure function of
+    ``(cone, Δ)``, so a task recomputing it from a ``('bdd', Δ)``
+    payload hits a blowup exactly when the task that chose Δ did.
+    """
+    from ..bdd import BDD
+
+    bdd = BDD()
+    ref = spcf_exact_bdd(cone_aig, 0, delta, bdd, arrivals=arrivals)
+    if ref is None:
+        return None
+    return Spcf("bdd", bdd=bdd, ref=ref, num_pis=cone_aig.num_pis)
+
+
+def _serialize_spcf(delta: int, spcf: Spcf) -> Tuple:
+    """SPCF -> process-independent payload.
+
+    BDD refs are manager-bound, so a BDD SPCF travels as its Δ and is
+    recomputed on the cone (:func:`_bdd_spcf`).
+    """
     if spcf.mode == "tt":
         return ("tt", spcf.tt.bits, spcf.tt.nvars)
-    if spcf.mode == "sim":
-        return ("sim", spcf.signature)
-    return None  # BDD refs are manager-bound; never cached or shipped
+    if spcf.mode == "bdd":
+        return ("bdd", delta)
+    return ("sim", spcf.signature)
 
 
-def _deserialize_spcf(payload: Tuple) -> Spcf:
+def _deserialize_spcf(
+    payload: Tuple, cone_aig: Optional[AIG], arrival_map
+) -> Spcf:
     if payload[0] == "tt":
         from ..tt import TruthTable
 
         return Spcf("tt", tt=TruthTable(payload[1], payload[2]))
+    if payload[0] == "bdd":
+        engine = AigTimingEngine(cone_aig, resolve_arrivals(arrival_map))
+        spcf = _bdd_spcf(cone_aig, payload[1], engine.arrivals())
+        if spcf is None:
+            raise BddBlowup("BDD SPCF exceeded the manager budget")
+        return spcf
     return Spcf("sim", signature=payload[1])
 
 
@@ -164,16 +242,18 @@ def _deserialize_spcf(payload: Tuple) -> Spcf:
 # serial==parallel fuzz invariant enforces), so on a persistent store the
 # *entire* task result can be memoized and replayed bit-identically.  The
 # key is built after the SPCF stage so the "SPCF cached" and "SPCF
-# computed" code paths agree on it: given the serialized SPCF payload,
-# the downstream pipeline depends only on (cone_net, mode, sim_width,
-# seed, walk_mode, payload, arrivals, sat_portfolio).  This is what makes
-# a disk-warm run skip the dominant primary/secondary (SAT) work instead
-# of merely skipping SPCF recomputation.
+# computed" code paths agree on it: given the serialized SPCF payload
+# (whose tag names the domain), the downstream pipeline depends only on
+# (cone_net, sim_width, seed, walk_mode, payload, arrivals,
+# sat_portfolio) — plus, for a BDD payload, the cone AIG it recomputes
+# the SPCF from.  This is what makes a disk-warm run skip the dominant
+# primary/secondary (SAT) work instead of merely skipping SPCF
+# recomputation.
 
 
 def _cone_result_key(
     cone_net: Network,
-    mode: str,
+    cone_aig: Optional[AIG],
     sim_width: int,
     seed: int,
     walk_mode: str,
@@ -183,10 +263,11 @@ def _cone_result_key(
 ) -> Tuple:
     root, _neg = cone_net.pos[0]
     arrivals = tuple(sorted(arrival_map.items())) if arrival_map else None
+    if payload[0] == "bdd":
+        payload = payload + (cone_fingerprint(cone_aig, cone_aig.pos),)
     return (
         cone_net.node_fingerprints()[root],
         cone_net.to_payload(),
-        mode,
         sim_width,
         seed,
         walk_mode,
@@ -229,34 +310,32 @@ def _pi_arrival_ints(model, pi_names: Sequence[str]) -> Optional[List[int]]:
 
 def _cone_spcf(
     cone_aig: AIG,
-    mode: str,
-    spcf_kind: str,
+    domain: str,
     sim_width: int,
     seed: int,
     arrival_map: Optional[Dict[str, int]] = None,
     spcf_tier: str = "auto",
-    spcf_prefilter: bool = True,
-    sat_portfolio: str = "off",
-) -> Optional[Spcf]:
-    """SPCF of a single-PO critical cone (PO index 0).
+) -> Optional[Tuple[int, Spcf]]:
+    """``(Δ, SPCF)`` of a single-PO critical cone (PO index 0).
 
     Identical to the whole-circuit computation: the cone keeps the full PI
     space and the PO's fan-in logic, and the SPCF of an output depends on
-    nothing else.  Starts at the full output depth and relaxes Δ: longest
-    paths may be statically unsensitizable, and a near-empty SPCF makes a
-    useless weight metric — the paper's Δ is a free threshold.
+    nothing else.  Δ comes from :func:`_relax_delta`.
 
     ``arrival_map`` (PI name -> integer arrival) shifts the whole analysis
     into the non-uniform arrival regime: arrivals come from a cone-local
     timing engine and Δ is interpreted against completion times, so a late
     PI's short structural path can be the critical one.
 
-    Evaluation goes through a :class:`SpcfKernel`: one kernel serves the
-    whole Δ-relaxation loop, and its DP memo / node truth tables come from
-    the process-local pools in :mod:`repro.core.cache`, so later rounds
-    revisiting the same cone resume a warm table.  ``spcf_tier`` /
-    ``spcf_prefilter`` carry the optimizer's tier ceiling and prefilter
-    switch into the worker process.
+    ``domain`` picks the evaluation (:func:`spcf_domain`).  Truth tables
+    and signatures go through a :class:`SpcfKernel`: one kernel serves
+    the whole Δ-relaxation loop, and its DP memo / node truth tables come
+    from the process-local pools in :mod:`repro.core.cache`, so later
+    rounds revisiting the same cone resume a warm table; ``spcf_tier``
+    'overapprox' selects the relaxed DP.  The BDD domain runs the exact
+    DP in a cone-local manager per Δ (:func:`_bdd_spcf`); when that yields
+    nothing — a blowup, or no sensitizable path — the cone degrades to
+    the signature domain.
     """
     model = resolve_arrivals(arrival_map)
     engine = AigTimingEngine(cone_aig, model)
@@ -264,27 +343,24 @@ def _cone_spcf(
     po_depth = int(lvl[lit_var(cone_aig.pos[0])])
     if po_depth == 0:
         return None
+    if domain == "bdd":
+        perf.incr("spcf.tier.bdd")
+        found = _relax_delta(
+            lambda delta: _bdd_spcf(cone_aig, delta, lvl), po_depth,
+            sim_width,
+        )
+        if found is not None:
+            return found
+        domain = "sim"
     config = SpcfTierConfig(
         exact_limit=TT_MODE_PI_LIMIT,
         sim_width=sim_width,
         seed=seed,
-        prefilter=spcf_prefilter,
-        force=(
-            "signature"
-            if (mode == "sim" or spcf_tier == "signature")
-            else None
-        ),
-        sat_portfolio=sat_portfolio,
+        force="signature" if domain == "sim" else None,
     )
-    tier = resolve_spcf_tier(cone_aig.num_pis, spcf_kind, config)
-    if mode == "tt" and tier == "signature":
-        # The reduce/simplify model of a tt-mode cone consumes truth
-        # tables, so degradation is capped at the over-approximate DP.
-        tier = "overapprox"
-        config.force = "overapprox"
-    tts = None
-    memo = relaxed_memo = None
-    if tier in ("exact", "overapprox"):
+    kind = "overapprox" if spcf_tier == "overapprox" else "exact"
+    memo = relaxed_memo = tts = None
+    if domain == "tt":
         fp = cone_fingerprint(cone_aig, cone_aig.pos)
         model_key = model.key() if model is not None else ("unit",)
         tts = node_tts_cached(cone_aig, fp)
@@ -292,7 +368,7 @@ def _cone_spcf(
         relaxed_memo = dp_memo_cached(fp, True, cone_aig.num_pis, model_key)
     kernel = SpcfKernel(
         cone_aig,
-        kind=spcf_kind,
+        kind=kind,
         config=config,
         arrivals=lvl,
         pi_arrivals=_pi_arrival_ints(model, cone_aig.pi_names),
@@ -300,22 +376,24 @@ def _cone_spcf(
         memo=memo,
         relaxed_memo=relaxed_memo,
     )
-    min_count = 1 if tier != "signature" else max(8, sim_width // 128)
-    min_delta = max(1, po_depth // 2)
-    fallback = None
-    for delta in range(po_depth, min_delta - 1, -1):
-        spcf = kernel.spcf(0, delta)
-        if spcf.count >= min_count:
-            return spcf
-        if fallback is None and not spcf.is_empty():
-            fallback = spcf
-    return fallback
+    return _relax_delta(
+        lambda delta: kernel.spcf(0, delta), po_depth, sim_width
+    )
+
+
+def _domain_model(net: Network, spcf: Spcf, sim_width: int, seed: int):
+    """Global-function model of ``net`` in the SPCF's domain."""
+    if spcf.mode == "sim":
+        pi_words = random_patterns(len(net.pis), sim_width, seed)
+        return SignatureModel(net, pi_words, sim_width)
+    if spcf.mode == "bdd":
+        return BddModel(net, bdd=spcf.bdd)
+    return ExactModel(net)
 
 
 def _process_cone(
     cone_net: Network,
     spcf: Spcf,
-    mode: str,
     sim_width: int,
     seed: int,
     walk_mode: str,
@@ -323,15 +401,14 @@ def _process_cone(
     arrival_map: Optional[Dict[str, int]] = None,
     sat_portfolio: str = "off",
 ) -> Optional[Tuple[Network, int, Network]]:
-    """Primary reduce + secondary simplify on a standalone cone network."""
+    """Primary reduce + secondary simplify on a standalone cone network.
+
+    Models follow the SPCF's domain; a BDD-domain model that outgrows
+    its manager budget raises :class:`BddBlowup`.
+    """
     pos_net = cone_net
     neg_net = cone_net.clone()
-    pi_words: List[int] = []
-    if mode == "sim":
-        pi_words = random_patterns(len(pos_net.pis), sim_width, seed)
-        model = SignatureModel(pos_net, pi_words, sim_width)
-    else:
-        model = ExactModel(pos_net)
+    model = _domain_model(pos_net, spcf, sim_width, seed)
     spcf_fn = model.spcf_fn(spcf)
     t0 = time.perf_counter()
     primary = primary_reduce(
@@ -344,9 +421,10 @@ def _process_cone(
     model.recompute()  # include the freshly added window/Σ nodes
     sigma_fn = model.fn(primary.sigma_nid)
     care_fn = model.complement(sigma_fn)
-    if mode == "sim":
+    neg_model = _domain_model(neg_net, spcf, sim_width, seed)
+    if spcf.mode == "sim":
         checker = SatCareChecker(
-            SignatureModel(neg_net, pi_words, sim_width),
+            neg_model,
             care_fn,
             pos_net,
             primary.sigma_nid,
@@ -354,7 +432,7 @@ def _process_cone(
             sat_portfolio=sat_portfolio,
         )
     else:
-        checker = ExactCareChecker(ExactModel(neg_net), care_fn)
+        checker = ExactCareChecker(neg_model, care_fn)
     t0 = time.perf_counter()
     secondary_simplify(neg_net, 0, checker, max_nodes=24)
     phases["secondary"] = (
@@ -374,15 +452,12 @@ def _run_cone_task(task: Tuple) -> Tuple:
         po_index,
         cone_aig,
         cone_net,
-        mode,
-        spcf_kind,
         sim_width,
         seed,
         walk_mode,
         payload,
         arrival_map,
         spcf_tier,
-        spcf_prefilter,
         sat_portfolio,
         store_spec,
     ) = task
@@ -394,60 +469,66 @@ def _run_cone_task(task: Tuple) -> Tuple:
     start = time.perf_counter()
     before = perf.snapshot()
     phases: Dict[str, float] = {}
-    if payload is None:
-        t0 = time.perf_counter()
-        spcf = _cone_spcf(
-            cone_aig, mode, spcf_kind, sim_width, seed, arrival_map,
-            spcf_tier, spcf_prefilter, sat_portfolio,
-        )
-        phases["spcf"] = time.perf_counter() - t0
-        if spcf is not None and not spcf.is_empty():
-            payload = _serialize_spcf(spcf)
-    else:
-        spcf = _deserialize_spcf(payload)
-    if spcf is None or spcf.is_empty():
+
+    def finish(ok, payload, pos_net=None, sigma_nid=None, neg_net=None):
         phases["total"] = time.perf_counter() - start
         counters = perf.delta(before, perf.snapshot())
-        return (po_index, False, None, None, None, None, phases, counters)
+        return (
+            po_index, ok, pos_net, sigma_nid, neg_net, payload, phases,
+            counters,
+        )
+
+    spcf = None
+    if payload is None:
+        t0 = time.perf_counter()
+        found = _cone_spcf(
+            cone_aig, spcf_domain(cone_aig.num_pis, spcf_tier), sim_width,
+            seed, arrival_map, spcf_tier,
+        )
+        phases["spcf"] = time.perf_counter() - t0
+        if found is None:
+            return finish(False, None)
+        spcf = found[1]
+        payload = _serialize_spcf(*found)
     cone_ns = key = None
-    if payload is not None and store_runtime.is_persistent():
+    if store_runtime.is_persistent():
         cone_ns = store_runtime.get_store().namespace(
             "cone", encode=_encode_cone_result, decode=_decode_cone_result
         )
         key = _cone_result_key(
-            cone_net, mode, sim_width, seed, walk_mode, payload,
+            cone_net, cone_aig, sim_width, seed, walk_mode, payload,
             arrival_map, sat_portfolio,
         )
         stored = cone_ns.get(key, MISSING)
         if stored is not MISSING:
             ok, pos_net, sigma_nid, neg_net, payload = stored
-            phases["total"] = time.perf_counter() - start
-            counters = perf.delta(before, perf.snapshot())
-            return (
-                po_index, ok, pos_net, sigma_nid, neg_net, payload,
-                phases, counters,
-            )
-    result = _process_cone(
-        cone_net, spcf, mode, sim_width, seed, walk_mode, phases,
-        arrival_map, sat_portfolio,
-    )
-    phases["total"] = time.perf_counter() - start
-    counters = perf.delta(before, perf.snapshot())
-    if result is None:
-        if cone_ns is not None:
-            cone_ns.put(key, (False, None, None, None, payload))
-        return (
-            po_index, False, None, None, None, payload, phases, counters
+            return finish(ok, payload, pos_net, sigma_nid, neg_net)
+    pristine = cone_net.clone() if payload[0] == "bdd" else None
+    try:
+        if spcf is None:
+            spcf = _deserialize_spcf(payload, cone_aig, arrival_map)
+        result = _process_cone(
+            cone_net, spcf, sim_width, seed, walk_mode, phases,
+            arrival_map, sat_portfolio,
         )
-    pos_net, sigma_nid, neg_net = result
+    except BddBlowup:
+        # The cone's BDD models outgrew the manager budget: redo it in
+        # the signature domain, on an untouched copy of the cone.
+        found = _cone_spcf(cone_aig, "sim", sim_width, seed, arrival_map)
+        result = None
+        if found is not None:
+            payload = _serialize_spcf(*found)
+            result = _process_cone(
+                pristine, found[1], sim_width, seed, walk_mode, phases,
+                arrival_map, sat_portfolio,
+            )
+    ok = result is not None
+    pos_net, sigma_nid, neg_net = result if ok else (None, None, None)
     if cone_ns is not None:
         # Encoding snapshots the nets before the parent splices/mutates
         # anything downstream.
-        cone_ns.put(key, (True, pos_net, sigma_nid, neg_net, payload))
-    return (
-        po_index, True, pos_net, sigma_nid, neg_net, payload, phases,
-        counters,
-    )
+        cone_ns.put(key, (ok, pos_net, sigma_nid, neg_net, payload))
+    return finish(ok, payload, pos_net, sigma_nid, neg_net)
 
 
 class LookaheadOptimizer:
@@ -457,8 +538,6 @@ class LookaheadOptimizer:
         self,
         max_rounds: int = 4,
         k: int = 6,
-        mode: str = "auto",
-        spcf_kind: str = "exact",
         sim_width: int = 1024,
         seed: int = 0,
         use_rules: bool = True,
@@ -471,7 +550,6 @@ class LookaheadOptimizer:
         cache: Optional[ConeCache] = None,
         arrival_times: Optional[Dict[str, int]] = None,
         spcf_tier: str = "auto",
-        spcf_prefilter: bool = True,
         sat_portfolio: str = "off",
         store: StoreSpec = None,
         rank: str = "off",
@@ -480,16 +558,13 @@ class LookaheadOptimizer:
     ):
         """Configure the optimizer.
 
-        ``mode``: 'tt' (exact global functions), 'sim' (signatures), or
-        'auto' (by PI count).  ``spcf_kind``: 'exact' or 'overapprox'
-        (truth-table modes only; simulation mode always estimates).
-        ``spcf_tier``: ceiling for the tiered SPCF kernels — 'auto'
-        (degrade by support size), 'exact'/'overapprox' (pin the DP
-        flavour where truth tables are feasible), or 'signature' (force
-        the timed-simulation estimate everywhere, which also selects sim
-        mode).  ``spcf_prefilter`` toggles the floating-mode arrival
-        bound that prunes provably-empty DP entries (sound, so results
-        are bit-identical either way; see ``repro.core.signatures``).
+        ``spcf_tier`` selects how SPCFs are evaluated.  'auto' (the
+        default) and 'exact' pick the function domain by PI count —
+        exhaustive truth tables up to 12 PIs, BDDs up to 26, simulation
+        signatures beyond (:func:`spcf_domain`); 'overapprox' swaps the
+        truth-table DP for the node-based over-approximation; 'signature'
+        forces the timed-simulation estimate, and with it the signature
+        domain, everywhere.
         ``verify``: equivalence-check every accepted round (slow; tests).
         ``workers``: worker processes for the per-output fan-out; ``None``
         defers to ``REPRO_WORKERS`` / ``os.cpu_count()`` and ``1`` forces
@@ -529,7 +604,7 @@ class LookaheadOptimizer:
         work — with a zero-accept-window fallback that re-runs pruned
         candidates ungated, so a misprediction costs latency, never QoR.
         """
-        if spcf_tier not in ("auto", "exact", "overapprox", "signature"):
+        if spcf_tier not in SPCF_TIERS:
             raise ValueError(f"unknown SPCF tier {spcf_tier!r}")
         if rank not in RANK_MODES:
             raise ValueError(
@@ -554,13 +629,7 @@ class LookaheadOptimizer:
             )
         self.max_rounds = max_rounds
         self.k = k
-        self.mode = mode
-        self.spcf_kind = spcf_kind
-        if spcf_tier in ("exact", "overapprox"):
-            # A pinned DP flavour rides on the existing kind machinery.
-            self.spcf_kind = spcf_tier
         self.spcf_tier = spcf_tier
-        self.spcf_prefilter = spcf_prefilter
         self.sat_portfolio = sat_portfolio
         self.sim_width = sim_width
         self.seed = seed
@@ -772,17 +841,7 @@ class LookaheadOptimizer:
     # -- one decomposition level ---------------------------------------------------
 
     def _resolve_mode(self, aig: AIG) -> str:
-        if self.spcf_tier == "signature":
-            # Forcing the signature tier implies the simulation domain
-            # end-to-end (SPCF, reduce model, and secondary checker).
-            return "sim"
-        if self.mode != "auto":
-            return self.mode
-        if aig.num_pis <= TT_MODE_PI_LIMIT:
-            return "tt"
-        if aig.num_pis <= BDD_MODE_PI_LIMIT:
-            return "bdd"
-        return "sim"
+        return spcf_domain(aig.num_pis, self.spcf_tier)
 
     def _one_round(self, aig: AIG, walk_mode: str = "target") -> Optional[AIG]:
         engine = AigTimingEngine(aig, self._delay_model())
@@ -810,33 +869,11 @@ class LookaheadOptimizer:
                     net_box.append(renode(aig, self.k))
             return net_box[0]
 
-        if mode == "bdd":
-            # BDD refs live inside one shared (unpicklable) manager, so the
-            # BDD round stays in-process; cones that blow up fall back to
-            # the signature domain per output, as before.  The BDD path
-            # has no rejection cache, so the raw budget truncation stands.
-            if self.max_outputs_per_round is not None:
-                critical = critical[: self.max_outputs_per_round]
-            processed = self._bdd_round(aig, net_thunk(), critical,
-                                        aig_levels, walk_mode)
-            if not processed:
-                return None
-            with perf.timer("phase.rebuild"):
-                rebuilt, accepted = self._rebuild(aig, processed)
-            if not accepted:
-                # Nothing won: stop here rather than returning the
-                # restrashed/swept copy.  A sweep-only "improvement" from
-                # an all-rejected round would make the result depend on
-                # whether rejected cones were skipped through the negative
-                # cache — i.e. warm-cache runs would diverge from cold
-                # ones (found by repro.verify fuzzing, seed 0 case 30).
-                return None
-        else:
-            rebuilt = self._windowed_round(
-                aig, net_thunk, critical, aig_levels, mode, walk_mode
-            )
-            if rebuilt is None:
-                return None
+        rebuilt = self._windowed_round(
+            aig, net_thunk, critical, aig_levels, mode, walk_mode
+        )
+        if rebuilt is None:
+            return None
         if self.area_recovery:
             with perf.timer("phase.area"):
                 rebuilt = recover_area(
@@ -854,9 +891,8 @@ class LookaheadOptimizer:
         fp = cone_fingerprint(aig, [po_lit])
         # The model key keeps unit and prescribed-arrival runs
         # from colliding in the shared cone cache.
-        spcf_key = (fp, mode, self.spcf_kind, self.sim_width,
-                    self.seed, self._model_key(),
-                    self.spcf_tier)
+        spcf_key = (fp, mode, self.sim_width, self.seed,
+                    self._model_key(), self.spcf_tier)
         cfg_key = spcf_key + (
             walk_mode, self.k, self.use_rules, self.sat_portfolio,
         )
@@ -1031,6 +1067,12 @@ class LookaheadOptimizer:
                     "circuit": circuit_fp,
                 })
         if not accepted:
+            # Nothing won: stop here rather than returning the
+            # restrashed copy.  A sweep-only "improvement" from an
+            # all-rejected round would make the result depend on whether
+            # rejected cones were skipped through the negative cache —
+            # i.e. warm-cache runs would diverge from cold ones (found by
+            # repro.verify fuzzing, seed 0 case 30).
             return None
         return rebuilt
 
@@ -1051,7 +1093,7 @@ class LookaheadOptimizer:
         Dict[int, List[float]],
         int,
     ]:
-        """Fan the per-output pipeline out over extracted cones (tt/sim).
+        """Fan the per-output pipeline out over extracted cones.
 
         ``window`` holds ``(po_index, fingerprint, spcf_key, cfg_key)``
         candidates from :meth:`_select_window`.  Builds one
@@ -1087,22 +1129,28 @@ class LookaheadOptimizer:
         # that duplication only pays off when workers absorb it).
         shared_sim: List = []
 
-        def shared_spcf(po_index: int) -> Optional[Spcf]:
+        def shared_spcf(po_index: int) -> Optional[Tuple[int, Spcf]]:
             if not shared_sim:
                 pi_words = random_patterns(
                     aig.num_pis, self.sim_width, self.seed
                 )
-                timed = timed_simulation(
+                shared_sim.append(timed_simulation(
                     aig,
                     unpack_patterns(pi_words, self.sim_width),
                     pi_arrivals=_pi_arrival_ints(
                         self._delay_model(), aig.pi_names
                     ),
-                )
-                shared_sim.append((pi_words, timed))
-            pi_words, timed = shared_sim[0]
-            return self._compute_spcf(
-                aig, po_index, aig_levels, "sim", timed, pi_words
+                ))
+            po_depth = int(aig_levels[lit_var(aig.pos[po_index])])
+            if po_depth == 0:
+                return None
+            perf.incr("spcf.tier.signature")
+            return _relax_delta(
+                lambda delta: Spcf("sim", signature=spcf_signature(
+                    aig, po_index, delta, None, timed=shared_sim[0]
+                )),
+                po_depth,
+                self.sim_width,
             )
 
         tasks: List[Tuple] = []
@@ -1144,19 +1192,20 @@ class LookaheadOptimizer:
                     pruned.append((po_index, fp, spcf_key, cfg_key))
                     continue
                 payload = self.cache.get_spcf(spcf_key)
-                cone_aig = None
                 if payload is not None:
                     cached_payload.add(po_index)
                 elif mode == "sim" and nworkers == 1:
                     with perf.timer("phase.spcf"):
-                        spcf = shared_spcf(po_index)
-                    if spcf is None or spcf.is_empty():
+                        found = shared_spcf(po_index)
+                    if found is None:
                         self.cache.mark_rejected(spcf_key)
                         self._call_rejected.add(cfg_key)
                         self._note_reject(fp)
                         continue
-                    payload = _serialize_spcf(spcf)
-                else:
+                    payload = _serialize_spcf(*found)
+                cone_aig = None
+                if payload is None or payload[0] == "bdd":
+                    # A BDD payload is only Δ: the task recomputes it.
                     cone_aig = aig.extract([po_lit])
                 cone_net = net_thunk().extract_po_cone(po_index)
                 spcf_keys[po_index] = spcf_key
@@ -1166,15 +1215,12 @@ class LookaheadOptimizer:
                         po_index,
                         cone_aig,
                         cone_net,
-                        mode,
-                        self.spcf_kind,
                         self.sim_width,
                         self.seed,
                         walk_mode,
                         payload,
                         self.arrival_times,
                         self.spcf_tier,
-                        self.spcf_prefilter,
                         self.sat_portfolio,
                         store_runtime.current_spec(),
                     )
@@ -1222,173 +1268,6 @@ class LookaheadOptimizer:
                 continue
             processed.append((po_index, pos_net, sigma_nid, neg_net))
         return processed, reject_keys, pruned, features, len(tasks)
-
-    def _bdd_round(
-        self,
-        aig: AIG,
-        net: Network,
-        critical: List[int],
-        aig_levels: List[int],
-        walk_mode: str,
-    ) -> List[Tuple[int, Network, int, Network]]:
-        """Serial per-output loop for the BDD mode (shared manager)."""
-        from ..bdd import BDD
-
-        bdd_manager = BDD()
-        pi_words: List[int] = []
-        timed = None
-
-        def ensure_sim():
-            nonlocal pi_words, timed
-            if timed is None:
-                pi_words = random_patterns(
-                    aig.num_pis, self.sim_width, self.seed
-                )
-                pi_bits = unpack_patterns(pi_words, self.sim_width)
-                timed = timed_simulation(
-                    aig,
-                    pi_bits,
-                    pi_arrivals=_pi_arrival_ints(
-                        self._delay_model(), aig.pi_names
-                    ),
-                )
-
-        processed: List[Tuple[int, Network, int, Network]] = []
-        for po_index in critical:
-            po_mode = "bdd"
-            spcf = self._compute_spcf(
-                aig, po_index, aig_levels, po_mode, timed, pi_words,
-                bdd_manager,
-            )
-            if spcf is None:
-                # BDD blowup: retry this output in the signature domain.
-                po_mode = "sim"
-                ensure_sim()
-                spcf = self._compute_spcf(
-                    aig, po_index, aig_levels, po_mode, timed, pi_words, None
-                )
-            if spcf is None or spcf.is_empty():
-                continue  # output has no (sensitizable) critical path
-            try:
-                result = self._process_output(
-                    net, po_index, spcf, po_mode, pi_words, walk_mode,
-                    bdd_manager,
-                )
-            except BddBlowup:
-                ensure_sim()
-                spcf = self._compute_spcf(
-                    aig, po_index, aig_levels, "sim", timed, pi_words, None
-                )
-                if spcf is None or spcf.is_empty():
-                    continue
-                result = self._process_output(
-                    net, po_index, spcf, "sim", pi_words, walk_mode, None
-                )
-            if result is not None:
-                processed.append(result)
-        return processed
-
-    def _compute_spcf(
-        self,
-        aig: AIG,
-        po_index: int,
-        aig_levels: List[int],
-        mode: str,
-        timed,
-        pi_words: List[int],
-        bdd_manager=None,
-    ) -> Optional[Spcf]:
-        po_depth = int(aig_levels[lit_var(aig.pos[po_index])])
-        if po_depth == 0:
-            return None
-        if mode == "tt":
-            perf.incr(f"spcf.tier.{self.spcf_kind}")
-        elif mode == "bdd":
-            perf.incr("spcf.tier.bdd")
-        else:
-            perf.incr("spcf.tier.signature")
-        # Start at the full output depth and relax: longest paths may be
-        # false (statically unsensitizable), and a near-empty SPCF makes a
-        # useless weight metric — the paper's Delta is a free threshold.
-        min_count = 1 if mode == "tt" else max(8, self.sim_width // 128)
-        min_delta = max(1, po_depth // 2)
-        fallback = None
-        for delta in range(po_depth, min_delta - 1, -1):
-            if mode == "tt":
-                if self.spcf_kind == "overapprox":
-                    tt = spcf_overapprox_tt(
-                        aig, po_index, delta, arrivals=aig_levels
-                    )
-                else:
-                    tt = spcf_exact_tt(
-                        aig, po_index, delta, arrivals=aig_levels
-                    )
-                spcf = Spcf("tt", tt=tt)
-            elif mode == "bdd":
-                ref = spcf_exact_bdd(
-                    aig, po_index, delta, bdd_manager, arrivals=aig_levels
-                )
-                if ref is None:
-                    return None  # manager blowup: caller falls back
-                spcf = Spcf(
-                    "bdd", bdd=bdd_manager, ref=ref, num_pis=aig.num_pis
-                )
-            else:
-                sig = spcf_signature(
-                    aig, po_index, delta, None, timed=timed
-                )
-                spcf = Spcf("sim", signature=sig)
-            if spcf.count >= min_count:
-                return spcf
-            if fallback is None and not spcf.is_empty():
-                fallback = spcf
-        return fallback
-
-    def _process_output(
-        self,
-        net: Network,
-        po_index: int,
-        spcf: Spcf,
-        mode: str,
-        pi_words: List[int],
-        walk_mode: str = "target",
-        bdd_manager=None,
-    ) -> Optional[Tuple[int, Network, int, Network]]:
-        pos_net = net.extract_po_cone(po_index)
-        neg_net = net.extract_po_cone(po_index)
-        if mode == "tt":
-            model = ExactModel(pos_net)
-        elif mode == "bdd":
-            model = BddModel(pos_net, bdd=bdd_manager)
-        else:
-            model = SignatureModel(pos_net, pi_words, self.sim_width)
-        spcf_fn = model.spcf_fn(spcf)
-        primary = primary_reduce(
-            pos_net, 0, model, spcf_fn, walk_mode=walk_mode,
-            delay_model=self._delay_model(),
-        )
-        if not primary.success or primary.sigma_nid is None:
-            return None
-        model.recompute()  # include the freshly added window/Σ nodes
-        sigma_fn = model.fn(primary.sigma_nid)
-        care_fn = model.complement(sigma_fn)
-        if mode == "tt":
-            checker = ExactCareChecker(ExactModel(neg_net), care_fn)
-        elif mode == "bdd":
-            checker = ExactCareChecker(
-                BddModel(neg_net, bdd=bdd_manager), care_fn
-            )
-        else:
-            checker = SatCareChecker(
-                SignatureModel(neg_net, pi_words, self.sim_width),
-                care_fn,
-                pos_net,
-                primary.sigma_nid,
-                neg_net,
-                sat_portfolio=self.sat_portfolio,
-            )
-        secondary_simplify(neg_net, 0, checker, max_nodes=24)
-        return po_index, pos_net, primary.sigma_nid, neg_net
 
     def _rebuild(
         self,

@@ -294,14 +294,10 @@ class SpcfTierConfig:
     truth-table DP; up to ``overapprox_limit`` they degrade to the
     over-approximate DP; anything wider falls back to the timed-simulation
     signature estimate.  ``force`` pins every cone to one tier regardless
-    of size (the CLI's ``--spcf-tier`` knob).  ``prefilter`` attaches the
-    floating-mode arrival bound to the DP; it is only ever *applied* when
-    the cone is small enough (``exhaustive_limit``) for the bound to be a
-    proof, so truth-table tiers stay bit-identical to the unfiltered DP.
-    ``sat_portfolio`` is the solver policy of the cone-processing task
-    this config describes (see :mod:`repro.sat.portfolio`); the SPCF
-    kernels themselves are SAT-free, so the field rides along for the
-    downstream care checker and stays out of :meth:`key`.
+    of size (the CLI's ``--spcf-tier`` knob).  The floating-mode arrival
+    bound prefilters the DP only when the cone is small enough
+    (``exhaustive_limit``) for the bound to be a proof, so truth-table
+    tiers stay bit-identical to the unfiltered DP.
     """
 
     __slots__ = (
@@ -309,10 +305,8 @@ class SpcfTierConfig:
         "overapprox_limit",
         "sim_width",
         "seed",
-        "prefilter",
         "exhaustive_limit",
         "force",
-        "sat_portfolio",
     )
 
     def __init__(
@@ -321,10 +315,8 @@ class SpcfTierConfig:
         overapprox_limit: int = 14,
         sim_width: int = 1024,
         seed: int = 0,
-        prefilter: bool = True,
         exhaustive_limit: int = EXHAUSTIVE_PI_LIMIT,
         force: Optional[str] = None,
-        sat_portfolio: str = "off",
     ):
         if force not in (None, "exact", "overapprox", "signature"):
             raise ValueError(f"unknown SPCF tier {force!r}")
@@ -332,28 +324,8 @@ class SpcfTierConfig:
         self.overapprox_limit = overapprox_limit
         self.sim_width = sim_width
         self.seed = seed
-        self.prefilter = prefilter
         self.exhaustive_limit = exhaustive_limit
         self.force = force
-        self.sat_portfolio = sat_portfolio
-
-    def key(self) -> Tuple:
-        """Hashable identity for cache keys (anything result-affecting).
-
-        ``sat_portfolio`` is deliberately excluded: the SPCF kernels run
-        no SAT queries, so the portfolio mode cannot affect their results
-        and including it would only split otherwise-shareable memo
-        entries.
-        """
-        return (
-            self.exact_limit,
-            self.overapprox_limit,
-            self.sim_width,
-            self.seed,
-            self.prefilter,
-            self.exhaustive_limit,
-            self.force,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -440,7 +412,7 @@ class SpcfKernel:
         if not self._prefilter_built:
             self._prefilter_built = True
             cfg = self.config
-            if cfg.prefilter and self.aig.num_pis <= cfg.exhaustive_limit:
+            if self.aig.num_pis <= cfg.exhaustive_limit:
                 self._prefilter = SpcfPrefilter.for_cone(
                     self.aig,
                     pi_arrivals=self.pi_arrivals,

@@ -168,7 +168,7 @@ def spcf_tiers_agree(case: Case) -> Optional[str]:
     differently, but every tier's output must stay CEC-equivalent to the
     input and pass the same never-worse depth gate.
     """
-    with case.optimizer(workers=1) as opt:
+    with case.optimizer(workers=1, spcf_tier="auto") as opt:
         exact = opt.optimize(case.aig)
     with case.optimizer(workers=1, spcf_tier="signature") as opt:
         degraded = opt.optimize(case.aig)

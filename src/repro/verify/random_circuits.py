@@ -86,14 +86,13 @@ def random_config(rng: random.Random) -> Dict:
     """Random :class:`~repro.core.LookaheadOptimizer` keyword arguments.
 
     Bounded to keep a single fuzz case sub-second: few rounds, narrow
-    simulation, and the BDD mode is reached through ``auto`` only (its
-    PI limits make it rare at fuzz sizes, exactly like production).
+    simulation, and the BDD domain is reached by PI count only (its PI
+    limits make it rare at fuzz sizes, exactly like production).
     """
     walk_modes = rng.choice((("target",), ("full",), ("target", "full")))
     return {
         "max_rounds": rng.randint(1, 3),
-        "mode": rng.choice(("auto", "tt", "sim")),
-        "spcf_kind": rng.choice(("exact", "overapprox")),
+        "spcf_tier": rng.choice(("auto", "overapprox", "signature")),
         "sim_width": rng.choice((128, 256)),
         "seed": rng.randint(0, 3),
         "use_rules": rng.random() < 0.8,

@@ -1,16 +1,20 @@
 """Tests for the BDD-domain SPCF and model (mid-size exact mode)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.adders import ripple_carry_adder
 from repro.aig import depth, levels, lit_var
 from repro.bdd import BDD
+from repro.bench.table2 import GOLDEN_W1
 from repro.cec import check_equivalence
 from repro.core import LookaheadOptimizer, Spcf, spcf_exact_tt
 from repro.core.model import BddBlowup, BddModel, ExactModel
 from repro.core.spcf import spcf_exact_bdd
 from repro.netlist import renode
+from repro.rank import RankLogger
 from repro.tt import TruthTable
 
 from ..aig.test_aig import random_aig
@@ -83,10 +87,70 @@ class TestBddModel:
 class TestOptimizerBddMode:
     def test_bdd_mode_equivalence(self):
         aig = ripple_carry_adder(7)  # 15 PIs: bdd territory in auto mode
-        opt = LookaheadOptimizer(max_rounds=6, mode="bdd")
+        opt = LookaheadOptimizer(max_rounds=6)
         out = opt.optimize(aig)
         assert check_equivalence(aig, out)
         assert depth(out) < depth(aig)
+
+    def test_bdd_round_runs_the_cone_pipeline(self):
+        # 17 PIs: BDD cones go through the windowed cone pipeline, so the
+        # round reports its replacements, phase timers and SPCF tier.
+        aig = ripple_carry_adder(8)
+        perf.reset()
+        with LookaheadOptimizer(
+            max_rounds=1, workers=1, walk_modes=("target",)
+        ) as opt:
+            out = opt.optimize(aig)
+        assert perf.counter("replacements.accepted") > 0
+        assert perf.seconds("phase.secondary") > 0
+        assert perf.counter("spcf.tier.bdd") > 0
+        assert perf.counter("spcf.tier.signature") == 0
+        assert check_equivalence(aig, out)
+
+    @pytest.mark.parametrize("stage", ["spcf", "model"])
+    def test_bdd_blowup_falls_back_to_signatures(self, monkeypatch, stage):
+        # A cone whose BDD work outgrows the manager budget — in the SPCF
+        # or later in the reduce/secondary models — is redone alone in
+        # the signature domain.
+        from repro.core import lookahead
+
+        if stage == "spcf":
+            monkeypatch.setattr(lookahead, "spcf_exact_bdd",
+                                lambda *args, **kwargs: None)
+        else:
+            monkeypatch.setattr(
+                lookahead, "BddModel",
+                lambda net, bdd=None: BddModel(net, bdd=bdd, size_limit=1),
+            )
+        aig = ripple_carry_adder(8)
+        perf.reset()
+        with LookaheadOptimizer(
+            max_rounds=1, workers=1, walk_modes=("target",)
+        ) as opt:
+            out = opt.optimize(aig)
+        assert perf.counter("spcf.tier.bdd") > 0
+        assert perf.counter("spcf.tier.signature") > 0
+        assert perf.counter("replacements.accepted") > 0
+        assert check_equivalence(aig, out)
+
+    def test_bdd_domain_rank_log_writes_rows(self):
+        aig = ripple_carry_adder(8)
+        logger = RankLogger()
+        with LookaheadOptimizer(
+            max_rounds=1, workers=1, walk_modes=("target",),
+            rank="log", rank_data=logger,
+        ) as opt:
+            opt.optimize(aig)
+        assert len(logger.rows) > 0
+        assert any(row["accept"] for row in logger.rows)
+
+    def test_rca9_qor_above_truth_table_limit(self):
+        # 19 PIs: past the truth-table limit (node_tts stops at 18), where
+        # the BDD domain still earns area over signatures.
+        aig = ripple_carry_adder(9)
+        with LookaheadOptimizer(workers=1, **GOLDEN_W1) as opt:
+            out = opt.optimize(aig)
+        assert (depth(out), out.num_ands()) == (16, 119)
 
     def test_auto_picks_bdd_between_limits(self):
         from repro.core.lookahead import BDD_MODE_PI_LIMIT, TT_MODE_PI_LIMIT

@@ -29,8 +29,10 @@ class TestNormalize:
         assert config["verify"] is False
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_job_config({"flwo": "lookahead"})
+        # A typo, and a knob that no longer exists (old clients).
+        for options in ({"flwo": "lookahead"}, {"spcf_prefilter": True}):
+            with pytest.raises(ValueError):
+                normalize_job_config(options)
 
     def test_unknown_flow_rejected(self):
         with pytest.raises(ValueError):

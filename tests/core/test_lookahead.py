@@ -80,7 +80,7 @@ class TestLookaheadOptimizer:
     def test_sim_mode_on_small_adder(self):
         aig = ripple_carry_adder(3)
         out = LookaheadOptimizer(
-            max_rounds=6, mode="sim", sim_width=256
+            max_rounds=6, spcf_tier="signature", sim_width=256
         ).optimize(aig)
         assert check_equivalence(aig, out)
         assert depth(out) <= depth(aig)
@@ -88,7 +88,7 @@ class TestLookaheadOptimizer:
     def test_overapprox_spcf_mode(self):
         aig = ripple_carry_adder(3)
         out = LookaheadOptimizer(
-            max_rounds=6, spcf_kind="overapprox"
+            max_rounds=6, spcf_tier="overapprox"
         ).optimize(aig)
         assert check_equivalence(aig, out)
 

@@ -24,7 +24,10 @@ from repro.core.lookahead import BUDGET_WINDOWS
 
 
 def _sim_optimizer(**kwargs):
-    opts = dict(seed=1, max_rounds=2, mode="sim", sim_width=256, workers=1)
+    opts = dict(
+        seed=1, max_rounds=2, spcf_tier="signature", sim_width=256,
+        workers=1,
+    )
     opts.update(kwargs)
     return LookaheadOptimizer(**opts)
 

@@ -55,6 +55,16 @@ class TestParallelDeterminism:
         assert _dump(serial) == _dump(parallel)
         assert check_equivalence(aig, serial)
 
+    def test_adder_bdd_domain_bit_identical(self):
+        # 17 PIs -> BDD domain: workers build cone-local managers.
+        aig = ripple_carry_adder(8)
+        kw = dict(max_rounds=2, max_outputs_per_round=8, sim_width=512)
+        serial = _optimize(aig, 1, **kw)
+        parallel = _optimize(aig, 4, **kw)
+        assert _dump(serial) == _dump(parallel)
+        assert depth(serial) < depth(aig)
+        assert check_equivalence(aig, serial)
+
     def test_parallel_round_counter_bumped(self):
         aig = ripple_carry_adder(4)
         before = perf.counter("rounds.parallel")

@@ -1,7 +1,7 @@
 """End-to-end ``--profile`` telemetry through the CLI.
 
-The tiered SPCF kernels record their chosen tier and prefilter activity
-in ``spcf.*`` counters; these tests drive ``repro optimize --profile``
+The tiered SPCF kernels record their chosen tier in ``spcf.*``
+counters; these tests drive ``repro optimize --profile``
 exactly as a user would (capturing stderr) and assert the counters
 surface in the report — including through worker processes, whose
 counter deltas are merged back into the parent registry.
@@ -48,27 +48,19 @@ def test_profile_spcf_tier_knob_switches_counter(capsys, rca4_path):
     assert "spcf.tier.exact" not in err
 
 
-def test_prefilter_counters_zero_when_disabled(rca4_path):
-    # Drive the optimizer directly so the counter can be read exactly.
-    perf.reset()
-    aig = ripple_carry_adder(4)
-    with LookaheadOptimizer(
-        max_rounds=2, workers=1, spcf_prefilter=False
-    ) as opt:
-        opt.optimize(aig)
-    assert perf.counter("spcf.prefilter_hits") == 0
-    assert perf.counter("spcf.tier.exact") > 0
-
-
 def test_worker_counters_merge_into_parent():
     """Parallel rounds must report the same spcf.* tiers as serial."""
     aig = ripple_carry_adder(6)
     perf.reset()
-    with LookaheadOptimizer(max_rounds=1, mode="sim", workers=1) as opt:
+    with LookaheadOptimizer(
+        max_rounds=1, spcf_tier="signature", workers=1
+    ) as opt:
         opt.optimize(aig)
     serial = perf.counter("spcf.tier.signature")
     perf.reset()
-    with LookaheadOptimizer(max_rounds=1, mode="sim", workers=2) as opt:
+    with LookaheadOptimizer(
+        max_rounds=1, spcf_tier="signature", workers=2
+    ) as opt:
         opt.optimize(aig)
     parallel = perf.counter("spcf.tier.signature")
     assert serial > 0

@@ -40,7 +40,7 @@ def _dump(aig):
 def _run(aig, **kwargs):
     """One bounded sim-mode optimize (the windowed cone path)."""
     opts = dict(
-        seed=1, max_rounds=2, mode="sim", sim_width=256,
+        seed=1, max_rounds=2, spcf_tier="signature", sim_width=256,
         walk_modes=("target", "full"), workers=1,
     )
     opts.update(kwargs)
@@ -126,7 +126,7 @@ class TestPrune:
         harsh = passthrough_model()
         harsh.threshold = 2.0
         opts = dict(
-            seed=1, max_rounds=2, mode="sim", sim_width=256,
+            seed=1, max_rounds=2, spcf_tier="signature", sim_width=256,
             walk_modes=("target", "full"), workers=1,
             rank="prune", rank_model=harsh,
         )

@@ -36,8 +36,6 @@ def _dump(aig):
 
 
 def _optimize(aig, **kwargs):
-    # rca4 at these settings routes cones through the SPCF/cache path
-    # (larger adders fall to the BDD tier, which bypasses the cone cache).
     with LookaheadOptimizer(max_rounds=4, workers=1, **kwargs) as opt:
         return opt.optimize(aig)
 
@@ -120,19 +118,23 @@ class TestWarmEqualsCold:
         from repro import perf
         from repro.store import SqliteStore
 
-        path = str(tmp_path / "results.db")
-        aig = ripple_carry_adder(4)
-        cold = _dump(_optimize(aig, store=path))
-        store_runtime.reset()
-        disk = SqliteStore(path)
-        assert disk.entries("cone") > 0  # whole task results persisted
-        disk.close()
-        before = perf.counter("store.cone.hit")
-        warm = _dump(_optimize(aig, store=path))
-        # The warm run replays entire per-cone pipeline results (skipping
-        # the primary/secondary work), and is still bit-identical.
-        assert perf.counter("store.cone.hit") > before
-        assert warm == cold
+        # rca4 (9 PIs) runs in the truth-table domain, rca8 (17 PIs) in
+        # the BDD domain, whose SPCF payload is recomputed from its Δ.
+        for width in (4, 8):
+            store_runtime.reset()
+            path = str(tmp_path / f"results{width}.db")
+            aig = ripple_carry_adder(width)
+            cold = _dump(_optimize(aig, store=path))
+            store_runtime.reset()
+            disk = SqliteStore(path)
+            assert disk.entries("cone") > 0  # whole task results persisted
+            disk.close()
+            before = perf.counter("store.cone.hit")
+            warm = _dump(_optimize(aig, store=path))
+            # The warm run replays entire per-cone pipeline results
+            # (skipping the primary/secondary work), bit-identically.
+            assert perf.counter("store.cone.hit") > before, width
+            assert warm == cold, width
 
     def test_memory_only_store_skips_cone_replay(self):
         from repro import perf

@@ -14,7 +14,7 @@ from repro.verify import Case, INVARIANTS, run_invariant
 def adder_case():
     return Case(
         aig=ripple_carry_adder(4),
-        config={"max_rounds": 2, "mode": "tt", "seed": 0},
+        config={"max_rounds": 2, "seed": 0},
         arrival_times=None,
     )
 
