@@ -6,7 +6,7 @@ network, the cut-rewriting baseline, and the technology mapper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..tt import TruthTable
 from .aig import AIG, lit_neg, lit_var
@@ -20,11 +20,6 @@ def _merge(c0: Cut, c1: Cut, k: int) -> Cut:
     if len(union) > k:
         return ()
     return tuple(union)
-
-
-def _dominated(cut: Cut, others: List[Cut]) -> bool:
-    cut_set = set(cut)
-    return any(set(o) <= cut_set and o != cut for o in others)
 
 
 def enumerate_cuts(
@@ -54,12 +49,21 @@ def enumerate_cuts(
                     continue
                 seen.add(u)
                 merged.append(u)
-        # Remove dominated cuts, sort small-first, truncate.
-        merged = [c for c in merged if not _dominated(c, merged)]
+        # Small-first, keep the first ``max_cuts`` cuts that no other cut
+        # is a proper subset of.  A dominating cut is smaller, and a chain
+        # of them ends at a kept cut, so testing the kept ones suffices.
         merged.sort(key=lambda c: (len(c), c))
-        merged = merged[:max_cuts]
-        trivial = (var,)
-        cuts[var] = merged + [trivial]
+        kept: List[Cut] = []
+        kept_sets: List[FrozenSet[int]] = []
+        for cut in merged:
+            if len(kept) == max_cuts:
+                break
+            cut_set = frozenset(cut)
+            if not any(o < cut_set for o in kept_sets):
+                kept.append(cut)
+                kept_sets.append(cut_set)
+        kept.append((var,))
+        cuts[var] = kept
     return cuts
 
 

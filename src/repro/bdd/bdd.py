@@ -249,7 +249,10 @@ class BDD:
 
         if self.level_of(f) < self._TERMINAL_LEVEL and self.level_of(f) >= nvars:
             raise ValueError("function depends on variables beyond nvars")
-        return count(f)
+        try:
+            return count(f)
+        finally:
+            del count  # free the self-referencing closure now, not at GC
 
     def pick_one(self, f: int) -> Optional[Dict[int, bool]]:
         """One satisfying assignment over the support, or None if UNSAT."""

@@ -95,6 +95,7 @@ class SatCareChecker:
         self.max_conflicts = 200
         self._witness_pis: List[List[bool]] = []
         self._wit_model: Optional[SignatureModel] = None
+        self._sec_topo: Optional[List[int]] = None
         self._sigma_fp: Optional[int] = None
         self._sec_fps: Optional[Dict[int, int]] = None
         self._enc_batches: List[tuple] = []
@@ -126,6 +127,7 @@ class SatCareChecker:
         # here), but their node values must be re-derived from the
         # mutated secondary network.
         self._wit_model = None
+        self._sec_topo = None
 
     def _ensure_encoding(self) -> None:
         if self._solver is not None:
@@ -319,7 +321,11 @@ class SatCareChecker:
             if v:
                 wm.pi_words[i] |= bit
                 wm.fns[pi] |= bit
-        for nid in self.secondary_net.topo_order():
+        if self._sec_topo is None:
+            # ``set_function`` keeps the structure, but a refresh drops
+            # the order along with everything else derived from the net.
+            self._sec_topo = self.secondary_net.topo_order()
+        for nid in self._sec_topo:
             node = self.secondary_net.nodes[nid]
             m = 0
             for j, f in enumerate(node.fanins):

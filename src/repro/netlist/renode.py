@@ -85,4 +85,5 @@ def renode(
             net.add_po(nid, False, name)
             continue
         net.add_po(map_var(var), neg, name)
+    del map_var  # free the self-referencing closure now, not at GC
     return net

@@ -73,6 +73,7 @@ def balance(aig: AIG) -> AIG:
             mapping[var] = lit_not(CONST0)
             continue
         mapping[var] = build_tree(mapped_leaves)
+    del collect_leaves  # free the self-referencing closure now, not at GC
 
     for po, name in zip(aig.pos, aig.po_names):
         dest.add_po(lit_notif(mapping[lit_var(po)], lit_neg(po)), name)

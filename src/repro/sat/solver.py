@@ -28,12 +28,6 @@ def _ilit(ext: int) -> int:
     return var * 2 + (1 if ext < 0 else 0)
 
 
-def _elit(ilit: int) -> int:
-    """Internal literal -> DIMACS literal."""
-    var = (ilit >> 1) + 1
-    return -var if ilit & 1 else var
-
-
 def luby(i: int) -> int:
     """The Luby restart sequence (1,1,2,1,1,2,4,...), 0-indexed."""
     size, seq = 1, 0
@@ -152,34 +146,43 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 class _VarHeap:
-    """Indexed max-heap on variable activity."""
+    """Indexed max-heap on variable activity.
+
+    ``pos[var]`` is the variable's index in ``heap``, or -1 while it is
+    not in the heap.  The solver inlines push (in :meth:`Solver._backtrack`)
+    and pop (in :meth:`Solver._decide`); those copies make exactly the
+    sift comparisons of :meth:`_up` and :meth:`_down`, since with equal
+    activities the heap layout is the decision tie-break.
+    """
 
     def __init__(self) -> None:
         self.heap: List[int] = []
-        self.pos: Dict[int, int] = {}
+        self.pos: List[int] = []
 
     def __contains__(self, var: int) -> bool:
-        return var in self.pos
+        return var < len(self.pos) and self.pos[var] >= 0
 
     def push(self, var: int, activity: List[float]) -> None:
-        if var in self.pos:
+        pos = self.pos
+        if var >= len(pos):
+            pos.extend([-1] * (var + 1 - len(pos)))
+        elif pos[var] >= 0:
             return
         self.heap.append(var)
-        self.pos[var] = len(self.heap) - 1
         self._up(len(self.heap) - 1, activity)
 
     def pop(self, activity: List[float]) -> int:
-        top = self.heap[0]
-        last = self.heap.pop()
-        del self.pos[top]
-        if self.heap:
-            self.heap[0] = last
-            self.pos[last] = 0
+        heap = self.heap
+        top = heap[0]
+        last = heap.pop()
+        self.pos[top] = -1
+        if heap:
+            heap[0] = last
             self._down(0, activity)
         return top
 
     def update(self, var: int, activity: List[float]) -> None:
-        if var in self.pos:
+        if var in self:
             self._up(self.pos[var], activity)
 
     def _up(self, i: int, act: List[float]) -> None:
@@ -217,20 +220,36 @@ class _VarHeap:
 
 
 class Solver:
-    """Incremental CDCL SAT solver."""
+    """Incremental CDCL SAT solver.
+
+    The hot paths (:meth:`_propagate`, :meth:`_backtrack`,
+    :meth:`_decide`) work on local references to the per-literal value
+    list ``_lv`` and inline the enqueue and the heap sifts.  Every
+    mutation — watch-list order, clause literal swaps, heap layout — is
+    made in the same order as the plain MiniSat formulation, so a given
+    clause and call stream always takes the same search.
+    """
 
     def __init__(self, config: Optional[SolverConfig] = None) -> None:
         self.config = config if config is not None else DEFAULT_CONFIG
-        self.clauses: List[Optional[List[int]]] = []  # internal-literal clauses
-        self.watches: List[List[int]] = []  # per internal literal
-        self.assign: List[int] = []  # per var: _UNDEF / 0 (false) / 1 (true)
+        # Clauses are lists of internal literals.  Watch lists and
+        # reasons hold the clause objects themselves: each stored clause
+        # sits in the lists of the negations of its first two literals.
+        self.watches: List[List[List[int]]] = []  # per internal literal
+        # Per internal literal: 1 (true), 0 (false) or _UNDEF.  A
+        # variable's value is the value of its positive literal.
+        self._lv: List[int] = []
         self.level: List[int] = []
-        self.reason: List[int] = []  # clause index or _UNDEF
+        # Implying clause of each assigned variable (None: decision,
+        # assumption or root unit).
+        self.reason: List[Optional[List[int]]] = []
         self.trail: List[int] = []  # assigned internal literals
         self.trail_lim: List[int] = []
         self.qhead = 0
         self.activity: List[float] = []
         self.var_inc = 1.0
+        # Sign bit of each variable's last assignment (1 = negative); the
+        # initial phase is false.
         self.phase: List[int] = []
         self.heap = _VarHeap()
         self.ok = True
@@ -241,8 +260,9 @@ class Solver:
         # levels 1..len(_assumption_levels); maintained by solve() and
         # _backtrack() so keep_prefix can reuse the propagated prefix.
         self._assumption_levels: List[int] = []
-        # Learned-clause bookkeeping (only populated under a learned_limit).
-        self._learned: Dict[int, float] = {}  # clause index -> activity
+        # Learned-clause bookkeeping (only populated under a learned_limit):
+        # id(clause) -> [activity, clause], in learning order.
+        self._learned: Dict[int, list] = {}
         self.cla_inc = 1.0
         cfg = self.config
         self._rng = random.Random(cfg.seed) if cfg.seed is not None else None
@@ -257,28 +277,29 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its 1-based DIMACS index."""
-        self.assign.append(_UNDEF)
+        var = len(self.level)
+        self._lv.append(_UNDEF)
+        self._lv.append(_UNDEF)
         self.level.append(0)
-        self.reason.append(_UNDEF)
+        self.reason.append(None)
         if self._rng is None:
             self.activity.append(0.0)
         else:
             # Sub-unit jitter: diversifies VSIDS tie-breaking across racers
             # without outweighing a single real activity bump.
             self.activity.append(self._rng.random() * 1e-3)
-        self.phase.append(0)
+        self.phase.append(1)
         self.watches.append([])
         self.watches.append([])
-        var = len(self.assign) - 1
         self.heap.push(var, self.activity)
         return var + 1
 
     @property
     def num_vars(self) -> int:
-        return len(self.assign)
+        return len(self.level)
 
     def _ensure_var(self, ext: int) -> None:
-        while abs(ext) > self.num_vars:
+        while abs(ext) > len(self.level):
             self.new_var()
 
     def add_clause(self, ext_lits: Iterable[int]) -> bool:
@@ -287,110 +308,126 @@ class Solver:
             return False
         if self.trail_lim:
             raise RuntimeError("clauses may only be added at decision level 0")
+        lv = self._lv
         lits: List[int] = []
-        seen = set()
         for ext in ext_lits:
-            if ext == 0:
+            if ext > 0:
+                il = 2 * ext - 2
+            elif ext < 0:
+                il = -2 * ext - 1
+            else:
                 raise ValueError("literal 0 is invalid")
-            self._ensure_var(ext)
-            il = _ilit(ext)
-            if il ^ 1 in seen:
-                return True  # tautology
-            if il in seen:
-                continue
-            value = self._value(il)
-            if value == 1 and self.level[il >> 1] == 0:
+            if il >= len(lv):
+                self._ensure_var(ext)
+            # At level 0 every assigned literal is a root fact.
+            value = lv[il]
+            if value == 1:
                 return True  # satisfied at root
-            if value == 0 and self.level[il >> 1] == 0:
+            if value == 0:
                 continue  # falsified at root: drop literal
-            seen.add(il)
-            lits.append(il)
+            if il ^ 1 in lits:
+                return True  # tautology
+            if il not in lits:
+                lits.append(il)
         if not lits:
             self.ok = False
             return False
         if len(lits) == 1:
-            if not self._enqueue(lits[0], _UNDEF):
-                self.ok = False
-                return False
-            self.ok = self._propagate() == _UNDEF
+            self._enqueue(lits[0], None)
+            self.ok = self._propagate() is None
             return self.ok
-        idx = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches[lits[0] ^ 1].append(idx)
-        self.watches[lits[1] ^ 1].append(idx)
+        self.watches[lits[0] ^ 1].append(lits)
+        self.watches[lits[1] ^ 1].append(lits)
         return True
 
     # -- assignment helpers ----------------------------------------------------
 
-    def _value(self, ilit: int) -> int:
-        """0/1 value of an internal literal, or _UNDEF."""
-        v = self.assign[ilit >> 1]
-        if v == _UNDEF:
-            return _UNDEF
-        return v ^ (ilit & 1)
-
-    def _enqueue(self, ilit: int, reason: int) -> bool:
-        value = self._value(ilit)
-        if value == 0:
-            return False
-        if value == 1:
-            return True
+    def _enqueue(self, ilit: int, reason: Optional[List[int]]) -> None:
+        """Assign an unassigned literal at the current decision level."""
+        lv = self._lv
+        lv[ilit] = 1
+        lv[ilit ^ 1] = 0
         var = ilit >> 1
-        self.assign[var] = 1 ^ (ilit & 1)
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
-        self.phase[var] = self.assign[var]
+        self.phase[var] = ilit & 1
         self.trail.append(ilit)
-        return True
-
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
 
     # -- propagation ----------------------------------------------------------
 
-    def _propagate(self) -> int:
-        """Unit propagation; returns conflicting clause index or _UNDEF."""
-        while self.qhead < len(self.trail):
-            ilit = self.trail[self.qhead]
-            self.qhead += 1
-            self.num_propagations += 1
-            watch_list = self.watches[ilit]
-            new_list: List[int] = []
-            conflict = _UNDEF
-            i = 0
-            while i < len(watch_list):
-                ci = watch_list[i]
+    def _propagate(self) -> Optional[List[int]]:
+        """Unit propagation; returns the conflicting clause or None.
+
+        Watch lists are compacted in place; a clause whose other watch
+        is true stays put, one that finds a non-false replacement moves
+        to that literal's list, and a unit clause enqueues its first
+        literal (inlined :meth:`_enqueue`).
+        """
+        trail = self.trail
+        qhead = start = self.qhead
+        if qhead == len(trail):
+            return None
+        watches = self.watches
+        lv = self._lv
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        lvl = len(self.trail_lim)
+        conflict = None
+        while qhead < len(trail):
+            ilit = trail[qhead]
+            qhead += 1
+            false_lit = ilit ^ 1
+            ws = watches[ilit]
+            n = len(ws)
+            i = j = 0
+            while i < n:
+                clause = ws[i]
                 i += 1
-                clause = self.clauses[ci]
-                # Normalize: watched literal being falsified is ilit^1.
-                falsified = ilit ^ 1
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                # Normalize: the falsified watch goes to position 1.
                 first = clause[0]
-                if self._value(first) == 1:
-                    new_list.append(ci)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if lv[first] == 1:
+                    ws[j] = clause
+                    j += 1
                     continue
                 # Search for a replacement watch.
-                moved = False
-                for j in range(2, len(clause)):
-                    if self._value(clause[j]) != 0:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches[clause[1] ^ 1].append(ci)
-                        moved = True
+                k = 2
+                size = len(clause)
+                while k < size:
+                    lk = clause[k]
+                    if lv[lk] != 0:
+                        clause[1] = lk
+                        clause[k] = false_lit
+                        watches[lk ^ 1].append(clause)
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                new_list.append(ci)
-                if not self._enqueue(first, ci):
-                    conflict = ci
-                    new_list.extend(watch_list[i:])
-                    break
-            self.watches[ilit] = new_list
-            if conflict != _UNDEF:
-                self.qhead = len(self.trail)
+                    k += 1
+                else:
+                    # Clause is unit or conflicting.
+                    ws[j] = clause
+                    j += 1
+                    if lv[first] == 0:
+                        conflict = clause
+                        break
+                    lv[first] = 1
+                    lv[first ^ 1] = 0
+                    var = first >> 1
+                    level[var] = lvl
+                    reason[var] = clause
+                    phase[var] = first & 1
+                    trail.append(first)
+            if conflict is not None:
+                del ws[j:i]  # keep the unvisited tail
+                self.num_propagations += qhead - start
+                self.qhead = len(trail)
                 return conflict
-        return _UNDEF
+            del ws[j:]
+        self.num_propagations += qhead - start
+        self.qhead = qhead
+        return None
 
     # -- conflict analysis ------------------------------------------------------
 
@@ -402,41 +439,43 @@ class Solver:
             self.var_inc *= 1e-100
         self.heap.update(var, self.activity)
 
-    def _analyze(self, conflict: int) -> (List[int], int):  # type: ignore[syntax]
+    def _analyze(self, conflict: List[int]) -> Tuple[List[int], int]:
         """First-UIP learning; returns (learned clause, backtrack level)."""
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * self.num_vars
+        seen = set()
+        level = self.level
+        trail = self.trail
+        decision_level = len(self.trail_lim)
         counter = 0
         ilit = _UNDEF
-        index = len(self.trail) - 1
-        clause_idx = conflict
+        index = len(trail) - 1
+        clause = conflict
         while True:
-            if clause_idx in self._learned:
-                self._learned[clause_idx] += self.cla_inc
-            clause = self.clauses[clause_idx]
+            entry = self._learned.get(id(clause))
+            if entry is not None:
+                entry[0] += self.cla_inc
             start = 0 if ilit == _UNDEF else 1
             for q in clause[start:]:
                 var = q >> 1
-                if not seen[var] and self.level[var] > 0:
-                    seen[var] = True
+                if var not in seen and level[var] > 0:
+                    seen.add(var)
                     self._bump(var)
-                    if self.level[var] >= self._decision_level():
+                    if level[var] >= decision_level:
                         counter += 1
                     else:
                         learned.append(q)
             # Find the next trail literal to resolve on.
-            while not seen[self.trail[index] >> 1]:
+            while trail[index] >> 1 not in seen:
                 index -= 1
-            ilit = self.trail[index]
+            ilit = trail[index]
             index -= 1
             var = ilit >> 1
-            seen[var] = False
+            seen.discard(var)
             counter -= 1
             if counter == 0:
                 break
-            clause_idx = self.reason[var]
+            clause = self.reason[var]
             # Put the resolved literal first so it is skipped above.
-            clause = self.clauses[clause_idx]
             if clause[0] != ilit:
                 pos = clause.index(ilit)
                 clause[0], clause[pos] = clause[pos], clause[0]
@@ -447,37 +486,59 @@ class Solver:
             # Second-highest decision level among learned literals.
             max_i = 1
             for i in range(2, len(learned)):
-                if self.level[learned[i] >> 1] > self.level[learned[max_i] >> 1]:
+                if level[learned[i] >> 1] > level[learned[max_i] >> 1]:
                     max_i = i
             learned[1], learned[max_i] = learned[max_i], learned[1]
-            bt_level = self.level[learned[1] >> 1]
+            bt_level = level[learned[1] >> 1]
         return learned, bt_level
 
     def _backtrack(self, target_level: int) -> None:
-        if self._decision_level() <= target_level:
+        """Undo every level above ``target_level``.
+
+        Unassigned variables re-enter the heap in reverse trail order
+        (inlined :meth:`_VarHeap.push`).
+        """
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        limit = self.trail_lim[target_level]
-        for ilit in reversed(self.trail[limit:]):
+        trail = self.trail
+        limit = trail_lim[target_level]
+        lv = self._lv
+        heap = self.heap.heap
+        pos = self.heap.pos
+        act = self.activity
+        for ilit in reversed(trail[limit:]):
+            lv[ilit] = _UNDEF
+            lv[ilit ^ 1] = _UNDEF
             var = ilit >> 1
-            self.assign[var] = _UNDEF
-            self.reason[var] = _UNDEF
-            self.heap.push(var, self.activity)
-        del self.trail[limit:]
-        del self.trail_lim[target_level:]
+            if pos[var] < 0:
+                i = len(heap)
+                heap.append(var)
+                a = act[var]
+                while i > 0:
+                    parent = (i - 1) >> 1
+                    pv = heap[parent]
+                    if act[pv] >= a:
+                        break
+                    heap[i] = pv
+                    pos[pv] = i
+                    i = parent
+                heap[i] = var
+                pos[var] = i
+        del trail[limit:]
+        del trail_lim[target_level:]
         del self._assumption_levels[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = limit
 
     def _learn(self, learned: List[int]) -> None:
         if len(learned) == 1:
-            self._enqueue(learned[0], _UNDEF)
+            self._enqueue(learned[0], None)
             return
-        idx = len(self.clauses)
-        self.clauses.append(learned)
-        self.watches[learned[0] ^ 1].append(idx)
-        self.watches[learned[1] ^ 1].append(idx)
-        self._enqueue(learned[0], idx)
+        self.watches[learned[0] ^ 1].append(learned)
+        self.watches[learned[1] ^ 1].append(learned)
+        self._enqueue(learned[0], learned)
         if self.config.learned_limit is not None and len(learned) > 2:
-            self._learned[idx] = self.cla_inc
+            self._learned[id(learned)] = [self.cla_inc, learned]
 
     def _reduce_db(self) -> None:
         """Drop the lower-activity half of the learned clauses.
@@ -488,38 +549,76 @@ class Solver:
         never has to skip tombstones.  Reason clauses of trail literals
         are locked; binaries were never tracked.
         """
-        locked = {self.reason[ilit >> 1] for ilit in self.trail}
-        by_activity = sorted(self._learned.items(), key=lambda kv: kv[1])
+        locked = {id(self.reason[ilit >> 1]) for ilit in self.trail}
+        by_activity = sorted(self._learned.items(), key=lambda kv: kv[1][0])
         target = len(by_activity) // 2
         removed = 0
-        for idx, _act in by_activity:
+        for key, (_act, clause) in by_activity:
             if removed >= target:
                 break
-            if idx in locked:
+            if key in locked:
                 continue
-            clause = self.clauses[idx]
-            self.watches[clause[0] ^ 1].remove(idx)
-            self.watches[clause[1] ^ 1].remove(idx)
-            self.clauses[idx] = None
-            del self._learned[idx]
+            for lit in clause[:2]:
+                ws = self.watches[lit ^ 1]
+                # By identity: another clause may hold the same literals.
+                del ws[next(i for i, c in enumerate(ws) if c is clause)]
+            del self._learned[key]
             removed += 1
 
     # -- decisions ---------------------------------------------------------------
 
     def _decide(self) -> int:
-        polarity = self._polarity
-        while self.heap.heap:
-            var = self.heap.pop(self.activity)
-            if self.assign[var] == _UNDEF:
+        """Pop the most active unassigned variable and pick its polarity.
+
+        Assigned variables popped on the way stay out of the heap until
+        backtracking unassigns them (inlined :meth:`_VarHeap.pop`).
+        """
+        heap = self.heap.heap
+        pos = self.heap.pos
+        act = self.activity
+        lv = self._lv
+        # The larger activity of the root's children.  Pops that leave
+        # ``last`` at the root (most of them: unbumped activities are all
+        # 0.0) do not touch the children, so it holds until a sift runs.
+        top_child = None
+        while heap:
+            var = heap[0]
+            last = heap.pop()
+            pos[var] = -1
+            n = len(heap)
+            if n >= 3 and top_child is None:
+                top_child = max(act[heap[1]], act[heap[2]])
+            if n >= 3 and act[last] >= top_child:
+                heap[0] = last
+                pos[last] = 0
+            elif n:
+                # Sift ``last`` down from the root.
+                top_child = None
+                a = act[last]
+                i = 0
+                child = 1
+                while child < n:
+                    right = child + 1
+                    if right < n and act[heap[right]] > act[heap[child]]:
+                        child = right
+                    cv = heap[child]
+                    if act[cv] <= a:
+                        break
+                    heap[i] = cv
+                    pos[cv] = i
+                    i = child
+                    child = 2 * i + 1
+                heap[i] = last
+                pos[last] = i
+            if lv[var << 1] == _UNDEF:
+                polarity = self._polarity
                 if polarity == "saved":
-                    neg = self.phase[var] == 0
-                elif polarity == "false":
-                    neg = True
-                elif polarity == "true":
-                    neg = False
-                else:  # random
-                    neg = self._rng.random() < 0.5
-                return var * 2 + (1 if neg else 0)
+                    return (var << 1) | self.phase[var]
+                if polarity == "false":
+                    return (var << 1) | 1
+                if polarity == "true":
+                    return var << 1
+                return (var << 1) | (1 if self._rng.random() < 0.5 else 0)
         return _UNDEF
 
     # -- main solve loop -----------------------------------------------------------
@@ -562,13 +661,14 @@ class Solver:
             while keep < limit and self._assumption_levels[keep] == assumptions[keep]:
                 keep += 1
         self._backtrack(keep)
-        if self._propagate() != _UNDEF:
-            if self._decision_level() == 0:
+        trail_lim = self.trail_lim
+        if self._propagate() is not None:
+            if not trail_lim:
                 self.ok = False
                 return False
             # A retained assumption prefix (a subset of the current
             # assumptions) already contradicts the formula.
-            self._backtrack(self._decision_level() - 1)
+            self._backtrack(len(trail_lim) - 1)
             return False
         for ext in assumptions:
             self._ensure_var(ext)
@@ -582,6 +682,8 @@ class Solver:
             else self.num_propagations + max_propagations
         )
         learned_limit = self.config.learned_limit
+        n_assumptions = len(assumptions)
+        propagate = self._propagate
         while True:
             if (max_conflicts is not None and total_conflicts > max_conflicts) or (
                 prop_limit is not None and self.num_propagations >= prop_limit
@@ -592,25 +694,25 @@ class Solver:
                     else 0
                 )
                 return None
-            conflict = self._propagate()
-            if conflict != _UNDEF:
+            conflict = propagate()
+            if conflict is not None:
                 self.num_conflicts += 1
                 conflicts_here += 1
                 total_conflicts += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self.ok = False
                     return False
-                if self._decision_level() <= len(assumptions):
+                if len(trail_lim) <= n_assumptions:
                     # Conflict forced by assumptions alone.
                     self._backtrack(
-                        min(keep_prefix, self._decision_level() - 1)
+                        min(keep_prefix, len(trail_lim) - 1)
                         if keep_prefix
                         else 0
                     )
                     return False
                 learned, bt_level = self._analyze(conflict)
                 self._backtrack(max(bt_level, 0))
-                if self._decision_level() < len(assumptions):
+                if len(trail_lim) < n_assumptions:
                     # Learned unit (or backjump) jumped into the assumption
                     # prefix; replay assumptions from scratch.
                     self._learn(learned)
@@ -621,8 +723,8 @@ class Solver:
                 if learned_limit is not None:
                     self.cla_inc /= 0.999
                     if self.cla_inc > 1e20:
-                        for idx in self._learned:
-                            self._learned[idx] *= 1e-20
+                        for entry in self._learned.values():
+                            entry[0] *= 1e-20
                         self.cla_inc *= 1e-20
                 continue
             if conflicts_here >= conflict_budget:
@@ -638,27 +740,25 @@ class Solver:
                 ):
                     self._reduce_db()
                 continue
-            if self._decision_level() < len(assumptions):
-                ext = assumptions[self._decision_level()]
+            if len(trail_lim) < n_assumptions:
+                ext = assumptions[len(trail_lim)]
                 ilit = _ilit(ext)
-                value = self._value(ilit)
+                value = self._lv[ilit]
                 if value == 0:
                     if keep_prefix:
-                        self._backtrack(
-                            min(keep_prefix, self._decision_level())
-                        )
+                        self._backtrack(min(keep_prefix, len(trail_lim)))
                     return False
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(self.trail))
                 self._assumption_levels.append(ext)
                 if value == _UNDEF:
-                    self._enqueue(ilit, _UNDEF)
+                    self._enqueue(ilit, None)
                 continue
             decision = self._decide()
             if decision == _UNDEF:
                 return True
             self.num_decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(decision, _UNDEF)
+            trail_lim.append(len(self.trail))
+            self._enqueue(decision, None)
 
     def reset(self) -> None:
         """Backtrack to the root level (allows adding clauses after solve)."""
@@ -668,12 +768,11 @@ class Solver:
 
     def model_value(self, ext: int) -> Optional[bool]:
         """Value of a DIMACS literal in the current model (None if free)."""
-        var = abs(ext) - 1
-        if var >= self.num_vars or self.assign[var] == _UNDEF:
+        if abs(ext) > self.num_vars:
             return None
-        val = bool(self.assign[var])
-        return val if ext > 0 else not val
+        value = self._lv[_ilit(ext)]
+        return None if value == _UNDEF else value == 1
 
     def model(self) -> List[bool]:
         """Full model as a list indexed by variable-1 (free vars -> False)."""
-        return [self.assign[v] == 1 for v in range(self.num_vars)]
+        return [value == 1 for value in self._lv[::2]]

@@ -276,6 +276,7 @@ class ReproDaemon:
         self._runner_threads: List[threading.Thread] = []
         self._stop_event = threading.Event()
         self._stopped = False
+        self._torn_down = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -310,12 +311,24 @@ class ReproDaemon:
         self._stop_event.set()
 
     def stop(self) -> None:
-        """Drain and tear everything down (idempotent)."""
+        """Drain and tear everything down (idempotent).
+
+        Only the first caller tears down; any later caller waits for that
+        teardown to finish, so every return means the listener is closed.
+        """
         with self._state_lock:
-            if self._stopped:
-                return
+            first = not self._stopped
             self._stopped = True
             self._draining = True
+        if not first:
+            self._torn_down.wait()
+            return
+        try:
+            self._teardown()
+        finally:
+            self._torn_down.set()
+
+    def _teardown(self) -> None:
         remove_endpoint(self.endpoint_file)
         if self._server is not None:
             self._server.shutdown()  # no new connections dispatched

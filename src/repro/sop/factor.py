@@ -148,6 +148,7 @@ def kernels(f: Sequence[ACube], min_level: int = 0) -> List[Tuple[ACube, List[AC
     g0 = list(f)
     cc0 = common_cube(g0)
     rec([fc - cc0 for fc in g0], frozenset(cc0), 0)
+    del rec  # free the self-referencing closure (and ``seen``) now, not at GC
     # Kernels must be cube-free covers with >= 2 cubes, plus the trivial one.
     out = []
     for cok, ker in results:

@@ -14,7 +14,42 @@ from repro.aig import (
 from .test_aig import random_aig
 
 
+def pairwise_cuts(aig, k, max_cuts):
+    """Reference enumeration: the plain pairwise dominance filter."""
+
+    def dominated(cut, others):
+        cut_set = set(cut)
+        return any(set(o) <= cut_set and o != cut for o in others)
+
+    cuts = [[] for _ in range(aig.num_vars)]
+    cuts[0] = [()]
+    for var in aig.pis:
+        cuts[var] = [(var,)]
+    for var in aig.and_vars():
+        f0, f1 = aig.fanins(var)
+        merged = []
+        for c0 in cuts[lit_var(f0)]:
+            for c1 in cuts[lit_var(f1)]:
+                union = tuple(sorted(set(c0) | set(c1)))
+                if len(union) > k:
+                    continue
+                if union not in merged:
+                    merged.append(union)
+        merged = [c for c in merged if not dominated(c, merged)]
+        merged.sort(key=lambda c: (len(c), c))
+        cuts[var] = merged[:max_cuts] + [(var,)]
+    return cuts
+
+
 class TestCutEnumeration:
+    @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(0, 10))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_pairwise_reference(self, seed, k, max_cuts):
+        aig = random_aig(seed, n_pis=6, n_nodes=40)
+        assert enumerate_cuts(aig, k, max_cuts) == pairwise_cuts(
+            aig, k, max_cuts
+        )
+
     @given(st.integers(0, 30), st.integers(3, 6))
     @settings(deadline=None, max_examples=15)
     def test_cuts_are_real_cuts(self, seed, k):

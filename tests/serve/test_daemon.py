@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import threading
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.adders import ripple_carry_adder
 from repro.aig import read_aag, write_aag
 from repro.cec import check_equivalence
 from repro.serve import ReproDaemon, ServeClient, ServeError
+from repro.serve import daemon as daemon_module
 from repro.store import runtime as store_runtime
 
 
@@ -73,6 +75,30 @@ class TestLifecycle:
         daemon.stop()
         daemon.stop()
         assert not _client(daemon).ping()
+
+    def test_second_stop_waits_for_teardown(self, daemon, monkeypatch):
+        # The first stop() stalls inside its teardown, before the
+        # listener closes; a concurrent stop() must not return until that
+        # teardown is done.
+        entered = threading.Event()
+        remove_endpoint = daemon_module.remove_endpoint
+
+        def slow_remove_endpoint(path):
+            entered.set()
+            time.sleep(0.5)
+            remove_endpoint(path)
+
+        monkeypatch.setattr(
+            daemon_module, "remove_endpoint", slow_remove_endpoint
+        )
+        first = threading.Thread(target=daemon.stop)
+        first.start()
+        assert entered.wait(timeout=10)
+        daemon.stop()
+        with pytest.raises(ServeError):
+            _client(daemon).status()
+        first.join(timeout=30)
+        assert not first.is_alive()
 
     def test_shutdown_op_drains_and_exits(self, daemon):
         client = _client(daemon)
