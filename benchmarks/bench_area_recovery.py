@@ -1,18 +1,15 @@
-"""Area-recovery speed bench: legacy rebuild+CEC vs the incremental engine.
+"""Area-recovery speed bench: the incremental redundancy-removal engine.
 
-Times redundancy removal on the Table-2 circuits.  The *legacy* algorithm
-(kept verbatim below as the measurement baseline) restarted its edge scan
-from node zero after every accepted drop and proved each candidate with a
-whole-AIG rebuild plus a full CEC run; the incremental engine
-(:class:`repro.core.RedundancyEngine`) answers each edge with one bounded
-two-assumption SAT query against a persistent CNF, behind a shared
-simulation prefilter.
+Times redundancy removal (:func:`repro.core.remove_redundant_edges`, the
+:class:`repro.core.RedundancyEngine` hot path) on Table-2 circuits: each
+edge is answered with one bounded two-assumption SAT query against a
+persistent CNF, behind a shared simulation prefilter.
 
-Rows are *merged* into ``BENCH_speed.json`` (flows ``area-legacy`` /
-``area-incremental``) next to the lookahead rows; rerun this script after
+Rows are *merged* into ``BENCH_speed.json`` (flow ``area-incremental``)
+next to the lookahead rows; rerun this script after
 ``benchmarks/bench_speed.py`` regenerates that file from scratch.
 
-Run standalone:  python benchmarks/bench_area_recovery.py [--skip-legacy]
+Run standalone:  python benchmarks/bench_area_recovery.py
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List
+from typing import List
 
 _SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -30,97 +27,36 @@ _SRC = os.path.join(
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.aig import AIG, CONST0, depth, lit_neg, lit_notif, lit_var
+from repro.aig import depth
 from repro.core import remove_redundant_edges
 
 DEFAULT_OUTPUT = "BENCH_speed.json"
 CIRCUITS = ("rot", "C432")
 
 
-# -- the pre-engine algorithm, kept as the measurement baseline --------------
-
-
-def _legacy_rebuild_without_edge(aig: AIG, target_var: int, drop_idx: int):
-    dest = AIG()
-    mapping: Dict[int, int] = {0: CONST0}
-    for var, name in zip(aig.pis, aig.pi_names):
-        mapping[var] = dest.add_pi(name)
-
-    def mapped(lit: int) -> int:
-        return lit_notif(mapping[lit_var(lit)], lit_neg(lit))
-
-    for var in aig.and_vars():
-        f0, f1 = aig.fanins(var)
-        if var == target_var:
-            kept = f1 if drop_idx == 0 else f0
-            mapping[var] = mapped(kept)
-        else:
-            mapping[var] = dest.and_(mapped(f0), mapped(f1))
-    for po, name in zip(aig.pos, aig.po_names):
-        dest.add_po(mapped(po), name)
-    return dest.extract()
-
-
-def legacy_remove_redundant_edges(
-    aig: AIG, max_checks: int = 2000, sim_width: int = 512, seed: int = 1
-):
-    """The O(n²)-rebuilds hot path this PR replaced (verbatim)."""
-    from repro.cec import check_equivalence
-
-    current = aig.extract()
-    checks = 0
-    improved = True
-    while improved and checks < max_checks:
-        improved = False
-        for var in list(current.and_vars()):
-            if checks >= max_checks:
-                break
-            for drop_idx in (0, 1):
-                checks += 1
-                candidate = _legacy_rebuild_without_edge(
-                    current, var, drop_idx
-                )
-                if candidate.num_ands() >= current.num_ands():
-                    continue
-                if check_equivalence(current, candidate, sim_width, seed):
-                    current = candidate
-                    improved = True
-                    break
-            if improved:
-                break
-    return current
-
-
-# -- the bench ---------------------------------------------------------------
-
-
-def run_bench(skip_legacy: bool = False, verbose: bool = True) -> List[dict]:
+def run_bench(verbose: bool = True) -> List[dict]:
     from repro.bench import BENCHMARKS
 
     rows: List[dict] = []
-    variants = [("area-incremental", remove_redundant_edges)]
-    if not skip_legacy:
-        variants.append(("area-legacy", legacy_remove_redundant_edges))
     for name in CIRCUITS:
         aig = BENCHMARKS[name]()
-        for flow, fn in variants:
-            start = time.perf_counter()
-            out = fn(aig)
-            seconds = time.perf_counter() - start
-            rows.append(
-                {
-                    "circuit": name,
-                    "flow": flow,
-                    "seconds": round(seconds, 4),
-                    "depth": depth(out),
-                    "ands": out.num_ands(),
-                }
+        start = time.perf_counter()
+        out = remove_redundant_edges(aig)
+        seconds = time.perf_counter() - start
+        rows.append(
+            {
+                "circuit": name,
+                "flow": "area-incremental",
+                "seconds": round(seconds, 4),
+                "depth": depth(out),
+                "ands": out.num_ands(),
+            }
+        )
+        if verbose:
+            print(
+                f"{name:10s} area-incremental {seconds:8.2f}s "
+                f"depth {depth(out):3d} ands {out.num_ands():5d}"
             )
-            if verbose:
-                print(
-                    f"{name:10s} {flow:18s} {seconds:8.2f}s "
-                    f"depth {depth(out):3d} ands {out.num_ands():5d}"
-                )
     return rows
 
 
@@ -141,14 +77,9 @@ def merge_rows(rows: List[dict], path: str) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--skip-legacy", action="store_true",
-        help="only time the incremental engine (the legacy baseline "
-             "takes ~20s on rot)",
-    )
     parser.add_argument("-o", "--output", default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
-    rows = run_bench(skip_legacy=args.skip_legacy)
+    rows = run_bench()
     merge_rows(rows, args.output)
     print(f"merged {len(rows)} rows into {args.output}")
     return 0

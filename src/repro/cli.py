@@ -36,15 +36,22 @@ from . import perf
 from .aig import AIG, depth, read_aag, read_blif, write_aag, write_blif
 from .cec import check_equivalence
 from .core import (
+    AREA_EFFORTS,
+    JOB_FLOWS,
+    RANK_MODES,
     SPCF_TIERS,
-    lookahead_flow,
-    optimize_lookahead,
-    validate_walk_modes,
+    WALK_MODES,
+    LookaheadConfig,
+    execute_optimize_job,
+    make_job_optimizer,
+    normalize_job_config,
 )
 from .mapping import dynamic_power_uw, map_aig, mapped_delay
 from .mapping.verilog import write_verilog
 from .opt import abc_resyn2rs, dc_map_effort_high, sis_best
+from .sat.portfolio import MODES as PORTFOLIO_MODES
 from .store import SqliteStore
+from .store import runtime as store_runtime
 from .store.runtime import default_store_path
 from .timing import (
     AigTimingEngine,
@@ -56,36 +63,18 @@ from .timing import (
 ArrivalMap = Optional[Dict[str, int]]
 
 
-def _arrival_agnostic(fn: Callable[[AIG], AIG], name: str):
-    """Wrap a conventional flow that has no notion of PI arrival times."""
-
-    def run(aig: AIG, arrival_times: ArrivalMap = None) -> AIG:
-        if arrival_times:
-            print(
-                f"warning: flow {name!r} ignores --arrival times",
-                file=sys.stderr,
-            )
-        return fn(aig)
-
-    return run
-
-
-FLOWS: Dict[str, Callable[..., AIG]] = {
-    "lookahead": lambda a, arrival_times=None, **kw: lookahead_flow(
-        a, arrival_times=arrival_times, **kw
-    ),
-    # optimize_lookahead context-manages the optimizer, so the worker
-    # pool is shut down when the flow finishes.
-    "lookahead-only": lambda a, arrival_times=None, **kw: optimize_lookahead(
-        a, max_rounds=12, arrival_times=arrival_times, **kw
-    ),
-    "sis": _arrival_agnostic(sis_best, "sis"),
-    "abc": _arrival_agnostic(abc_resyn2rs, "abc"),
-    "dc": _arrival_agnostic(dc_map_effort_high, "dc"),
+BASELINE_FLOWS: Dict[str, Callable[[AIG], AIG]] = {
+    "sis": sis_best,
+    "abc": abc_resyn2rs,
+    "dc": dc_map_effort_high,
 }
+"""Conventional flows; the lookahead ones are the job flows
+(:data:`repro.core.JOB_FLOWS`)."""
 
 
-def _parse_arrivals(args: argparse.Namespace, aig: AIG) -> ArrivalMap:
+def _parse_arrivals(
+    args: argparse.Namespace, aig: Optional[AIG] = None
+) -> ArrivalMap:
     """Merge --arrival-file and --arrival (the flag wins per name)."""
     arrivals: Dict[str, int] = {}
     if getattr(args, "arrival_file", None):
@@ -94,7 +83,7 @@ def _parse_arrivals(args: argparse.Namespace, aig: AIG) -> ArrivalMap:
         arrivals.update(parse_arrival_spec(args.arrival))
     if not arrivals:
         return None
-    unknown = sorted(set(arrivals) - set(aig.pi_names))
+    unknown = sorted(set(arrivals) - set(aig.pi_names)) if aig else []
     if unknown:
         print(
             "warning: arrival times for unknown inputs: "
@@ -134,7 +123,11 @@ def _write_circuit(aig: AIG, path: str) -> None:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     aig = _read_circuit(args.input)
-    arrivals = _parse_arrivals(args, aig)
+    try:
+        arrivals = _parse_arrivals(args, aig)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"inputs : {aig.num_pis}")
     print(f"outputs: {aig.num_pos}")
     print(f"ands   : {aig.num_ands()}")
@@ -165,58 +158,57 @@ def _store_spec(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _job_options(args: argparse.Namespace, arrivals: ArrivalMap) -> Dict:
+    """The serve-job options dict the ``optimize`` flags spell out."""
+    options = {"flow": args.flow}
+    options.update(
+        (key, getattr(args, key))
+        for key in LookaheadConfig.payload_keys()
+        if hasattr(args, key)
+    )
+    if arrivals:
+        options["arrivals"] = arrivals
+    if "rank_model" in options:
+        from .rank import RankModel
+
+        # A job embeds the model payload, so read the file here.
+        options["rank_model"] = RankModel.load(options["rank_model"]).payload()
+    return options
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.workers is not None:
         os.environ[perf.WORKERS_ENV] = str(args.workers)
     aig = _read_circuit(args.input)
-    arrivals = _parse_arrivals(args, aig)
-    store = _store_spec(args)
-    flow = FLOWS[args.flow]
-    flow_kwargs = {}
-    if args.rank == "prune" and not args.rank_model:
-        print("error: --rank prune requires --rank-model PATH",
-              file=sys.stderr)
-        return 2
-    if args.rank_model and args.rank != "prune":
-        print("error: --rank-model is only meaningful with --rank prune",
-              file=sys.stderr)
-        return 2
-    if args.rank_data and args.rank != "log":
-        print("error: --rank-data is only meaningful with --rank log",
-              file=sys.stderr)
-        return 2
-    if args.flow.startswith("lookahead"):
-        flow_kwargs["spcf_tier"] = args.spcf_tier
-        flow_kwargs["area_recovery"] = not args.no_area_recovery
-        flow_kwargs["area_effort"] = args.area_effort
-        flow_kwargs["sat_portfolio"] = args.sat_portfolio
-        flow_kwargs["store"] = store
-        if args.walk_modes is not None:
-            flow_kwargs["walk_modes"] = validate_walk_modes(
-                [m.strip() for m in args.walk_modes.split(",") if m.strip()]
-            )
-        if args.rank != "off":
-            flow_kwargs["rank"] = args.rank
-            flow_kwargs["rank_model"] = args.rank_model
-            flow_kwargs["rank_data"] = args.rank_data
-    elif (
-        args.spcf_tier != "auto"
-        or args.no_area_recovery
-        or args.area_effort != "medium"
-        or args.sat_portfolio != "off"
-        or store is not None
-        or args.walk_modes is not None
-        or args.rank != "off"
-    ):
-        print(
-            f"warning: flow {args.flow!r} ignores --spcf-tier/"
-            "--area-effort/--no-area-recovery/--sat-portfolio/--store/"
-            "--walk-modes/--rank",
-            file=sys.stderr,
-        )
     perf.reset()
+    optimizer = None
+    # Bad option values surface here, as an error line and exit status
+    # 2; the run below is outside the guard, so its failures stay loud.
+    try:
+        arrivals = _parse_arrivals(args, aig)
+        store = _store_spec(args)
+        if args.flow in JOB_FLOWS:
+            job = normalize_job_config(_job_options(args, arrivals))
+            if store is not None:
+                store_runtime.configure(store)
+            optimizer = make_job_optimizer(job, rank_data=args.rank_data)
+        elif arrivals or store or args.rank_data or any(
+            hasattr(args, key) for key in LookaheadConfig.payload_keys()
+        ):
+            print(
+                f"warning: flow {args.flow!r} ignores arrival times and "
+                "the lookahead options",
+                file=sys.stderr,
+            )
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     start = time.time()
-    optimized = flow(aig, arrival_times=arrivals, **flow_kwargs)
+    if optimizer is None:
+        optimized = BASELINE_FLOWS[args.flow](aig)
+    else:
+        with optimizer:
+            optimized = execute_optimize_job(aig, job, optimizer=optimizer)
     elapsed = time.time() - start
     if args.profile:
         print(perf.report(), file=sys.stderr)
@@ -414,11 +406,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     with open(args.input) as fh:
         text = fh.read()
     fmt = "blif" if args.input.endswith(".blif") else "aag"
-    arrivals: Dict[str, int] = {}
-    if args.arrival_file:
-        arrivals.update(load_arrival_file(args.arrival_file))
-    if args.arrival:
-        arrivals.update(parse_arrival_spec(args.arrival))
+    arrivals = _parse_arrivals(args)
     options: Dict[str, object] = {"flow": args.flow}
     if arrivals:
         options["arrivals"] = arrivals
@@ -473,6 +461,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
             path = f"{args.output_dir}/{name}.aag"
             _write_circuit(aig, path)
     return 0
+
+
+def _config_value(name: str) -> Callable[[str], str]:
+    """argparse type: a value :class:`LookaheadConfig` accepts for ``name``."""
+
+    def check(value: str) -> str:
+        try:
+            LookaheadConfig(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return check
 
 
 def _split_csv(value: Optional[str]):
@@ -609,7 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run an optimization flow")
     p_opt.add_argument("input")
     p_opt.add_argument("-o", "--output")
-    p_opt.add_argument("--flow", choices=sorted(FLOWS), default="lookahead")
+    p_opt.add_argument(
+        "--flow", choices=sorted(JOB_FLOWS + tuple(BASELINE_FLOWS)),
+        default="lookahead",
+    )
     p_opt.add_argument(
         "--no-verify", action="store_true",
         help="skip the post-optimization equivalence check",
@@ -624,34 +628,54 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"worker processes for parallel lookahead rounds "
              f"(overrides ${perf.WORKERS_ENV}; 1 = serial)",
     )
-    p_opt.add_argument(
-        "--spcf-tier", choices=SPCF_TIERS, default="auto",
-        help="SPCF evaluation: auto/exact pick truth tables (<=12 PIs), "
-             "BDDs (<=26) or simulation signatures by circuit size; "
-             "overapprox swaps in the over-approximate truth-table DP; "
-             "signature forces the timed-simulation estimate everywhere "
-             "(lookahead flows only)",
+    # Each dest is a LookaheadConfig payload key, set only when its flag
+    # is given, so an unset option keeps the flow's default.
+    lookahead = p_opt.add_argument_group(
+        "lookahead options", "for --flow lookahead and lookahead-only"
+    )
+    option = dict(default=argparse.SUPPRESS)
+    lookahead.add_argument(
+        "--spcf-tier", type=_config_value("spcf_tier"), metavar="TIER",
+        help=f"SPCF evaluation tier: {', '.join(SPCF_TIERS)}",
+        **option,
+    )
+    lookahead.add_argument(
+        "--area-effort", type=_config_value("area_effort"), metavar="EFFORT",
+        help=f"post-round area-recovery effort: {', '.join(AREA_EFFORTS)}",
+        **option,
+    )
+    lookahead.add_argument(
+        "--no-area-recovery", dest="area_recovery", action="store_false",
+        help="skip post-round area recovery entirely",
+        **option,
+    )
+    lookahead.add_argument(
+        "--sat-portfolio", type=_config_value("sat_portfolio"),
+        metavar="MODE",
+        help=f"SAT portfolio mode: {', '.join(PORTFOLIO_MODES)}",
+        **option,
+    )
+    lookahead.add_argument(
+        "--walk-modes", type=_split_csv, metavar="MODE,...",
+        help=f"comma-separated walk strategies from {', '.join(WALK_MODES)}",
+        **option,
+    )
+    lookahead.add_argument(
+        "--rank", metavar="MODE",
+        help=f"learned candidate ranking: {', '.join(RANK_MODES)} (log "
+             "writes --rank-data, prune reads --rank-model)",
+        **option,
+    )
+    lookahead.add_argument(
+        "--rank-model", metavar="PATH",
+        help="rank model artifact from `repro rank fit` (required with "
+             "--rank prune)",
+        **option,
     )
     p_opt.add_argument(
-        "--area-effort", choices=("low", "medium", "high"),
-        default="medium",
-        help="post-round area-recovery effort: low = SAT sweeping only, "
-             "medium adds one incremental redundancy-removal pass, high "
-             "iterates both with enlarged budgets (lookahead flows only)",
-    )
-    p_opt.add_argument(
-        "--no-area-recovery", action="store_true",
-        help="skip post-round area recovery entirely "
-             "(lookahead flows only)",
-    )
-    p_opt.add_argument(
-        "--sat-portfolio", choices=("off", "sprint", "race"),
-        default="off",
-        help="race diversified solver configs on SAT-bound care and "
-             "redundancy queries: sprint tries a small conflict budget "
-             "on the primary config before escalating, race round-robins "
-             "the whole portfolio; off reproduces the single-config flow "
-             "bit-for-bit (lookahead flows only)",
+        "--rank-data", metavar="PATH",
+        help="JSONL file appended with one feature/outcome row per "
+             "candidate under --rank log",
     )
     p_opt.add_argument(
         "--store", nargs="?", const="", default=None, metavar="PATH",
@@ -665,30 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-store", action="store_true",
         help="force a fully process-local run even when $REPRO_STORE "
              "is set",
-    )
-    p_opt.add_argument(
-        "--walk-modes", metavar="MODE,...", default=None,
-        help="comma-separated critical-walk strategies (subset of "
-             "target,full; default: the optimizer's own — lookahead "
-             "flows only)",
-    )
-    p_opt.add_argument(
-        "--rank", choices=("off", "log", "prune"), default="off",
-        help="learned candidate ranking: off reproduces the unranked "
-             "flow bit-for-bit, log records per-candidate features and "
-             "outcomes (see --rank-data), prune skips candidates below "
-             "the threshold of --rank-model before any SPCF work "
-             "(lookahead flows only)",
-    )
-    p_opt.add_argument(
-        "--rank-model", metavar="PATH",
-        help="rank model artifact from `repro rank fit` (required with "
-             "--rank prune)",
-    )
-    p_opt.add_argument(
-        "--rank-data", metavar="PATH",
-        help="JSONL file appended with one feature/outcome row per "
-             "candidate under --rank log",
     )
     _add_arrival_args(p_opt)
     p_opt.set_defaults(func=cmd_optimize)

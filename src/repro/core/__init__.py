@@ -25,6 +25,14 @@ from .area_recovery import (
 )
 from .sdc import sdc_minimize
 from .analysis import OutputReport, RoundReport, analyze_round, print_round_report
+from .config import (
+    FLOW_DEFAULTS,
+    RANK_MODES,
+    SPCF_TIERS,
+    WALK_MODES,
+    LookaheadConfig,
+    validate_walk_modes,
+)
 from .flow import (
     JOB_FLOWS,
     execute_optimize_job,
@@ -34,14 +42,9 @@ from .flow import (
     normalize_job_config,
 )
 from .lookahead import (
-    RANK_MODES,
-    SPCF_TIERS,
     TT_MODE_PI_LIMIT,
-    WALK_MODES,
     LookaheadOptimizer,
-    make_runtime_optimizer,
     optimize_lookahead,
-    validate_walk_modes,
 )
 
 __all__ = [
@@ -76,6 +79,8 @@ __all__ = [
     "recover_area",
     "remove_redundant_edges",
     "sat_sweep",
+    "FLOW_DEFAULTS",
+    "LookaheadConfig",
     "RANK_MODES",
     "SPCF_TIERS",
     "TT_MODE_PI_LIMIT",
@@ -87,7 +92,6 @@ __all__ = [
     "job_config_key",
     "lookahead_flow",
     "make_job_optimizer",
-    "make_runtime_optimizer",
     "normalize_job_config",
     "sdc_minimize",
     "OutputReport",

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..aig import AIG, depth, levels, lit_var
+from ..aig import AIG, lit_var
 from ..netlist import compute_levels, renode
-from .lookahead import LookaheadOptimizer, _cone_spcf, _domain_model
+from ..timing import AigTimingEngine, resolve_arrivals
+from .lookahead import RENODE_K, LookaheadOptimizer, _cone_spcf, _domain_model
 from .reduce import primary_reduce
 
 
@@ -66,24 +67,27 @@ def analyze_round(
     optimizer: Optional[LookaheadOptimizer] = None,
     max_outputs: int = 8,
 ) -> RoundReport:
-    """Dry-run the primary simplification of one round and report it."""
+    """Dry-run the primary simplification of one round and report it.
+
+    The round is the optimizer's: critical outputs, SPCFs and the reduce
+    walk all follow its config's arrival times, so levels are completion
+    times under prescribed arrivals.
+    """
     opt = optimizer or LookaheadOptimizer()
-    d = depth(aig)
+    config = opt.config
+    delay_model = resolve_arrivals(config.arrival_times)
+    engine = AigTimingEngine(aig, delay_model)
+    d = engine.depth()
     mode = opt._resolve_mode(aig)
     if mode == "bdd":
         mode = "sim"  # keep the dry run cheap and allocation-free
-    aig_levels = levels(aig)
-    critical = [
-        i for i, po in enumerate(aig.pos) if aig_levels[lit_var(po)] == d
-    ][:max_outputs]
-    net = renode(aig, opt.k)
+    aig_levels = engine.arrivals()
+    critical = engine.critical_pos()[:max_outputs]
+    net = renode(aig, RENODE_K)
 
     reports: List[OutputReport] = []
     for po_index in critical:
-        found = _cone_spcf(
-            aig.extract([aig.pos[po_index]]), mode, opt.sim_width,
-            opt.seed, spcf_tier=opt.spcf_tier,
-        )
+        found = _cone_spcf(aig.extract([aig.pos[po_index]]), mode, config)
         if found is None:
             reports.append(
                 OutputReport(
@@ -100,11 +104,13 @@ def analyze_round(
             continue
         _delta, spcf = found
         cone = net.extract_po_cone(po_index)
-        model = _domain_model(cone, spcf, opt.sim_width, opt.seed)
+        model = _domain_model(cone, spcf, config.sim_width, config.seed)
         root, _neg = cone.pos[0]
-        before = compute_levels(cone)[root]
-        result = primary_reduce(cone, 0, model, model.spcf_fn(spcf))
-        lv = compute_levels(cone)
+        before = compute_levels(cone, delay_model)[root]
+        result = primary_reduce(
+            cone, 0, model, model.spcf_fn(spcf), delay_model=delay_model
+        )
+        lv = compute_levels(cone, delay_model)
         reports.append(
             OutputReport(
                 po_index=po_index,

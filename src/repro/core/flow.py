@@ -13,13 +13,12 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from ..aig import AIG
-from .lookahead import (
-    SPCF_TIERS,
-    WALK_MODES,
-    LookaheadOptimizer,
-    make_runtime_optimizer,
-    validate_walk_modes,
-)
+from .cache import ConeCache
+from .config import FLOW_DEFAULTS, LookaheadConfig, positive_int
+from .lookahead import LookaheadOptimizer
+
+MAX_ITERATIONS = 4
+"""Default bound on the flow's conventional/lookahead iterations."""
 
 
 def _make_quality(arrival_times: Optional[Dict[str, int]]):
@@ -51,18 +50,11 @@ def _make_quality(arrival_times: Optional[Dict[str, int]]):
 def lookahead_flow(
     aig: AIG,
     optimizer: Optional[LookaheadOptimizer] = None,
-    max_iterations: int = 4,
-    arrival_times: Optional[Dict[str, int]] = None,
+    max_iterations: int = MAX_ITERATIONS,
     verify: bool = False,
-    spcf_tier: str = "auto",
-    area_recovery: bool = True,
-    area_effort: str = "medium",
-    sat_portfolio: str = "off",
     store=None,
-    walk_modes=None,
-    rank: str = "off",
-    rank_model=None,
     rank_data=None,
+    **options,
 ) -> AIG:
     """Conventional high-effort optimization alternated with decomposition.
 
@@ -73,22 +65,12 @@ def lookahead_flow(
     alone, and the decomposition gets a first shot at the raw circuit,
     where long sensitizable chains are still visible.
 
-    ``arrival_times`` (PI name -> integer arrival) puts both the optimizer
-    and the quality gate in the non-uniform arrival regime; when an
-    explicit ``optimizer`` is passed its own ``arrival_times`` win.
-
-    ``spcf_tier`` selects the SPCF evaluation of the default optimizer,
-    ``area_recovery`` / ``area_effort`` its post-round area-recovery
-    pipeline, ``sat_portfolio`` the solver portfolio racing its
-    SAT-bound care and redundancy queries (see
-    :class:`LookaheadOptimizer` and :mod:`repro.sat.portfolio`), and
-    ``store`` the persistent result store (a database path or
-    :class:`repro.store.StoreConfig`) that lets every memo layer survive
-    across invocations, ``walk_modes`` its critical-walk strategies
-    (``None`` keeps the optimizer default), and ``rank`` /
-    ``rank_model`` / ``rank_data`` its learned candidate ranker (see
-    :mod:`repro.rank` and DESIGN 3.23); all nine are ignored when an
-    explicit ``optimizer`` is passed.
+    Without an explicit ``optimizer`` the flow builds one from
+    ``options`` — :class:`~repro.core.config.LookaheadConfig` fields over
+    the flow's defaults (:data:`~repro.core.config.FLOW_DEFAULTS`) —
+    plus the runtime ``store`` and ``rank_data``; all are ignored when
+    an ``optimizer`` is passed.  The quality gate follows the
+    optimizer's ``arrival_times``.
 
     ``verify=True`` equivalence-checks every accepted candidate against
     the circuit it replaces (and therefore, transitively, against the
@@ -100,17 +82,11 @@ def lookahead_flow(
     from ..cec import assert_equivalent
     from ..opt import dc_map_effort_high
 
-    optimizer_kwargs = {}
-    if walk_modes is not None:
-        optimizer_kwargs["walk_modes"] = validate_walk_modes(walk_modes)
     opt = optimizer or LookaheadOptimizer(
-        max_rounds=16, max_outputs_per_round=8, arrival_times=arrival_times,
-        spcf_tier=spcf_tier, area_recovery=area_recovery,
-        area_effort=area_effort, sat_portfolio=sat_portfolio, store=store,
-        rank=rank, rank_model=rank_model, rank_data=rank_data,
-        **optimizer_kwargs,
+        store=store, rank_data=rank_data,
+        **{**FLOW_DEFAULTS["lookahead"], **options},
     )
-    _quality = _make_quality(opt.arrival_times)
+    _quality = _make_quality(opt.config.arrival_times)
     current = aig.extract()
     current_q = _quality(current)
     # The conventional candidate is recomputed only when `current` actually
@@ -147,126 +123,50 @@ def lookahead_flow(
     return current
 
 
-# -- job-shaped entry points (the `repro serve` surface) ----------------------
+# -- job-shaped entry points ---------------------------------------------------
 #
-# A daemon absorbing a stream of optimize jobs needs the flow in a
-# different shape than the CLI: a job arrives as (circuit, options dict),
-# its options must be validated *before* it is queued (a bad job should
-# be rejected at submit, not crash a runner mid-drain), and jobs with
-# identical options should share one warm optimizer (persistent worker
-# pool, hot in-memory store tier).  These helpers are that shape; the
-# CLI path above them is unchanged.
+# A job is (circuit, options dict).  The options are a LookaheadConfig
+# payload plus three job-level fields — ``flow``, ``max_iterations`` and
+# ``verify``.  A daemon validates them *before* queueing (a bad job is
+# rejected at submit, not in a runner mid-drain) and runs jobs with equal
+# keys on one warm optimizer (persistent worker pool, hot in-memory store
+# tier); ``repro optimize`` runs its lookahead flows through the same
+# helpers, so a local answer and a served one are one code path.
 
-JOB_FLOWS = ("lookahead", "lookahead-only")
+JOB_FLOWS = tuple(FLOW_DEFAULTS)
 """Flows a job may request.  Conventional baselines (sis/abc/dc) are
 deliberately absent: they ignore arrivals and never touch the store, so
 serving them would only burn daemon CPU with no replay win."""
-
-_JOB_OPTION_DEFAULTS: Dict[str, Any] = {
-    "flow": "lookahead",
-    "arrivals": None,
-    "spcf_tier": "auto",
-    "area_recovery": True,
-    "area_effort": "medium",
-    "sat_portfolio": "off",
-    "verify": False,
-    # Effort knobs (None = the flow's own defaults).  These exist so a
-    # size-scaled benchmark row — e.g. Table 2's bounded-effort Lookahead
-    # column — can be served by a daemon bit-identically to a local run:
-    # the client computes the effort tier from the circuit it holds and
-    # ships the knobs explicitly instead of relying on daemon-side state.
-    "max_rounds": None,
-    "max_outputs_per_round": None,
-    "sim_width": None,
-    "walk_modes": None,
-    "max_iterations": None,
-    # Learned candidate ranking (DESIGN 3.23).  Only 'off' and 'prune'
-    # are servable — dataset logging is a local concern — and a prune
-    # job must embed its model payload, so the daemon's answer depends
-    # only on the job, never on daemon-side files.
-    "rank": "off",
-    "rank_model": None,
-}
 
 
 def normalize_job_config(options: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Validate a job's options dict and fill defaults.
 
-    Returns a plain, JSON-compatible config dict; raises ``ValueError``
-    on anything malformed so the daemon can reject the job at submit
-    time.  Unknown keys are errors too — a typo'd option silently doing
-    nothing is how a client ends up benchmarking the wrong flow.
+    Returns ``{"flow", "max_iterations", "verify", "lookahead"}``, the
+    last a :class:`LookaheadConfig` over the flow's defaults; raises
+    ``ValueError`` on anything malformed, unknown keys included.  A
+    ``null`` value means the default, as it does in the config payload.
     """
-    from ..sat.portfolio import MODES as PORTFOLIO_MODES
-    from .area_recovery import AREA_EFFORTS
-
-    merged = dict(_JOB_OPTION_DEFAULTS)
-    unknown = sorted(set(options or ()) - set(merged))
-    if unknown:
-        raise ValueError(f"unknown job options: {', '.join(unknown)}")
-    merged.update(options or {})
-    if merged["flow"] not in JOB_FLOWS:
+    options = dict(options or {})
+    flow = options.pop("flow", None)
+    if flow is None:
+        flow = "lookahead"
+    if flow not in JOB_FLOWS:
         raise ValueError(
-            f"unknown job flow {merged['flow']!r}; expected one of {JOB_FLOWS}"
+            f"unknown job flow {flow!r}; expected one of {JOB_FLOWS}"
         )
-    if merged["spcf_tier"] not in SPCF_TIERS:
-        raise ValueError(f"unknown SPCF tier {merged['spcf_tier']!r}")
-    if merged["area_effort"] not in AREA_EFFORTS:
-        raise ValueError(f"unknown area effort {merged['area_effort']!r}")
-    if merged["sat_portfolio"] not in PORTFOLIO_MODES:
-        raise ValueError(
-            f"unknown SAT portfolio mode {merged['sat_portfolio']!r}"
-        )
-    for key in (
-        "max_rounds", "max_outputs_per_round", "sim_width", "max_iterations",
-    ):
-        value = merged[key]
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{key} must be a positive integer, got {value!r}")
-    walk_modes = merged["walk_modes"]
-    if walk_modes is not None:
-        # Same validator (and error text) as the optimizer constructor
-        # and the CLI, so every entry point rejects bad values alike.
-        merged["walk_modes"] = list(validate_walk_modes(walk_modes))
-    rank = merged["rank"]
-    if rank not in ("off", "prune"):
-        raise ValueError(
-            f"unservable rank mode {rank!r}; jobs may use 'off' or 'prune'"
-        )
-    rank_model = merged["rank_model"]
-    if rank == "prune":
-        from ..rank import RankModel
-
-        if not isinstance(rank_model, dict):
-            raise ValueError(
-                "rank='prune' jobs must embed the model payload "
-                "as rank_model"
-            )
-        try:
-            RankModel.from_payload(rank_model)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed rank_model payload: {exc}")
-    elif rank_model is not None:
-        raise ValueError("rank_model is only meaningful with rank='prune'")
-    arrivals = merged["arrivals"]
-    if arrivals is not None:
-        if not isinstance(arrivals, dict) or not arrivals:
-            raise ValueError("arrivals must be a non-empty {name: int} map")
-        clean: Dict[str, int] = {}
-        for name, t in arrivals.items():
-            if not isinstance(name, str):
-                raise ValueError(f"arrival name {name!r} is not a string")
-            if isinstance(t, bool) or not isinstance(t, int):
-                raise ValueError(
-                    f"arrival time for {name!r} must be an integer, got {t!r}"
-                )
-            clean[name] = t
-        merged["arrivals"] = clean
-    for key in ("area_recovery", "verify"):
-        merged[key] = bool(merged[key])
-    return merged
+    max_iterations = options.pop("max_iterations", None)
+    return {
+        "flow": flow,
+        "max_iterations": (
+            MAX_ITERATIONS if max_iterations is None
+            else positive_int("max_iterations", max_iterations)
+        ),
+        "verify": bool(options.pop("verify", False)),
+        "lookahead": LookaheadConfig.from_payload(
+            options, FLOW_DEFAULTS[flow]
+        ),
+    }
 
 
 def job_config_key(config: Dict[str, Any]) -> Tuple:
@@ -276,67 +176,33 @@ def job_config_key(config: Dict[str, Any]) -> Tuple:
     daemon batches them onto one warm instance.  ``verify`` is excluded —
     it gates a post-flow equivalence check, not the optimization itself.
     """
-    arrivals = config.get("arrivals")
-    walk_modes = config.get("walk_modes")
-    rank_model = config.get("rank_model")
-    if rank_model:
-        from ..rank import RankModel
-
-        # The payload's stable fingerprint, not the dict itself: model
-        # identity is what makes two prune jobs interchangeable.
-        model_id = RankModel.from_payload(rank_model).fingerprint()
-    else:
-        model_id = None
     return (
-        config["flow"],
-        tuple(sorted(arrivals.items())) if arrivals else None,
-        config["spcf_tier"],
-        config["area_recovery"],
-        config["area_effort"],
-        config["sat_portfolio"],
-        config.get("max_rounds"),
-        config.get("max_outputs_per_round"),
-        config.get("sim_width"),
-        tuple(walk_modes) if walk_modes else None,
-        config.get("max_iterations"),
-        config.get("rank", "off"),
-        model_id,
+        config["flow"], config["max_iterations"], config["lookahead"].key()
     )
 
 
 def make_job_optimizer(
-    config: Dict[str, Any], workers: Optional[int] = None
+    config: Dict[str, Any],
+    workers: Optional[int] = None,
+    rank_data=None,
 ) -> LookaheadOptimizer:
     """A reusable optimizer for every job sharing ``job_config_key``.
 
-    Mirrors the per-flow defaults of the CLI ``FLOWS`` table (so a served
-    answer is bit-identical to a local ``repro optimize`` run with the
-    same store) and wires the cone cache to the *already configured*
-    process runtime store — never reconfiguring it, because the daemon
-    shares one store across every handler and runner thread.
+    The cone cache is wired to the *already configured* process runtime
+    store and never reconfigures it: a daemon shares one store across
+    every handler and runner thread, and reconfiguring would close it
+    out from under every other job.  Worker task tuples still ship
+    ``store_runtime.current_spec()``, so pool workers adopt the same
+    backend.
     """
-    common = dict(
-        arrival_times=config["arrivals"],
-        spcf_tier=config["spcf_tier"],
-        area_recovery=config["area_recovery"],
-        area_effort=config["area_effort"],
-        sat_portfolio=config["sat_portfolio"],
+    from ..store import runtime as store_runtime
+
+    return LookaheadOptimizer(
+        config=config["lookahead"],
         workers=workers,
+        cache=ConeCache(store=store_runtime.get_store()),
+        rank_data=rank_data,
     )
-    for knob in ("max_rounds", "max_outputs_per_round", "sim_width"):
-        if config.get(knob) is not None:
-            common[knob] = config[knob]
-    if config.get("walk_modes"):
-        common["walk_modes"] = tuple(config["walk_modes"])
-    if config.get("rank", "off") != "off":
-        common["rank"] = config["rank"]
-        common["rank_model"] = config["rank_model"]
-    if config["flow"] == "lookahead-only":
-        common.setdefault("max_rounds", 12)
-        return make_runtime_optimizer(**common)
-    common.setdefault("max_rounds", 16)
-    common.setdefault("max_outputs_per_round", 8)
-    return make_runtime_optimizer(**common)
 
 
 def execute_optimize_job(
@@ -358,9 +224,7 @@ def execute_optimize_job(
         if config["flow"] == "lookahead-only":
             return optimizer.optimize(aig)
         return lookahead_flow(
-            aig,
-            optimizer=optimizer,
-            max_iterations=config.get("max_iterations") or 4,
+            aig, optimizer=optimizer, max_iterations=config["max_iterations"]
         )
     finally:
         if owned:

@@ -33,6 +33,7 @@ not change between rounds (or between ``optimize()`` calls).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -54,11 +55,11 @@ from ..netlist import (
     renode,
     synthesize_into,
 )
-from ..sat.portfolio import MODES as PORTFOLIO_MODES
 from ..store import MISSING, StoreSpec
 from ..store import runtime as store_runtime
-from .area_recovery import AREA_EFFORTS, recover_area
+from .area_recovery import recover_area
 from .cache import ConeCache, dp_memo_cached, node_tts_cached
+from .config import LookaheadConfig
 from .model import BddBlowup, BddModel, ExactModel, SignatureModel
 from .reconstruct import reconstruct
 from .reduce import primary_reduce
@@ -80,16 +81,8 @@ TT_MODE_PI_LIMIT = 12
 BDD_MODE_PI_LIMIT = 26
 """BDD-domain exact functions are attempted up to this many PIs."""
 
-SPCF_TIERS = ("auto", "exact", "overapprox", "signature")
-"""Admissible ``spcf_tier`` values (see :class:`LookaheadOptimizer`)."""
-
-WALK_MODES = ("target", "full")
-"""Admissible critical-walk strategies for ``walk_modes``."""
-
-RANK_MODES = ("off", "log", "prune")
-"""Candidate-ranking modes: 'off' is the unranked flow bit-for-bit,
-'log' records per-candidate features and outcomes to a dataset, 'prune'
-gates candidates on a fitted model's accept probability."""
+RENODE_K = 6
+"""Cut size of the renoding that clusters the AIG into a network."""
 
 BUDGET_WINDOWS = 2
 """Budget windows a round may try before giving up: when every
@@ -99,45 +92,24 @@ ending — bounded, so a terminal round costs at most twice the old
 budget."""
 
 
-def validate_walk_modes(walk_modes) -> Tuple[str, ...]:
-    """Validate a walk-mode sequence; returns it as a tuple.
-
-    Shared by the optimizer constructor, the CLI, and the serve job
-    validator so all entry points reject bad values identically.
-    """
-    if isinstance(walk_modes, str) or not isinstance(
-        walk_modes, (list, tuple)
-    ) or not walk_modes:
-        raise ValueError(
-            "walk_modes must be a non-empty list of mode names"
-        )
-    unknown_modes = [m for m in walk_modes if m not in WALK_MODES]
-    if unknown_modes:
-        raise ValueError(
-            f"unknown walk modes {unknown_modes!r}; "
-            f"expected a subset of {WALK_MODES}"
-        )
-    return tuple(walk_modes)
-
-
 # -- per-output cone pipeline (runs in worker processes) ---------------------
 #
 # A cone task is a plain picklable tuple:
 #
-#   (po_index, cone_aig | None, cone_net, sim_width, seed, walk_mode,
-#    spcf_payload | None, arrival_map | None, spcf_tier, sat_portfolio,
-#    store_spec)
+#   (po_index, cone_aig | None, cone_net, config, walk_mode,
+#    spcf_payload | None, store_spec)
 #
-# ``arrival_map`` is the raw PI-name -> arrival-time dict (delay-model
-# objects stay out of the tuple so pickling never depends on model state);
-# workers rebuild the cone-local timing engine from it.
+# ``config`` is the optimizer's :class:`LookaheadConfig`; its raw PI-name
+# -> arrival-time map (delay-model objects stay out of the tuple so
+# pickling never depends on model state) is what workers rebuild the
+# cone-local timing engine from.
 #
 # ``cone_aig`` is the output's critical cone extracted over the full PI
 # space (``AIG.extract``), needed whenever the SPCF is not already cached
 # — and always in the BDD domain, whose payload names only Δ;
 # ``cone_net`` is the renoded cone (``Network.extract_po_cone``).  The
-# SPCF domain follows from the cone's PI count and ``spcf_tier``
-# (:func:`spcf_domain`).  The result is (po_index, ok, pos_net,
+# SPCF domain follows from the cone's PI count and the config's
+# ``spcf_tier`` (:func:`spcf_domain`).  The result is (po_index, ok, pos_net,
 # sigma_nid, neg_net, spcf_payload, phase_seconds, perf_delta) —
 # everything a worker touches is a private copy, so the pipeline is
 # deterministic regardless of scheduling.  The perf delta carries the
@@ -244,9 +216,9 @@ def _deserialize_spcf(
 # key is built after the SPCF stage so the "SPCF cached" and "SPCF
 # computed" code paths agree on it: given the serialized SPCF payload
 # (whose tag names the domain), the downstream pipeline depends only on
-# (cone_net, sim_width, seed, walk_mode, payload, arrivals,
-# sat_portfolio) — plus, for a BDD payload, the cone AIG it recomputes
-# the SPCF from.  This is what makes a disk-warm run skip the dominant
+# (cone_net, walk_mode, payload) and the config's sim_width, seed,
+# arrivals and sat_portfolio — plus, for a BDD payload, the cone AIG it
+# recomputes the SPCF from.  This is what makes a disk-warm run skip the dominant
 # primary/secondary (SAT) work instead of merely skipping SPCF
 # recomputation.
 
@@ -254,26 +226,24 @@ def _deserialize_spcf(
 def _cone_result_key(
     cone_net: Network,
     cone_aig: Optional[AIG],
-    sim_width: int,
-    seed: int,
+    config: LookaheadConfig,
     walk_mode: str,
     payload: Tuple,
-    arrival_map: Optional[Dict[str, int]],
-    sat_portfolio: str,
 ) -> Tuple:
     root, _neg = cone_net.pos[0]
+    arrival_map = config.arrival_times
     arrivals = tuple(sorted(arrival_map.items())) if arrival_map else None
     if payload[0] == "bdd":
         payload = payload + (cone_fingerprint(cone_aig, cone_aig.pos),)
     return (
         cone_net.node_fingerprints()[root],
         cone_net.to_payload(),
-        sim_width,
-        seed,
+        config.sim_width,
+        config.seed,
         walk_mode,
         payload,
         arrivals,
-        sat_portfolio,
+        config.sat_portfolio,
     )
 
 
@@ -309,12 +279,7 @@ def _pi_arrival_ints(model, pi_names: Sequence[str]) -> Optional[List[int]]:
 
 
 def _cone_spcf(
-    cone_aig: AIG,
-    domain: str,
-    sim_width: int,
-    seed: int,
-    arrival_map: Optional[Dict[str, int]] = None,
-    spcf_tier: str = "auto",
+    cone_aig: AIG, domain: str, config: LookaheadConfig
 ) -> Optional[Tuple[int, Spcf]]:
     """``(Δ, SPCF)`` of a single-PO critical cone (PO index 0).
 
@@ -322,8 +287,8 @@ def _cone_spcf(
     space and the PO's fan-in logic, and the SPCF of an output depends on
     nothing else.  Δ comes from :func:`_relax_delta`.
 
-    ``arrival_map`` (PI name -> integer arrival) shifts the whole analysis
-    into the non-uniform arrival regime: arrivals come from a cone-local
+    The config's ``arrival_times`` shift the whole analysis into the
+    non-uniform arrival regime: arrivals come from a cone-local
     timing engine and Δ is interpreted against completion times, so a late
     PI's short structural path can be the critical one.
 
@@ -331,13 +296,14 @@ def _cone_spcf(
     and signatures go through a :class:`SpcfKernel`: one kernel serves
     the whole Δ-relaxation loop, and its DP memo / node truth tables come
     from the process-local pools in :mod:`repro.core.cache`, so later
-    rounds revisiting the same cone resume a warm table; ``spcf_tier``
-    'overapprox' selects the relaxed DP.  The BDD domain runs the exact
+    rounds revisiting the same cone resume a warm table; the
+    'overapprox' tier selects the relaxed DP.  The BDD domain runs the exact
     DP in a cone-local manager per Δ (:func:`_bdd_spcf`); when that yields
     nothing — a blowup, or no sensitizable path — the cone degrades to
     the signature domain.
     """
-    model = resolve_arrivals(arrival_map)
+    sim_width = config.sim_width
+    model = resolve_arrivals(config.arrival_times)
     engine = AigTimingEngine(cone_aig, model)
     lvl = engine.arrivals()
     po_depth = int(lvl[lit_var(cone_aig.pos[0])])
@@ -352,13 +318,13 @@ def _cone_spcf(
         if found is not None:
             return found
         domain = "sim"
-    config = SpcfTierConfig(
+    tiers = SpcfTierConfig(
         exact_limit=TT_MODE_PI_LIMIT,
         sim_width=sim_width,
-        seed=seed,
+        seed=config.seed,
         force="signature" if domain == "sim" else None,
     )
-    kind = "overapprox" if spcf_tier == "overapprox" else "exact"
+    kind = "overapprox" if config.spcf_tier == "overapprox" else "exact"
     memo = relaxed_memo = tts = None
     if domain == "tt":
         fp = cone_fingerprint(cone_aig, cone_aig.pos)
@@ -369,7 +335,7 @@ def _cone_spcf(
     kernel = SpcfKernel(
         cone_aig,
         kind=kind,
-        config=config,
+        config=tiers,
         arrivals=lvl,
         pi_arrivals=_pi_arrival_ints(model, cone_aig.pi_names),
         tts=tts,
@@ -394,12 +360,9 @@ def _domain_model(net: Network, spcf: Spcf, sim_width: int, seed: int):
 def _process_cone(
     cone_net: Network,
     spcf: Spcf,
-    sim_width: int,
-    seed: int,
+    config: LookaheadConfig,
     walk_mode: str,
     phases: Dict[str, float],
-    arrival_map: Optional[Dict[str, int]] = None,
-    sat_portfolio: str = "off",
 ) -> Optional[Tuple[Network, int, Network]]:
     """Primary reduce + secondary simplify on a standalone cone network.
 
@@ -408,12 +371,12 @@ def _process_cone(
     """
     pos_net = cone_net
     neg_net = cone_net.clone()
-    model = _domain_model(pos_net, spcf, sim_width, seed)
+    model = _domain_model(pos_net, spcf, config.sim_width, config.seed)
     spcf_fn = model.spcf_fn(spcf)
     t0 = time.perf_counter()
     primary = primary_reduce(
         pos_net, 0, model, spcf_fn, walk_mode=walk_mode,
-        delay_model=resolve_arrivals(arrival_map),
+        delay_model=resolve_arrivals(config.arrival_times),
     )
     phases["reduce"] = phases.get("reduce", 0.0) + time.perf_counter() - t0
     if not primary.success or primary.sigma_nid is None:
@@ -421,7 +384,7 @@ def _process_cone(
     model.recompute()  # include the freshly added window/Σ nodes
     sigma_fn = model.fn(primary.sigma_nid)
     care_fn = model.complement(sigma_fn)
-    neg_model = _domain_model(neg_net, spcf, sim_width, seed)
+    neg_model = _domain_model(neg_net, spcf, config.sim_width, config.seed)
     if spcf.mode == "sim":
         checker = SatCareChecker(
             neg_model,
@@ -429,7 +392,7 @@ def _process_cone(
             pos_net,
             primary.sigma_nid,
             neg_net,
-            sat_portfolio=sat_portfolio,
+            sat_portfolio=config.sat_portfolio,
         )
     else:
         checker = ExactCareChecker(neg_model, care_fn)
@@ -448,19 +411,9 @@ def _run_cone_task(task: Tuple) -> Tuple:
     called in-process on the serial (workers=1) path, which makes the two
     paths identical by construction.
     """
-    (
-        po_index,
-        cone_aig,
-        cone_net,
-        sim_width,
-        seed,
-        walk_mode,
-        payload,
-        arrival_map,
-        spcf_tier,
-        sat_portfolio,
-        store_spec,
-    ) = task
+    po_index, cone_aig, cone_net, config, walk_mode, payload, store_spec = (
+        task
+    )
     # Workers rebuild their runtime store from the shipped spec (no-op
     # when it is already active); a persistent backend is then shared
     # with the parent through SQLite's WAL, never through a forked
@@ -482,8 +435,7 @@ def _run_cone_task(task: Tuple) -> Tuple:
     if payload is None:
         t0 = time.perf_counter()
         found = _cone_spcf(
-            cone_aig, spcf_domain(cone_aig.num_pis, spcf_tier), sim_width,
-            seed, arrival_map, spcf_tier,
+            cone_aig, spcf_domain(cone_aig.num_pis, config.spcf_tier), config
         )
         phases["spcf"] = time.perf_counter() - t0
         if found is None:
@@ -495,10 +447,7 @@ def _run_cone_task(task: Tuple) -> Tuple:
         cone_ns = store_runtime.get_store().namespace(
             "cone", encode=_encode_cone_result, decode=_decode_cone_result
         )
-        key = _cone_result_key(
-            cone_net, cone_aig, sim_width, seed, walk_mode, payload,
-            arrival_map, sat_portfolio,
-        )
+        key = _cone_result_key(cone_net, cone_aig, config, walk_mode, payload)
         stored = cone_ns.get(key, MISSING)
         if stored is not MISSING:
             ok, pos_net, sigma_nid, neg_net, payload = stored
@@ -506,22 +455,16 @@ def _run_cone_task(task: Tuple) -> Tuple:
     pristine = cone_net.clone() if payload[0] == "bdd" else None
     try:
         if spcf is None:
-            spcf = _deserialize_spcf(payload, cone_aig, arrival_map)
-        result = _process_cone(
-            cone_net, spcf, sim_width, seed, walk_mode, phases,
-            arrival_map, sat_portfolio,
-        )
+            spcf = _deserialize_spcf(payload, cone_aig, config.arrival_times)
+        result = _process_cone(cone_net, spcf, config, walk_mode, phases)
     except BddBlowup:
         # The cone's BDD models outgrew the manager budget: redo it in
         # the signature domain, on an untouched copy of the cone.
-        found = _cone_spcf(cone_aig, "sim", sim_width, seed, arrival_map)
+        found = _cone_spcf(cone_aig, "sim", config)
         result = None
         if found is not None:
             payload = _serialize_spcf(*found)
-            result = _process_cone(
-                pristine, found[1], sim_width, seed, walk_mode, phases,
-                arrival_map, sat_portfolio,
-            )
+            result = _process_cone(pristine, found[1], config, walk_mode, phases)
     ok = result is not None
     pos_net, sigma_nid, neg_net = result if ok else (None, None, None)
     if cone_ns is not None:
@@ -536,55 +479,27 @@ class LookaheadOptimizer:
 
     def __init__(
         self,
-        max_rounds: int = 4,
-        k: int = 6,
-        sim_width: int = 1024,
-        seed: int = 0,
-        use_rules: bool = True,
-        max_outputs_per_round: Optional[int] = None,
-        verify: bool = False,
-        area_recovery: bool = True,
-        area_effort: str = "medium",
-        walk_modes: Tuple[str, ...] = ("target", "full"),
+        *,
+        config: Optional[LookaheadConfig] = None,
         workers: Optional[int] = None,
         cache: Optional[ConeCache] = None,
-        arrival_times: Optional[Dict[str, int]] = None,
-        spcf_tier: str = "auto",
-        sat_portfolio: str = "off",
         store: StoreSpec = None,
-        rank: str = "off",
-        rank_model=None,
+        verify: bool = False,
         rank_data=None,
+        **options,
     ):
         """Configure the optimizer.
 
-        ``spcf_tier`` selects how SPCFs are evaluated.  'auto' (the
-        default) and 'exact' pick the function domain by PI count —
-        exhaustive truth tables up to 12 PIs, BDDs up to 26, simulation
-        signatures beyond (:func:`spcf_domain`); 'overapprox' swaps the
-        truth-table DP for the node-based over-approximation; 'signature'
-        forces the timed-simulation estimate, and with it the signature
-        domain, everywhere.
+        ``self.config`` (:class:`~repro.core.config.LookaheadConfig`,
+        which documents and validates every option that can change the
+        result) is ``config`` with the option keywords applied; the
+        other arguments are runtime ones.
         ``verify``: equivalence-check every accepted round (slow; tests).
         ``workers``: worker processes for the per-output fan-out; ``None``
         defers to ``REPRO_WORKERS`` / ``os.cpu_count()`` and ``1`` forces
         the serial path (see :func:`repro.perf.get_workers`).  ``cache``:
         a :class:`ConeCache` to share across optimizers; by default each
         optimizer owns one, which persists across its ``optimize()`` calls.
-        ``arrival_times`` maps PI names to integer prescribed arrival
-        times (non-uniform regime): criticality, SPCFs, reconstruction
-        trees, and the acceptance metric all follow completion times
-        instead of raw logic depth.  ``None`` is the unit-delay model and
-        reproduces the uniform-arrival flow bit-for-bit.
-        ``area_recovery`` toggles the post-round area-recovery pipeline
-        entirely; ``area_effort`` ('low'/'medium'/'high') selects how
-        hard :func:`repro.core.recover_area` works when it is on.
-        ``sat_portfolio`` schedules the solver-bound queries (secondary
-        simplification, redundancy removal): 'off' is the historical
-        single-config path bit-for-bit, 'sprint' adds budgeted first
-        passes with prefix reuse, 'race' additionally races diversified
-        solver configurations on queries the sprint cannot settle (see
-        :mod:`repro.sat.portfolio`).
         ``store`` plugs a :mod:`repro.store` result store under every
         memo layer: a database path (or :class:`repro.store.StoreConfig`
         / ready store) installs it as the process runtime store, backs
@@ -594,57 +509,21 @@ class LookaheadOptimizer:
         invocations.  ``None`` (default) keeps every memo process-local —
         bit-identical to the historical behaviour; disk-warm runs are
         bit-identical in QoR to cold ones, just faster (DESIGN 3.20).
-        ``rank`` selects the learned candidate ranker (DESIGN 3.23):
-        'off' (default) is the unranked flow bit-for-bit, 'log' records
-        per-candidate features and outcomes through ``rank_data`` (a
-        JSONL path or :class:`repro.rank.RankLogger`; ``None`` keeps
-        rows in memory), 'prune' skips candidates scoring under the
-        threshold of ``rank_model`` (a path, payload dict, or
-        :class:`repro.rank.RankModel`) before any SPCF/reconstruction
-        work — with a zero-accept-window fallback that re-runs pruned
-        candidates ungated, so a misprediction costs latency, never QoR.
+        ``rank_data`` is where ``rank='log'`` writes its per-candidate
+        rows (a JSONL path or :class:`repro.rank.RankLogger`; ``None``
+        keeps them in memory).
         """
-        if spcf_tier not in SPCF_TIERS:
-            raise ValueError(f"unknown SPCF tier {spcf_tier!r}")
-        if rank not in RANK_MODES:
-            raise ValueError(
-                f"unknown rank mode {rank!r}; expected one of {RANK_MODES}"
-            )
-        if rank == "prune" and rank_model is None:
-            raise ValueError(
-                "rank='prune' requires a rank_model "
-                "(a model path, payload dict, or RankModel)"
-            )
-        if rank_data is not None and rank != "log":
+        config = dataclasses.replace(config or LookaheadConfig(), **options)
+        if rank_data is not None and config.rank != "log":
             raise ValueError("rank_data is only meaningful with rank='log'")
-        if sat_portfolio not in PORTFOLIO_MODES:
-            raise ValueError(
-                f"unknown SAT portfolio mode {sat_portfolio!r}; "
-                f"expected one of {PORTFOLIO_MODES}"
-            )
-        if area_effort not in AREA_EFFORTS:
-            raise ValueError(
-                f"unknown area effort {area_effort!r}; "
-                f"expected one of {AREA_EFFORTS}"
-            )
-        self.max_rounds = max_rounds
-        self.k = k
-        self.spcf_tier = spcf_tier
-        self.sat_portfolio = sat_portfolio
-        self.sim_width = sim_width
-        self.seed = seed
-        self.use_rules = use_rules
-        self.max_outputs_per_round = max_outputs_per_round
+        self.config = config
         self.verify = verify
-        self.area_recovery = area_recovery
-        self.area_effort = area_effort
-        self.walk_modes = validate_walk_modes(walk_modes)
         self.workers = workers
-        self.rank = rank
         self._rank_model = (
-            resolve_model(rank_model) if rank == "prune" else None
+            resolve_model(config.rank_model) if config.rank == "prune"
+            else None
         )
-        if rank == "log":
+        if config.rank == "log":
             self.rank_logger = (
                 rank_data
                 if isinstance(rank_data, RankLogger)
@@ -660,7 +539,6 @@ class LookaheadOptimizer:
         self._rank_round = 0
         self._round_rows: List[dict] = []
         self._call_rows: List[dict] = []
-        self.store_spec = store
         if store is not None:
             store_runtime.configure(store)
         if cache is not None:
@@ -669,7 +547,6 @@ class LookaheadOptimizer:
             self.cache = ConeCache(store=store_runtime.get_store())
         else:
             self.cache = ConeCache()
-        self.arrival_times = dict(arrival_times) if arrival_times else None
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_workers = 0
 
@@ -677,7 +554,7 @@ class LookaheadOptimizer:
 
     def _delay_model(self):
         """Fresh delay model for the configured arrivals (None = unit)."""
-        return resolve_arrivals(self.arrival_times)
+        return resolve_arrivals(self.config.arrival_times)
 
     def _model_key(self) -> tuple:
         model = self._delay_model()
@@ -711,13 +588,13 @@ class LookaheadOptimizer:
         self._rank_round = 0
         self._round_rows = []
         self._call_rows = []
+        walk_modes = self.config.walk_modes
         with perf.timer("optimize"):
             results = [
-                self._optimize_with(aig, walk_mode)
-                for walk_mode in self.walk_modes
+                self._optimize_with(aig, walk_mode) for walk_mode in walk_modes
             ]
         winner = min(range(len(results)), key=lambda i: results[i][1])
-        self._log_call_rows(self.walk_modes[winner])
+        self._log_call_rows(walk_modes[winner])
         return results[winner][0]
 
     def _log_call_rows(self, winning_walk: str) -> None:
@@ -761,7 +638,7 @@ class LookaheadOptimizer:
         self._rank_streaks = {}
         current = aig.extract()
         current_q = self._quality(current)
-        for _round in range(self.max_rounds):
+        for _round in range(self.config.max_rounds):
             candidate = self._one_round(current, walk_mode)
             if candidate is None:
                 self._flush_rank_rows(kept=False)
@@ -841,7 +718,7 @@ class LookaheadOptimizer:
     # -- one decomposition level ---------------------------------------------------
 
     def _resolve_mode(self, aig: AIG) -> str:
-        return spcf_domain(aig.num_pis, self.spcf_tier)
+        return spcf_domain(aig.num_pis, self.config.spcf_tier)
 
     def _one_round(self, aig: AIG, walk_mode: str = "target") -> Optional[AIG]:
         engine = AigTimingEngine(aig, self._delay_model())
@@ -866,7 +743,7 @@ class LookaheadOptimizer:
         def net_thunk() -> Network:
             if not net_box:
                 with perf.timer("phase.renode"):
-                    net_box.append(renode(aig, self.k))
+                    net_box.append(renode(aig, RENODE_K))
             return net_box[0]
 
         rebuilt = self._windowed_round(
@@ -874,12 +751,13 @@ class LookaheadOptimizer:
         )
         if rebuilt is None:
             return None
-        if self.area_recovery:
+        config = self.config
+        if config.area_recovery:
             with perf.timer("phase.area"):
                 rebuilt = recover_area(
-                    rebuilt, effort=self.area_effort, seed=self.seed,
+                    rebuilt, effort=config.area_effort, seed=config.seed,
                     delay_model=self._delay_model(),
-                    sat_portfolio=self.sat_portfolio,
+                    sat_portfolio=config.sat_portfolio,
                 )
         return rebuilt
 
@@ -891,10 +769,11 @@ class LookaheadOptimizer:
         fp = cone_fingerprint(aig, [po_lit])
         # The model key keeps unit and prescribed-arrival runs
         # from colliding in the shared cone cache.
-        spcf_key = (fp, mode, self.sim_width, self.seed,
-                    self._model_key(), self.spcf_tier)
+        config = self.config
+        spcf_key = (fp, mode, config.sim_width, config.seed,
+                    self._model_key(), config.spcf_tier)
         cfg_key = spcf_key + (
-            walk_mode, self.k, self.use_rules, self.sat_portfolio,
+            walk_mode, RENODE_K, config.use_rules, config.sat_portfolio,
         )
         return fp, spcf_key, cfg_key
 
@@ -922,7 +801,7 @@ class LookaheadOptimizer:
         runs build identical windows (the cached_cold_identical /
         store_warm_equals_cold invariants).
         """
-        budget = self.max_outputs_per_round
+        budget = self.config.max_outputs_per_round
         window: List[Tuple[int, int, Tuple, Tuple]] = []
         tail: List[int] = []
         for pos, po_index in enumerate(queue):
@@ -956,15 +835,16 @@ class LookaheadOptimizer:
         """
         queue = list(critical)
         extractor = None
-        if self.rank != "off":
+        if self.config.rank != "off":
             extractor = RoundFeatureExtractor(
                 aig,
                 aig_levels,
                 _pi_arrival_ints(self._delay_model(), aig.pi_names),
-                self.seed,
+                self.config.seed,
             )
         max_windows = (
-            1 if self.max_outputs_per_round is None else BUDGET_WINDOWS
+            1 if self.config.max_outputs_per_round is None
+            else BUDGET_WINDOWS
         )
         for window_index in range(max_windows):
             if window_index:
@@ -1121,7 +1001,8 @@ class LookaheadOptimizer:
         """
         nworkers = perf.get_workers(self.workers)
         gating = gate and self._rank_model is not None
-        want_features = self.rank == "log" or gating
+        want_features = self.config.rank == "log" or gating
+        sim_width, seed = self.config.sim_width, self.config.seed
 
         # On the serial path, sim-mode SPCFs come from one shared timed
         # simulation of the whole circuit (cone-local simulation yields
@@ -1131,12 +1012,10 @@ class LookaheadOptimizer:
 
         def shared_spcf(po_index: int) -> Optional[Tuple[int, Spcf]]:
             if not shared_sim:
-                pi_words = random_patterns(
-                    aig.num_pis, self.sim_width, self.seed
-                )
+                pi_words = random_patterns(aig.num_pis, sim_width, seed)
                 shared_sim.append(timed_simulation(
                     aig,
-                    unpack_patterns(pi_words, self.sim_width),
+                    unpack_patterns(pi_words, sim_width),
                     pi_arrivals=_pi_arrival_ints(
                         self._delay_model(), aig.pi_names
                     ),
@@ -1150,7 +1029,7 @@ class LookaheadOptimizer:
                     aig, po_index, delta, None, timed=shared_sim[0]
                 )),
                 po_depth,
-                self.sim_width,
+                sim_width,
             )
 
         tasks: List[Tuple] = []
@@ -1210,21 +1089,10 @@ class LookaheadOptimizer:
                 cone_net = net_thunk().extract_po_cone(po_index)
                 spcf_keys[po_index] = spcf_key
                 reject_keys[po_index] = cfg_key
-                tasks.append(
-                    (
-                        po_index,
-                        cone_aig,
-                        cone_net,
-                        self.sim_width,
-                        self.seed,
-                        walk_mode,
-                        payload,
-                        self.arrival_times,
-                        self.spcf_tier,
-                        self.sat_portfolio,
-                        store_runtime.current_spec(),
-                    )
-                )
+                tasks.append((
+                    po_index, cone_aig, cone_net, self.config, walk_mode,
+                    payload, store_runtime.current_spec(),
+                ))
 
         start = time.perf_counter()
         parallel = nworkers > 1 and len(tasks) > 1
@@ -1313,7 +1181,9 @@ class LookaheadOptimizer:
             y_neg = neg_lits[root_n]
             if neg_n:
                 y_neg = lit_not(y_neg)
-            recon = reconstruct(builder, sigma, y_pos, y_neg, self.use_rules)
+            recon = reconstruct(
+                builder, sigma, y_pos, y_neg, self.config.use_rules
+            )
             original = aig.copy_cone(scratch, smap, [po_lit])[0]
             # Keep the original cone when the reconstruction did not win.
             if builder.level(recon) < builder.level(original):
@@ -1349,24 +1219,3 @@ def optimize_lookahead(aig: AIG, **kwargs) -> AIG:
     """One-call convenience wrapper around :class:`LookaheadOptimizer`."""
     with LookaheadOptimizer(**kwargs) as opt:
         return opt.optimize(aig)
-
-
-def make_runtime_optimizer(**kwargs) -> LookaheadOptimizer:
-    """An optimizer wired to the *already configured* runtime store.
-
-    ``LookaheadOptimizer(store=spec)`` calls ``store_runtime.configure``,
-    which tears the previous process store down and builds a fresh one —
-    correct for the one-shot CLI, fatal for a daemon whose handler and
-    runner threads all share the runtime store (a job arriving mid-flight
-    would close the store out from under every other job).  This factory
-    instead backs the optimizer's :class:`ConeCache` with the current
-    runtime store as-is; worker task tuples still ship
-    ``store_runtime.current_spec()``, so pool workers adopt the same
-    backend exactly as on the CLI path.
-    """
-    assert "store" not in kwargs, (
-        "make_runtime_optimizer wires the runtime store itself; "
-        "configure it once via store_runtime.configure"
-    )
-    kwargs.setdefault("cache", ConeCache(store=store_runtime.get_store()))
-    return LookaheadOptimizer(**kwargs)

@@ -44,6 +44,26 @@ class TestAnalyzeRound:
         assert all(o.spcf_mode in ("sim", "tt") for o in report.outputs)
 
 
+    def test_prescribed_arrivals_pick_the_round_target(self):
+        # A 5-XOR chain (depth 10) feeds `deep`; a 2-AND gate over x, y,
+        # z (depth 2) feeds `late`.  With x arriving at 20, `late`
+        # completes at 22 and is the only output the round targets.
+        aig = AIG()
+        chain = [aig.add_pi(f"p{i}") for i in range(6)]
+        acc = chain[0]
+        for lit in chain[1:]:
+            acc = aig.xor_(acc, lit)
+        aig.add_po(acc, "deep")
+        x, y, z = (aig.add_pi(name) for name in ("x", "y", "z"))
+        aig.add_po(aig.and_(aig.and_(x, y), z), "late")
+        assert depth(aig) == 10
+        opt = LookaheadOptimizer(arrival_times={"x": 20}, sim_width=256)
+        report = analyze_round(aig, opt)
+        assert report.aig_depth == 22
+        assert [o.po_name for o in report.outputs] == ["late"]
+        assert report.outputs[0].po_level == 22
+
+
 class TestDotExport:
     def test_structure(self):
         aig = ripple_carry_adder(2)

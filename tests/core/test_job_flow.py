@@ -25,7 +25,7 @@ class TestNormalize:
     def test_defaults(self):
         config = normalize_job_config(None)
         assert config["flow"] == "lookahead"
-        assert config["arrivals"] is None
+        assert config["lookahead"].arrival_times is None
         assert config["verify"] is False
 
     def test_unknown_key_rejected(self):
@@ -40,39 +40,21 @@ class TestNormalize:
 
     def test_arrival_validation(self):
         config = normalize_job_config({"arrivals": {"a0": 3}})
-        assert config["arrivals"] == {"a0": 3}
+        assert config["lookahead"].arrival_times == {"a0": 3}
         for bad in ({}, {"a0": "3"}, {"a0": True}, {3: 1}, [("a0", 3)]):
             with pytest.raises(ValueError):
                 normalize_job_config({"arrivals": bad})
 
     def test_effort_knobs_default_to_none(self):
-        config = normalize_job_config(None)
-        for knob in ("max_rounds", "max_outputs_per_round", "sim_width",
-                     "walk_modes", "max_iterations"):
-            assert config[knob] is None
-
-    def test_effort_knob_validation(self):
-        config = normalize_job_config({
-            "max_rounds": 3,
-            "max_outputs_per_round": 4,
-            "sim_width": 512,
-            "walk_modes": ("target",),
-            "max_iterations": 2,
-        })
-        assert config["max_rounds"] == 3
-        assert config["walk_modes"] == ["target"]  # JSON-compatible
-        for bad in (
-            {"max_rounds": 0},
-            {"max_rounds": True},
-            {"sim_width": -1},
-            {"sim_width": "512"},
-            {"max_iterations": 0},
-            {"walk_modes": []},
-            {"walk_modes": "target"},
-            {"walk_modes": ["sideways"]},
-        ):
-            with pytest.raises(ValueError):
-                normalize_job_config(bad)
+        # An explicit null is the flow's default, exactly like an
+        # omitted key.
+        knobs = ("max_rounds", "max_outputs_per_round", "sim_width",
+                 "walk_modes", "max_iterations")
+        for flow in ("lookahead", "lookahead-only"):
+            nulls = normalize_job_config(
+                {"flow": flow, **{knob: None for knob in knobs}}
+            )
+            assert nulls == normalize_job_config({"flow": flow})
 
     def test_effort_knobs_distinguish_configs(self):
         base = normalize_job_config(None)
@@ -95,10 +77,10 @@ class TestNormalize:
         })
         opt = make_job_optimizer(config, workers=1)
         try:
-            assert opt.max_rounds == 4
-            assert opt.max_outputs_per_round == 6
-            assert opt.sim_width == 512
-            assert opt.walk_modes == ("target",)
+            assert opt.config.max_rounds == 4
+            assert opt.config.max_outputs_per_round == 6
+            assert opt.config.sim_width == 512
+            assert opt.config.walk_modes == ("target",)
         finally:
             opt.close()
 

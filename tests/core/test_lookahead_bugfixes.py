@@ -13,14 +13,8 @@ import pytest
 
 from repro import perf
 from repro.adders import ripple_carry_adder
-from repro.core import (
-    WALK_MODES,
-    LookaheadOptimizer,
-    lookahead_flow,
-    normalize_job_config,
-    validate_walk_modes,
-)
-from repro.core.lookahead import BUDGET_WINDOWS
+from repro.core import WALK_MODES, LookaheadOptimizer, validate_walk_modes
+from repro.core.lookahead import BUDGET_WINDOWS, RENODE_K
 
 
 def _sim_optimizer(**kwargs):
@@ -75,7 +69,7 @@ class TestWindowSelection:
 
             engine = AigTimingEngine(aig, opt._delay_model())
             critical = list(range(len(aig.pos)))  # every PO eligible
-            net = renode(aig, opt.k)
+            net = renode(aig, RENODE_K)
             perf.reset()
             rebuilt = opt._windowed_round(
                 aig, lambda: net, critical,
@@ -101,7 +95,7 @@ class TestWindowSelection:
             from repro.timing import AigTimingEngine
 
             engine = AigTimingEngine(aig, opt._delay_model())
-            net = renode(aig, opt.k)
+            net = renode(aig, RENODE_K)
             rebuilt = opt._windowed_round(
                 aig, lambda: net, list(range(len(aig.pos))),
                 engine.arrivals(), opt._resolve_mode(aig), "target",
@@ -165,14 +159,7 @@ class TestQualityCaching:
 
 
 class TestWalkModeValidation:
-    BAD = ("bogus",)
-
-    def expected_message(self):
-        try:
-            validate_walk_modes(self.BAD)
-        except ValueError as exc:
-            return str(exc)
-        raise AssertionError("validator accepted a bad walk mode")
+    # Every entry point reaching the validator: tests/core/test_config.py.
 
     def test_validator_accepts_all_good_subsets(self):
         assert validate_walk_modes(["target"]) == ("target",)
@@ -183,32 +170,6 @@ class TestWalkModeValidation:
         for bad in ("target", [], (), None, 42, ["target", "bogus"]):
             with pytest.raises(ValueError):
                 validate_walk_modes(bad)
-
-    def test_constructor_flow_and_jobs_reject_identically(self):
-        message = self.expected_message()
-        with pytest.raises(ValueError) as from_ctor:
-            LookaheadOptimizer(walk_modes=self.BAD)
-        with pytest.raises(ValueError) as from_flow:
-            lookahead_flow(ripple_carry_adder(2), walk_modes=self.BAD)
-        with pytest.raises(ValueError) as from_jobs:
-            normalize_job_config({"walk_modes": list(self.BAD)})
-        assert str(from_ctor.value) == message
-        assert str(from_flow.value) == message
-        assert str(from_jobs.value) == message
-
-    def test_cli_rejects_identically(self, tmp_path):
-        from repro.aig import write_aag
-        from repro.cli import main
-
-        circuit = tmp_path / "rca2.aag"
-        with open(circuit, "w") as fh:
-            write_aag(ripple_carry_adder(2), fh)
-        with pytest.raises(ValueError) as from_cli:
-            main([
-                "optimize", str(circuit), "--flow", "lookahead-only",
-                "--walk-modes", "bogus",
-            ])
-        assert str(from_cli.value) == self.expected_message()
 
     def test_constructor_rejects_before_any_work(self):
         # The error must come from construction, not the first round.

@@ -195,17 +195,24 @@ class TestFlowWiring:
 
 
 class TestJobOptions:
-    def test_log_not_servable(self):
-        with pytest.raises(ValueError, match="unservable rank mode"):
-            normalize_job_config({"rank": "log"})
+    def test_log_not_servable(self, tmp_path):
+        from repro.serve import ReproDaemon, ServeClient, ServeError
+        from repro.store import runtime as store_runtime
 
-    def test_prune_requires_embedded_payload(self, tmp_path):
-        with pytest.raises(ValueError, match="embed the model payload"):
-            normalize_job_config({"rank": "prune"})
-        with pytest.raises(ValueError, match="embed the model payload"):
-            normalize_job_config(
-                {"rank": "prune", "rank_model": str(tmp_path / "m.json")}
-            )
+        daemon = ReproDaemon(
+            store=None, workers=1,
+            endpoint_file=str(tmp_path / "daemon.serve.json"),
+        )
+        daemon.start()
+        try:
+            with pytest.raises(ServeError, match="unservable rank mode") as exc:
+                ServeClient(daemon.host, daemon.port).submit(
+                    _dump(ripple_carry_adder(2)), options={"rank": "log"}
+                )
+            assert exc.value.code == "bad-request"
+        finally:
+            daemon.stop()
+            store_runtime.reset()
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(ValueError):
@@ -268,14 +275,3 @@ class TestCliWiring:
         with open(prune_out) as fh:
             prune_aig = read_aag(fh)
         assert _dump(off_aig) == _dump(prune_aig)
-
-    def test_prune_without_model_errors(self, tmp_path, capsys):
-        from repro.cli import main
-
-        circuit = tmp_path / "rca4.aag"
-        with open(circuit, "w") as fh:
-            write_aag(ripple_carry_adder(4), fh)
-        assert main([
-            "optimize", str(circuit), "--rank", "prune",
-        ]) == 2
-        assert "--rank-model" in capsys.readouterr().err

@@ -80,7 +80,7 @@ class TestSpcfTiersAgree:
         real = LookaheadOptimizer.optimize
 
         def sabotage(self, circuit):
-            if self.spcf_tier != "signature":
+            if self.config.spcf_tier != "signature":
                 return real(self, circuit)
             wrong = circuit.__class__()
             for name in circuit.pi_names:
