@@ -21,6 +21,7 @@ from ..sat.portfolio import (
     GLOBAL_UNSAT_CACHE,
     PortfolioRunner,
     PortfolioSpec,
+    UnsatCache,
     resolve_portfolio,
 )
 from ..sop import Cube
@@ -54,23 +55,32 @@ class ExactCareChecker:
 class SatCareChecker:
     """Unreachability by simulation pre-filter + SAT proof.
 
-    The SAT instance encodes the primary network (which contains the Σ1
-    node) and the *current* secondary network over shared PIs; a cube is
-    unreachable iff ``!Σ1 AND (fan-ins of j in cube)`` is UNSAT.
+    A cube is unreachable iff ``!Σ1 AND (fan-ins of j in cube)`` is UNSAT
+    over the primary network (which contains the Σ1 node) and the
+    *current* secondary network, sharing PIs.  One incremental session
+    answers the queries in every ``sat_portfolio`` mode (see
+    :meth:`_ensure_runner`); ``off`` solves each once at
+    :attr:`max_conflicts`, ``sprint``/``race`` schedule it across racers.
 
-    Every satisfiable query yields a *witness*: the model's PI assignment
-    reaches the queried cube outside the window.  Witnesses stay valid for
-    the checker's whole lifetime — they satisfy !Σ1 against the primary
+    An UNSAT answer is a proof and a SAT answer carries a *witness* (the
+    model's PI assignment reaches the queried cube outside the window), so
+    only a budget-exhausted query (UNKNOWN, treated as reachable) can
+    depend on how the session searched.  Witnesses stay valid for the
+    checker's whole lifetime — they satisfy !Σ1 against the primary
     network, which is never mutated during secondary simplification — so
     they are pooled and replayed through the *current* secondary network
-    before later queries go to SAT.  A witness landing inside a cube
-    proves reachability exactly where the solver would have answered
-    SAT (or timed out, which is also treated as reachable), so the
-    verdicts are identical to the SAT-only path; on circuits whose window
-    covers the random patterns (``care_sig == 0``, where the simulation
-    pre-filter never fires) this removes almost every satisfiable SAT
-    call.
+    before later queries go to SAT.  On circuits whose window covers the
+    random patterns (``care_sig == 0``, where the simulation pre-filter
+    never fires) the pool removes almost every satisfiable SAT call.
+
+    Proofs are memoized under :meth:`_query_key`: ``off`` in an
+    :class:`UnsatCache` the checker owns and keeps across :meth:`refresh`,
+    so its verdicts depend on its own query stream alone; ``sprint`` and
+    ``race`` in :data:`GLOBAL_UNSAT_CACHE`.
     """
+
+    max_conflicts = 200
+    """Conflict budget of one query; UNKNOWN counts as reachable."""
 
     def __init__(
         self,
@@ -87,12 +97,15 @@ class SatCareChecker:
         self.sigma_nid = sigma_nid
         self.secondary_net = secondary_net
         self.portfolio = resolve_portfolio(sat_portfolio)
-        self._solver: Optional[Solver] = None
+        self._unsat = (
+            UnsatCache()
+            if self.portfolio.mode == "off"
+            else GLOBAL_UNSAT_CACHE
+        )
         self._runner: Optional[PortfolioRunner] = None
         self._sec_vars: Dict[int, int] = {}
         self._pi_vars: List[int] = []
         self._sigma_var = 0
-        self.max_conflicts = 200
         self._witness_pis: List[List[bool]] = []
         self._wit_model: Optional[SignatureModel] = None
         self._sec_topo: Optional[List[int]] = None
@@ -102,8 +115,8 @@ class SatCareChecker:
         # Witnesses persisted by earlier invocations (same Σ1 fingerprint
         # over the same PI space) seed the pool — in portfolio modes only.
         # ``off`` promises bit-identical warm and cold runs, and a seeded
-        # witness would skip a SAT call and hence perturb the persistent
-        # solver's learned-clause stream for later budgeted queries; the
+        # witness would skip a SAT call and hence perturb the session's
+        # learned-clause stream for later budgeted queries; the
         # portfolio modes already carry the fixed-store-state determinism
         # caveat (DESIGN 3.19/3.20).  Harvests are persisted in every
         # mode (writes cannot change this run's verdicts).
@@ -120,7 +133,6 @@ class SatCareChecker:
     def refresh(self) -> None:
         """Invalidate the encoding after a secondary-network mutation."""
         self.sig_model.recompute()
-        self._solver = None
         self._runner = None
         self._sec_fps = None
         # Witness PI assignments survive (the primary net is immutable
@@ -129,22 +141,16 @@ class SatCareChecker:
         self._wit_model = None
         self._sec_topo = None
 
-    def _ensure_encoding(self) -> None:
-        if self._solver is not None:
-            return
-        solver = Solver()
-        prim_vars = encode_network(solver, self.primary_net)
-        pi_vars = [prim_vars[pi] for pi in self.primary_net.pis]
-        self._sec_vars = encode_network(
-            solver, self.secondary_net, pi_vars=pi_vars
-        )
-        self._pi_vars = pi_vars
-        self._sigma_var = prim_vars[self.sigma_nid]
-        self._solver = solver
-
     def _ensure_runner(self) -> None:
         if self._runner is not None:
             return
+        # ``build`` closes over these locals, never over ``self``: a
+        # checker -> runner -> build -> checker cycle would keep every
+        # solver alive until the cyclic collector runs.
+        primary, sigma_nid = self.primary_net, self.sigma_nid
+        secondary = self.secondary_net
+        batches: List[tuple] = []
+        maps: list = []
 
         def build(config) -> Solver:
             solver = Solver(config)
@@ -158,27 +164,25 @@ class SatCareChecker:
             # racer replays the identical clause stream (primary cone,
             # then the recorded cone batches in order), so the variable
             # maps from the first build hold for all of them.
-            prim_vars = encode_network(
-                solver, self.primary_net, roots=[self.sigma_nid]
-            )
-            pi_vars = [prim_vars[pi] for pi in self.primary_net.pis]
-            sec_vars = dict(zip(self.secondary_net.pis, pi_vars))
-            for batch in self._enc_batches:
+            prim_vars = encode_network(solver, primary, roots=[sigma_nid])
+            pi_vars = [prim_vars[pi] for pi in primary.pis]
+            sec_vars = dict(zip(secondary.pis, pi_vars))
+            for batch in batches:
                 encode_network(
                     solver,
-                    self.secondary_net,
+                    secondary,
                     pi_vars=pi_vars,
                     roots=batch,
                     var_of=sec_vars,
                 )
-            self._sec_vars = sec_vars
-            self._pi_vars = pi_vars
-            self._sigma_var = prim_vars[self.sigma_nid]
+            if not maps:
+                maps.extend((pi_vars, prim_vars[sigma_nid], sec_vars))
             return solver
 
-        self._enc_batches: List[tuple] = []
+        self._enc_batches = batches
         self._runner = PortfolioRunner(self.portfolio, build)
         self._runner.solver(0)  # materialize the maps for query building
+        self._pi_vars, self._sigma_var, self._sec_vars = maps
 
     def _require_sec_cone(self, roots: List[int]) -> None:
         """Lazily encode the fan-in cones of ``roots`` into every racer.
@@ -215,8 +219,8 @@ class SatCareChecker:
         The verdict of ``!Σ1 AND (fan-ins of nid in cube)`` is a function
         of Σ1's global function and the constrained fan-ins' global
         functions over the shared positional PI space — captured by
-        structural fingerprints, so hits transfer across rounds, epochs,
-        and networks with isomorphic cones.
+        structural fingerprints, so hits transfer across mutations of
+        other nodes, rounds, epochs, and networks with isomorphic cones.
         """
         if self._sigma_fp is None:
             self._sigma_fp = self.primary_net.node_fingerprints()[
@@ -288,9 +292,9 @@ class SatCareChecker:
     def _harvest_witness(self, solver: Solver) -> None:
         """Pool a SAT model's PI assignment as a witness.
 
-        ``solver`` is whichever solver produced the model — the single
-        encoding in ``off`` mode, or the winning racer — so witnesses
-        found by any configuration feed every later fast-path check.
+        ``solver`` is the runner's winner — the baseline in ``off`` mode,
+        or whichever racer answered — so witnesses found by any
+        configuration feed every later fast-path check.
         """
         if len(self._witness_pis) >= WITNESS_POOL_LIMIT:
             return
@@ -348,35 +352,8 @@ class SatCareChecker:
         if wit is not None and wit.cube_condition(nid, cube):
             perf.incr("secondary.witness.hit")
             return False
-        if self.portfolio.mode != "off":
-            return self._cube_unreachable_portfolio(nid, cube)
-        self._ensure_encoding()
-        node = self.secondary_net.nodes[nid]
-        assumptions = [-self._sigma_var]
-        for var, pol in cube.literals():
-            sv = self._sec_vars[node.fanins[var]]
-            assumptions.append(sv if pol else -sv)
-        # Budgeted query: unknown is treated as reachable (no drop), which
-        # is always safe.
-        perf.incr("secondary.sat.calls")
-        start = time.perf_counter()
-        result = self._solver.solve(
-            assumptions, max_conflicts=self.max_conflicts
-        )
-        perf.observe("sat.query.secondary", time.perf_counter() - start)
-        if result is True:
-            self._harvest_witness(self._solver)
-        return result is False
-
-    def _cube_unreachable_portfolio(self, nid: int, cube: Cube) -> bool:
-        """Portfolio-mode query: UNSAT cache, then sprint/race.
-
-        ``keep_prefix=1`` keeps the propagated ``!Σ1`` decision level
-        alive between queries — on propagation-bound workloads re-deriving
-        that prefix dominates the per-query cost.
-        """
         key = self._query_key(nid, cube)
-        if GLOBAL_UNSAT_CACHE.hit(key):
+        if self._unsat.hit(key):
             return True
         self._ensure_runner()
         node = self.secondary_net.nodes[nid]
@@ -386,18 +363,22 @@ class SatCareChecker:
         for var, pol in cube.literals():
             sv = self._sec_vars[node.fanins[var]]
             assumptions.append(sv if pol else -sv)
+        # Budgeted query: unknown is treated as reachable (no drop), which
+        # is always safe.  ``keep_prefix=1`` keeps the propagated ``!Σ1``
+        # decision level alive between queries — on propagation-bound
+        # workloads re-deriving that prefix dominates the per-query cost.
         perf.incr("secondary.sat.calls")
         start = time.perf_counter()
         result = self._runner.solve(
-            assumptions,
-            baseline_conflicts=self.max_conflicts,
-            keep_prefix=1,
+            assumptions, baseline_conflicts=self.max_conflicts, keep_prefix=1
         )
         perf.observe("sat.query.secondary", time.perf_counter() - start)
         if result is True:
             self._harvest_witness(self._runner.winner)
         elif result is False:
-            GLOBAL_UNSAT_CACHE.add(key)
+            self._unsat.add(key)
+        else:
+            perf.incr("secondary.sat.unknown")
         return result is False
 
 

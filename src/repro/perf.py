@@ -173,11 +173,14 @@ class PerfRegistry:
     def report(self) -> str:
         """Human-readable multi-line report of every counter and timer."""
         snap = self.snapshot()
+        counters = snap["counters"]
+        if "secondary.sat.calls" in counters:  # listed even at zero
+            counters.setdefault("secondary.sat.unknown", 0)
         lines = ["perf counters:"]
-        if not snap["counters"]:
+        if not counters:
             lines.append("  (none)")
-        for name in sorted(snap["counters"]):
-            lines.append(f"  {name:<32s} {snap['counters'][name]:>10d}")
+        for name in sorted(counters):
+            lines.append(f"  {name:<32s} {counters[name]:>10d}")
         if snap["histograms"]:
             lines.append("perf histograms:")
             for name in sorted(snap["histograms"]):
@@ -214,7 +217,7 @@ class PerfRegistry:
                 "area prefilter hit rate",
             ),
         ):
-            h, m = (snap["counters"].get(k, 0) for k in pair)
+            h, m = (counters.get(k, 0) for k in pair)
             if h + m:
                 lines.append(f"  {label:<32s} {h / (h + m):>10.1%}")
         busy = snap["timers"].get("workers.busy", {}).get("seconds", 0.0)

@@ -18,10 +18,12 @@ first answer.  This module implements a deterministic variant:
   process-global :class:`UnsatCache` keyed by structural fingerprints so
   repeat queries across rounds, Δ values, and outputs short-circuit.
 
+``off`` is the runner without a portfolio: one solve of the baseline
+configuration per query at the caller's full budget.  Its callers keep
+their proofs in an :class:`UnsatCache` of their own.
+
 Determinism: the schedule is a fixed rotation with fixed budgets — no
 wall-clock, no threads — so a given mode is reproducible run-to-run.
-``off`` short-circuits before any portfolio logic and is bit-identical
-to the historical single-config flow.
 """
 
 from __future__ import annotations
@@ -126,15 +128,16 @@ class UnsatCache:
     live in the store's ``unsat`` namespace, so UNSAT verdicts survive to
     warm the next run.  A hit may upgrade what a budget-limited solver
     call would have left UNKNOWN, so portfolio modes that consult the
-    cache are deterministic for a fixed store state but not across
-    arbitrary cache states; ``off`` never consults it (the determinism
-    story is in DESIGN 3.19).
+    shared cache are deterministic for a fixed store state but not across
+    arbitrary cache states (the determinism story is in DESIGN 3.19).
 
     A standalone instance (``UnsatCache(limit=...)``) owns a private
-    bounded in-memory store; ``use_runtime=True`` — how
-    :data:`GLOBAL_UNSAT_CACHE` is built — re-resolves the process runtime
-    store on every access, so ``--store`` configuration and post-fork
-    reopening are picked up transparently.
+    bounded in-memory store: each ``off`` care checker memoizes its own
+    proofs in one, so its verdicts stay a function of its own query
+    stream.  ``use_runtime=True`` — how :data:`GLOBAL_UNSAT_CACHE` is
+    built — re-resolves the process runtime store on every access, so
+    ``--store`` configuration and post-fork reopening are picked up
+    transparently.
     """
 
     __slots__ = ("limit", "_private", "_use_runtime")
@@ -172,8 +175,9 @@ class UnsatCache:
 
 
 GLOBAL_UNSAT_CACHE = UnsatCache(use_runtime=True)
-"""Shared by every checker in the process; with ``--store`` the verdicts
-live in the persistent store and survive across invocations."""
+"""Shared by every ``sprint``/``race`` checker in the process; with
+``--store`` the verdicts live in the persistent store and survive across
+invocations."""
 
 
 class PortfolioRunner:
@@ -191,8 +195,6 @@ class PortfolioRunner:
         config: PortfolioConfig,
         build: Callable[[SolverConfig], Solver],
     ) -> None:
-        if config.mode == "off":
-            raise ValueError("PortfolioRunner requires a racing mode")
         self.config = config
         self._build = build
         self._solvers: List[Optional[Solver]] = [None] * len(config.configs)
@@ -231,19 +233,26 @@ class PortfolioRunner:
         """Answer one query; True = SAT (model on :attr:`winner`).
 
         ``baseline_conflicts`` is the budget the caller would have given a
-        single solver; the sprint spends at most ``sprint_conflicts`` of
-        it and ``sprint`` mode escalates up to exactly the remainder, so
-        an UNKNOWN means an unassisted baseline query would (modulo
-        restart phasing) have been UNKNOWN too.  ``keep_prefix`` is
-        forwarded to every racer (each retains its own assumption trail).
+        single solver; ``off`` spends exactly that on the baseline, the
+        sprint spends at most ``sprint_conflicts`` of it and ``sprint``
+        mode escalates up to exactly the remainder, so an UNKNOWN means an
+        unassisted baseline query would (modulo restart phasing) have been
+        UNKNOWN too.  ``keep_prefix`` is forwarded to every racer (each
+        retains its own assumption trail).
         """
         cfg = self.config
-        perf.incr("sat.portfolio.queries")
         self.winner = None
+        primary = self.solver(0)
+        if cfg.mode == "off":
+            result = primary.solve(
+                assumptions, baseline_conflicts, keep_prefix=keep_prefix
+            )
+            self.winner = primary if result is not None else None
+            return result
+        perf.incr("sat.portfolio.queries")
         sprint_budget = cfg.sprint_conflicts
         if baseline_conflicts is not None:
             sprint_budget = min(sprint_budget, baseline_conflicts)
-        primary = self.solver(0)
         before = primary.num_conflicts
         result = primary.solve(
             assumptions, max_conflicts=sprint_budget, keep_prefix=keep_prefix

@@ -1,19 +1,26 @@
 """Flow-level contracts of the --sat-portfolio knob.
 
-``off`` must reproduce the historical single-config flow bit-for-bit;
-the racing modes may settle budget-limited queries differently but must
+Every mode runs one care-check session per cone.  ``off`` is the default
+and must equal the flow run without the knob; its proofs stay in the
+checker, so nothing it proves reaches the process-wide cache or a
+persistent store, and its output never depends on their state.  The
+racing modes may settle budget-limited queries differently but must
 stay CEC-equivalent and never-worse in depth (DESIGN 3.19).
 """
 
 import io
+import sqlite3
 
 import pytest
 
+from repro import perf
 from repro.adders import ripple_carry_adder
 from repro.aig import depth, write_aag
+from repro.bench import BENCHMARKS
 from repro.cec import check_equivalence
 from repro.core import LookaheadOptimizer, lookahead_flow, recover_area
 from repro.sat.portfolio import GLOBAL_UNSAT_CACHE
+from repro.store import runtime as store_runtime
 
 
 def _dump(aig):
@@ -44,6 +51,37 @@ class TestOffIsIdentity:
         default = _optimize(aig)
         off = _optimize(aig, sat_portfolio="off")
         assert _dump(off) == _dump(default)
+
+
+class TestOffScope:
+    """``off`` memoizes its proofs per checker, never process-wide."""
+
+    def test_off_leaves_the_global_cache_empty(self):
+        GLOBAL_UNSAT_CACHE.clear()
+        hits = perf.counter("sat.portfolio.unsat_cache.hit")
+        _optimize(BENCHMARKS["C432"]())
+        assert perf.counter("sat.portfolio.unsat_cache.hit") > hits
+        assert len(GLOBAL_UNSAT_CACHE) == 0
+        _optimize(BENCHMARKS["C432"](), sat_portfolio="sprint")
+        assert len(GLOBAL_UNSAT_CACHE) > 0  # the racing modes share it
+        GLOBAL_UNSAT_CACHE.clear()
+
+    def test_off_writes_no_unsat_rows(self, tmp_path):
+        path = str(tmp_path / "scope.db")
+        store_runtime.reset()
+        try:
+            _optimize(BENCHMARKS["C432"](), store=path)
+        finally:
+            store_runtime.reset()  # closes the store, flushing the WAL
+        conn = sqlite3.connect(path)
+        try:
+            namespaces = {
+                ns for (ns,) in conn.execute("SELECT DISTINCT ns FROM entries")
+            }
+        finally:
+            conn.close()
+        assert "cone" in namespaces
+        assert "unsat" not in namespaces
 
 
 class TestRacingModes:

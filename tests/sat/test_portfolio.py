@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import perf
 from repro.sat import (
     PortfolioConfig,
     PortfolioRunner,
@@ -241,9 +242,32 @@ def _runner(mode, clauses, configs=DEFAULT_CONFIGS, **kwargs):
 
 
 class TestPortfolioRunner:
-    def test_off_mode_rejected(self):
-        with pytest.raises(ValueError):
-            PortfolioRunner(PortfolioConfig(mode="off"), lambda c: Solver())
+    def test_off_mode_is_one_baseline_solve(self):
+        holes, pigeons = 4, 5
+
+        def var(p, h):
+            return p * holes + h + 1
+
+        clauses = [
+            [var(p, h) for h in range(holes)] for p in range(pigeons)
+        ]
+        for h in range(holes):
+            for p1 in range(pigeons):
+                for p2 in range(p1 + 1, pigeons):
+                    clauses.append([-var(p1, h), -var(p2, h)])
+        queries = perf.counter("sat.portfolio.queries")
+        runner, builds = _runner("off", clauses)
+        plain = Solver()
+        for clause in clauses:
+            plain.add_clause(list(clause))
+        # The caller's budget goes whole to the baseline: no sprint pass.
+        assert runner.solve([], baseline_conflicts=3) is None
+        assert plain.solve([], max_conflicts=3) is None
+        assert runner.solver(0).num_conflicts == plain.num_conflicts
+        assert runner.winner is None
+        assert runner.solve([], baseline_conflicts=100000) is False
+        assert builds == ["base"]
+        assert perf.counter("sat.portfolio.queries") == queries
 
     def test_sprint_win_builds_only_the_baseline(self):
         runner, builds = _runner("race", [[1, 2], [-1]])
@@ -334,6 +358,6 @@ class TestPortfolioRunner:
             if not live:
                 continue
             expected = ref.solve()
-            for mode in ("sprint", "race"):
+            for mode in ("off", "sprint", "race"):
                 runner, _ = _runner(mode, clauses, sprint_conflicts=2)
                 assert runner.solve([]) is expected, (mode, trial)
