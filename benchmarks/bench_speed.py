@@ -2,17 +2,13 @@
 
 Times the per-output lookahead rounds on the Table-1 adders and two
 Table-2 circuits, once serial (workers=1), once parallel (workers from
-``REPRO_WORKERS`` or 4), once serial with SAT portfolio racing
-(``--sat-portfolio race``), once serial against a disk-warm persistent
+``REPRO_WORKERS`` or 4), once serial against a disk-warm persistent
 result store (``--store``; the database is seeded by one cold
 store-backed run first), and once serial behind a rank-prune gate
 fitted at recall 1.0 on the circuit's own ``--rank log`` trajectory.
 The parallel, warm-store, and rank flows must produce the bit-identical
 AIG — the store only replays memoized results, and a recall-1.0 model
-only skips rounds its training run discarded — while the race flow
-needs only identical depth/ANDs (racing may settle budget-limited SAT
-queries the single config left UNKNOWN, so bit-identity is deliberately
-not required — see DESIGN 3.19).  Writes
+only skips rounds its training run discarded.  Writes
 schema-stable JSON rows ``{circuit, flow, seconds, depth, ands}`` to
 ``BENCH_speed.json`` so successive PRs can track the perf trajectory.
 
@@ -63,9 +59,7 @@ def _circuits() -> Dict[str, Callable[[], AIG]]:
     return table
 
 
-def _optimizer(
-    workers: int, sat_portfolio: str = "off", store=None, **rank_kwargs
-) -> LookaheadOptimizer:
+def _optimizer(workers: int, store=None, **rank_kwargs) -> LookaheadOptimizer:
     """Bounded-effort optimizer so the bench measures the hot path, not
     the search budget; all flows use identical settings.  The default
     two walk strategies are kept — the second strategy's rounds revisit
@@ -75,7 +69,6 @@ def _optimizer(
         max_outputs_per_round=8,
         sim_width=512,
         workers=workers,
-        sat_portfolio=sat_portfolio,
         store=store,
         **rank_kwargs,
     )
@@ -96,30 +89,25 @@ def _parallel_workers() -> int:
 
 def run_bench(quick: bool = False, verbose: bool = True) -> List[dict]:
     """Time each circuit under the serial and parallel flows -> JSON rows."""
-    from repro.sat.portfolio import GLOBAL_UNSAT_CACHE
     from repro.store import runtime as store_runtime
 
     rows: List[dict] = []
     nworkers = _parallel_workers()
-    flows = [("lookahead-w1", 1, "off")]
+    flows = [("lookahead-w1", 1)]
     if nworkers > 1:
-        flows.append((f"lookahead-w{nworkers}", nworkers, "off"))
-    flows.append(("lookahead-w1-race", 1, "race"))
+        flows.append((f"lookahead-w{nworkers}", nworkers))
     for name, gen in _circuits().items():
         if quick and name not in QUICK_CIRCUITS:
             continue
         aig = gen()
         outputs = {}
-        qor = {}
-        for flow_name, workers, sat_portfolio in flows:
+        for flow_name, workers in flows:
             perf.reset()
-            GLOBAL_UNSAT_CACHE.clear()  # every flow starts cold
-            opt = _optimizer(workers, sat_portfolio)
+            opt = _optimizer(workers)
             start = time.perf_counter()
             optimized = opt.optimize(aig)
             seconds = time.perf_counter() - start
             outputs[flow_name] = _dump(optimized)
-            qor[flow_name] = (depth(optimized), optimized.num_ands())
             rows.append(
                 {
                     "circuit": name,
@@ -143,18 +131,15 @@ def run_bench(quick: bool = False, verbose: bool = True) -> List[dict]:
         store_dir = tempfile.mkdtemp(prefix="repro-bench-store-")
         store_path = os.path.join(store_dir, "results.db")
         try:
-            GLOBAL_UNSAT_CACHE.clear()
-            _optimizer(1, "off", store=store_path).optimize(aig)
+            _optimizer(1, store=store_path).optimize(aig)
             store_runtime.reset()
             perf.reset()
-            GLOBAL_UNSAT_CACHE.clear()
             flow_name = "lookahead-w1-warmstore"
-            opt = _optimizer(1, "off", store=store_path)
+            opt = _optimizer(1, store=store_path)
             start = time.perf_counter()
             optimized = opt.optimize(aig)
             seconds = time.perf_counter() - start
             outputs[flow_name] = _dump(optimized)
-            qor[flow_name] = (depth(optimized), optimized.num_ands())
             rows.append(
                 {
                     "circuit": name,
@@ -181,19 +166,16 @@ def run_bench(quick: bool = False, verbose: bool = True) -> List[dict]:
         # a timed serial prune run, which must therefore reproduce the
         # serial reference bit-for-bit while skipping the SPCF work of
         # candidates the unranked flow evaluated only to reject.
-        GLOBAL_UNSAT_CACHE.clear()
         logger = RankLogger()
-        _optimizer(1, "off", rank="log", rank_data=logger).optimize(aig)
+        _optimizer(1, rank="log", rank_data=logger).optimize(aig)
         model = fit_model(logger.rows, target_recall=1.0)
         perf.reset()
-        GLOBAL_UNSAT_CACHE.clear()
         flow_name = "lookahead-w1-rank"
-        opt = _optimizer(1, "off", rank="prune", rank_model=model)
+        opt = _optimizer(1, rank="prune", rank_model=model)
         start = time.perf_counter()
         optimized = opt.optimize(aig)
         seconds = time.perf_counter() - start
         outputs[flow_name] = _dump(optimized)
-        qor[flow_name] = (depth(optimized), optimized.num_ands())
         rows.append(
             {
                 "circuit": name,
@@ -212,15 +194,7 @@ def run_bench(quick: bool = False, verbose: bool = True) -> List[dict]:
             )
         reference = outputs[flows[0][0]]
         for flow_name, dumped in outputs.items():
-            if flow_name.endswith("-race"):
-                # Racing may settle budget-limited queries differently;
-                # the contract is identical QoR, not identical structure.
-                if qor[flow_name] != qor[flows[0][0]]:
-                    raise AssertionError(
-                        f"{name}: {flow_name} QoR {qor[flow_name]} differs "
-                        f"from serial {qor[flows[0][0]]}"
-                    )
-            elif dumped != reference:
+            if dumped != reference:
                 raise AssertionError(
                     f"{name}: {flow_name} output differs from serial result"
                 )

@@ -49,7 +49,6 @@ from .core import (
 from .mapping import dynamic_power_uw, map_aig, mapped_delay
 from .mapping.verilog import write_verilog
 from .opt import abc_resyn2rs, dc_map_effort_high, sis_best
-from .sat.portfolio import MODES as PORTFOLIO_MODES
 from .store import SqliteStore
 from .store import runtime as store_runtime
 from .store.runtime import default_store_path
@@ -248,11 +247,17 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from .verify import INVARIANTS, fuzz
+    from .verify.fuzz import resolve_checks
 
     if args.list_checks:
         for name in sorted(INVARIANTS):
             print(name)
         return 0
+    try:
+        resolve_checks(args.check)
+    except ValueError as exc:  # a usage error, not an invariant failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     perf.reset()
     report = fuzz(
         seed=args.seed,
@@ -650,12 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         **option,
     )
     lookahead.add_argument(
-        "--sat-portfolio", type=_config_value("sat_portfolio"),
-        metavar="MODE",
-        help=f"SAT portfolio mode: {', '.join(PORTFOLIO_MODES)}",
-        **option,
-    )
-    lookahead.add_argument(
         "--walk-modes", type=_split_csv, metavar="MODE,...",
         help=f"comma-separated walk strategies from {', '.join(WALK_MODES)}",
         **option,
@@ -679,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument(
         "--store", nargs="?", const="", default=None, metavar="PATH",
-        help="persist memo-layer results (SPCFs, rejected cones, UNSAT "
-             "verdicts, witnesses, redundancy proofs) in an on-disk "
+        help="persist memo-layer results (SPCFs, rejected cones, whole "
+             "cone results, redundancy proofs) in an on-disk "
              "store so later runs start warm; with no PATH uses "
              "$REPRO_STORE or ~/.cache/repro/results.db (lookahead "
              "flows only; warm runs are bit-identical in QoR)",
@@ -737,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument(
         "--namespace", metavar="NS",
-        help="restrict 'clear' to one namespace (e.g. spcf, unsat)",
+        help="restrict 'clear' to one namespace (e.g. spcf, cone)",
     )
     p_cache.set_defaults(func=cmd_cache)
 

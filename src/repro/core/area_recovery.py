@@ -28,8 +28,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import perf
-from ..sat import Solver
-from ..sat.portfolio import PortfolioRunner, PortfolioSpec, resolve_portfolio
 from ..aig import (
     AIG,
     CONST0,
@@ -227,14 +225,11 @@ class RedundancyEngine:
         seed: int = 1,
         max_conflicts: int = 300,
         delay_model=None,
-        sat_portfolio: PortfolioSpec = None,
     ):
         self.aig = aig
         self.max_checks = max_checks
         self.max_conflicts = max_conflicts
         self.delay_model = delay_model
-        self.portfolio = resolve_portfolio(sat_portfolio)
-        self._runner: Optional[PortfolioRunner] = None
         #: var -> replacement literal (an equivalence; targets always have
         #: smaller var ids, so chains terminate).
         self.replacement: Dict[int, int] = {}
@@ -287,15 +282,11 @@ class RedundancyEngine:
         diff = self._lit_words(keep) & ~self._lit_words(drop) & self._valid
         return bool(diff.any())
 
-    def _harvest_witness(self, solver: Solver) -> None:
-        """Fold a solver's counterexample into the prefilter matrix.
-
-        ``solver`` is whichever solver produced the SAT model — the
-        single persistent encoding, or the winning portfolio racer — so
-        witnesses from any configuration sharpen the shared prefilter.
-        """
+    def _harvest_witness(self) -> None:
+        """Fold the session's counterexample into the prefilter matrix."""
         if self.aig.num_pis == 0:
             return
+        solver = self._enc.solver
         column = [
             solver.model_value(self._var_map[pi]) or False
             for pi in self.aig.pis
@@ -313,20 +304,6 @@ class RedundancyEngine:
         )
 
     # -- the SAT oracle ------------------------------------------------------
-
-    def _ensure_runner(self) -> PortfolioRunner:
-        if self._runner is None:
-
-            def build(config) -> Solver:
-                enc = AigCnf(Solver(config))
-                # Identical clause streams give every racer the same
-                # variable numbering, so one map serves them all.
-                self._var_map = enc.encode(self.aig)
-                return enc.solver
-
-            self._runner = PortfolioRunner(self.portfolio, build)
-            self._runner.solver(0)  # materialize the variable map
-        return self._runner
 
     def _verdict_key(self, keep: int, drop: int):
         if self._lit_fps is None:
@@ -348,24 +325,6 @@ class RedundancyEngine:
                 perf.incr("area.redundancy.store_hits")
                 return True
         perf.incr("area.redundancy.queries")
-        if self.portfolio.mode != "off":
-            runner = self._ensure_runner()
-            assumptions = [
-                AigCnf._sat_lit(self._var_map, keep),
-                -AigCnf._sat_lit(self._var_map, drop),
-            ]
-            start = time.perf_counter()
-            result = runner.solve(
-                assumptions, baseline_conflicts=self.max_conflicts
-            )
-            perf.observe("sat.query.redundancy", time.perf_counter() - start)
-            if result is True:
-                self._harvest_witness(runner.winner)
-            elif result is None:
-                perf.incr("area.redundancy.unknown")
-            if result is False and persistent:
-                ns.put(key, True)
-            return result is False
         if self._enc is None:
             self._enc = AigCnf()
             self._var_map = self._enc.encode(self.aig)
@@ -379,7 +338,7 @@ class RedundancyEngine:
         )
         perf.observe("sat.query.redundancy", time.perf_counter() - start)
         if result is True:
-            self._harvest_witness(self._enc.solver)
+            self._harvest_witness()
         elif result is None:
             perf.incr("area.redundancy.unknown")
         if result is False and persistent:
@@ -484,7 +443,6 @@ def remove_redundant_edges(
     seed: int = 1,
     max_conflicts: int = 300,
     delay_model=None,
-    sat_portfolio: PortfolioSpec = None,
 ) -> AIG:
     """Drop AND edges whose stuck-at-1 fault is untestable.
 
@@ -504,7 +462,6 @@ def remove_redundant_edges(
         seed=seed,
         max_conflicts=max_conflicts,
         delay_model=delay_model,
-        sat_portfolio=sat_portfolio,
     ).run()
 
 
@@ -513,7 +470,6 @@ def recover_area(
     effort: str = "medium",
     seed: int = 0,
     delay_model=None,
-    sat_portfolio: PortfolioSpec = None,
 ) -> AIG:
     """The post-reconstruction area-recovery pipeline, by effort level.
 
@@ -537,8 +493,7 @@ def recover_area(
             return current
         if effort == "medium":
             return remove_redundant_edges(
-                current, seed=seed + 1, delay_model=delay_model,
-                sat_portfolio=sat_portfolio,
+                current, seed=seed + 1, delay_model=delay_model
             )
         for _ in range(4):
             before = current.num_ands()
@@ -549,7 +504,6 @@ def recover_area(
                 seed=seed + 1,
                 max_conflicts=1000,
                 delay_model=delay_model,
-                sat_portfolio=sat_portfolio,
             )
             current = sat_sweep(
                 current,

@@ -16,7 +16,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
-from ..sat.portfolio import MODES as PORTFOLIO_MODES
 from .area_recovery import AREA_EFFORTS
 
 SPCF_TIERS = ("auto", "overapprox", "signature")
@@ -111,12 +110,9 @@ class LookaheadConfig:
     :func:`repro.core.lookahead.spcf_domain`); 'overapprox' swaps the
     truth-table DP for the node-based over-approximation; 'signature'
     forces the timed-simulation estimate, and with it the signature
-    domain, everywhere.  ``sat_portfolio`` schedules the solver-bound
-    queries: 'off' is the single-config path, 'sprint' adds budgeted
-    first passes with prefix reuse, 'race' also races diversified
-    configurations (:mod:`repro.sat.portfolio`).  ``area_recovery``
-    toggles the post-round area-recovery pipeline and ``area_effort``
-    ('low'/'medium'/'high') sets how hard it works.
+    domain, everywhere.  ``area_recovery`` toggles the post-round
+    area-recovery pipeline and ``area_effort`` ('low'/'medium'/'high')
+    sets how hard it works.
 
     ``arrival_times`` maps PI names to integer prescribed arrival times:
     criticality, SPCFs, reconstruction trees and the acceptance metric
@@ -138,7 +134,6 @@ class LookaheadConfig:
     use_rules: bool = True
     walk_modes: Tuple[str, ...] = WALK_MODES
     spcf_tier: str = "auto"
-    sat_portfolio: str = "off"
     area_recovery: bool = True
     area_effort: str = "medium"
     arrival_times: Optional[Dict[str, int]] = None
@@ -153,7 +148,6 @@ class LookaheadConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         _choice("SPCF tier", self.spcf_tier, SPCF_TIERS)
-        _choice("SAT portfolio mode", self.sat_portfolio, PORTFOLIO_MODES)
         _choice("area effort", self.area_effort, AREA_EFFORTS)
         _choice("rank mode", self.rank, RANK_MODES)
         if self.rank == "prune" and self.rank_model is None:

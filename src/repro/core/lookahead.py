@@ -84,6 +84,10 @@ BDD_MODE_PI_LIMIT = 26
 RENODE_K = 6
 """Cut size of the renoding that clusters the AIG into a network."""
 
+SAT_MODE_KEY = "off"
+"""Held in the memo keys' slot for the deleted SAT-portfolio mode, so
+stores written while the mode existed stay warm."""
+
 BUDGET_WINDOWS = 2
 """Budget windows a round may try before giving up: when every
 replacement in the first window is rejected, the round slides once to
@@ -216,9 +220,9 @@ def _deserialize_spcf(
 # key is built after the SPCF stage so the "SPCF cached" and "SPCF
 # computed" code paths agree on it: given the serialized SPCF payload
 # (whose tag names the domain), the downstream pipeline depends only on
-# (cone_net, walk_mode, payload) and the config's sim_width, seed,
-# arrivals and sat_portfolio — plus, for a BDD payload, the cone AIG it
-# recomputes the SPCF from.  This is what makes a disk-warm run skip the dominant
+# (cone_net, walk_mode, payload) and the config's sim_width, seed and
+# arrivals — plus, for a BDD payload, the cone AIG it recomputes the SPCF
+# from.  This is what makes a disk-warm run skip the dominant
 # primary/secondary (SAT) work instead of merely skipping SPCF
 # recomputation.
 
@@ -243,7 +247,7 @@ def _cone_result_key(
         walk_mode,
         payload,
         arrivals,
-        config.sat_portfolio,
+        SAT_MODE_KEY,
     )
 
 
@@ -387,12 +391,7 @@ def _process_cone(
     neg_model = _domain_model(neg_net, spcf, config.sim_width, config.seed)
     if spcf.mode == "sim":
         checker = SatCareChecker(
-            neg_model,
-            care_fn,
-            pos_net,
-            primary.sigma_nid,
-            neg_net,
-            sat_portfolio=config.sat_portfolio,
+            neg_model, care_fn, pos_net, primary.sigma_nid, neg_net
         )
     else:
         checker = ExactCareChecker(neg_model, care_fn)
@@ -504,9 +503,9 @@ class LookaheadOptimizer:
         memo layer: a database path (or :class:`repro.store.StoreConfig`
         / ready store) installs it as the process runtime store, backs
         the optimizer's :class:`ConeCache` with it, and ships the spec to
-        pool workers, so SPCF payloads, rejected-cone verdicts, UNSAT
-        cubes, witnesses, and redundancy proofs survive across
-        invocations.  ``None`` (default) keeps every memo process-local —
+        pool workers, so SPCF payloads, rejected-cone verdicts, whole
+        cone results and redundancy proofs survive across invocations.
+        ``None`` (default) keeps every memo process-local —
         bit-identical to the historical behaviour; disk-warm runs are
         bit-identical in QoR to cold ones, just faster (DESIGN 3.20).
         ``rank_data`` is where ``rank='log'`` writes its per-candidate
@@ -757,7 +756,6 @@ class LookaheadOptimizer:
                 rebuilt = recover_area(
                     rebuilt, effort=config.area_effort, seed=config.seed,
                     delay_model=self._delay_model(),
-                    sat_portfolio=config.sat_portfolio,
                 )
         return rebuilt
 
@@ -773,7 +771,7 @@ class LookaheadOptimizer:
         spcf_key = (fp, mode, config.sim_width, config.seed,
                     self._model_key(), config.spcf_tier)
         cfg_key = spcf_key + (
-            walk_mode, RENODE_K, config.use_rules, config.sat_portfolio,
+            walk_mode, RENODE_K, config.use_rules, SAT_MODE_KEY,
         )
         return fp, spcf_key, cfg_key
 

@@ -11,21 +11,13 @@ current secondary network, so correctness never rests on the estimator.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import perf
 from ..netlist import Network, compute_levels, min_sops, node_level
 from ..netlist.encode import encode_network
 from ..sat import Solver
-from ..sat.portfolio import (
-    GLOBAL_UNSAT_CACHE,
-    PortfolioRunner,
-    PortfolioSpec,
-    UnsatCache,
-    resolve_portfolio,
-)
 from ..sop import Cube
-from ..store import runtime as store_runtime
 from ..tt import TruthTable
 from .model import ExactModel, SignatureModel
 from .simplify import complete_function
@@ -57,10 +49,9 @@ class SatCareChecker:
 
     A cube is unreachable iff ``!Σ1 AND (fan-ins of j in cube)`` is UNSAT
     over the primary network (which contains the Σ1 node) and the
-    *current* secondary network, sharing PIs.  One incremental session
-    answers the queries in every ``sat_portfolio`` mode (see
-    :meth:`_ensure_runner`); ``off`` solves each once at
-    :attr:`max_conflicts`, ``sprint``/``race`` schedule it across racers.
+    *current* secondary network, sharing PIs.  One incremental
+    :class:`Solver` session answers every query with one solve at
+    :attr:`max_conflicts` (see :meth:`_ensure_solver`).
 
     An UNSAT answer is a proof and a SAT answer carries a *witness* (the
     model's PI assignment reaches the queried cube outside the window), so
@@ -73,10 +64,9 @@ class SatCareChecker:
     random patterns (``care_sig == 0``, where the simulation pre-filter
     never fires) the pool removes almost every satisfiable SAT call.
 
-    Proofs are memoized under :meth:`_query_key`: ``off`` in an
-    :class:`UnsatCache` the checker owns and keeps across :meth:`refresh`,
-    so its verdicts depend on its own query stream alone; ``sprint`` and
-    ``race`` in :data:`GLOBAL_UNSAT_CACHE`.
+    Proofs are memoized: the :meth:`_query_key` of every proved query
+    goes into a set the checker owns and keeps across :meth:`refresh`, so
+    its verdicts depend on its own query stream alone.
     """
 
     max_conflicts = 200
@@ -89,20 +79,14 @@ class SatCareChecker:
         primary_net: Network,
         sigma_nid: int,
         secondary_net: Network,
-        sat_portfolio: PortfolioSpec = None,
     ):
         self.sig_model = sig_model
         self.care_sig = care_sig
         self.primary_net = primary_net
         self.sigma_nid = sigma_nid
         self.secondary_net = secondary_net
-        self.portfolio = resolve_portfolio(sat_portfolio)
-        self._unsat = (
-            UnsatCache()
-            if self.portfolio.mode == "off"
-            else GLOBAL_UNSAT_CACHE
-        )
-        self._runner: Optional[PortfolioRunner] = None
+        self._proved: Set[Tuple] = set()
+        self._solver: Optional[Solver] = None
         self._sec_vars: Dict[int, int] = {}
         self._pi_vars: List[int] = []
         self._sigma_var = 0
@@ -111,29 +95,11 @@ class SatCareChecker:
         self._sec_topo: Optional[List[int]] = None
         self._sigma_fp: Optional[int] = None
         self._sec_fps: Optional[Dict[int, int]] = None
-        self._enc_batches: List[tuple] = []
-        # Witnesses persisted by earlier invocations (same Σ1 fingerprint
-        # over the same PI space) seed the pool — in portfolio modes only.
-        # ``off`` promises bit-identical warm and cold runs, and a seeded
-        # witness would skip a SAT call and hence perturb the session's
-        # learned-clause stream for later budgeted queries; the
-        # portfolio modes already carry the fixed-store-state determinism
-        # caveat (DESIGN 3.19/3.20).  Harvests are persisted in every
-        # mode (writes cannot change this run's verdicts).
-        if self.portfolio.mode != "off" and store_runtime.is_persistent():
-            stored = self._witness_ns().get(self._witness_key())
-            if stored:
-                npis = len(self.primary_net.pis)
-                for word in stored[:WITNESS_POOL_LIMIT]:
-                    self._witness_pis.append(
-                        [bool((word >> i) & 1) for i in range(npis)]
-                    )
-                perf.incr("secondary.witness.seeded", len(self._witness_pis))
 
     def refresh(self) -> None:
         """Invalidate the encoding after a secondary-network mutation."""
         self.sig_model.recompute()
-        self._runner = None
+        self._solver = None
         self._sec_fps = None
         # Witness PI assignments survive (the primary net is immutable
         # here), but their node values must be re-derived from the
@@ -141,51 +107,30 @@ class SatCareChecker:
         self._wit_model = None
         self._sec_topo = None
 
-    def _ensure_runner(self) -> None:
-        if self._runner is not None:
-            return
-        # ``build`` closes over these locals, never over ``self``: a
-        # checker -> runner -> build -> checker cycle would keep every
-        # solver alive until the cyclic collector runs.
-        primary, sigma_nid = self.primary_net, self.sigma_nid
-        secondary = self.secondary_net
-        batches: List[tuple] = []
-        maps: list = []
+    def _ensure_solver(self) -> Solver:
+        """The session's solver, encoding Σ1's cone on first use.
 
-        def build(config) -> Solver:
-            solver = Solver(config)
-            # Restrict the primary encoding to Σ1's cone: the query only
-            # constrains Σ1, and a SAT answer is a *total* assignment of
-            # every encoded variable, so nodes outside the cone are pure
-            # propagation cost.  The secondary network starts *empty*
-            # (PIs only) and grows lazily, one queried cube cone at a
-            # time (see :meth:`_require_sec_cone`) — the median query
-            # constrains a few dozen of its hundreds of nodes.  Every
-            # racer replays the identical clause stream (primary cone,
-            # then the recorded cone batches in order), so the variable
-            # maps from the first build hold for all of them.
-            prim_vars = encode_network(solver, primary, roots=[sigma_nid])
-            pi_vars = [prim_vars[pi] for pi in primary.pis]
-            sec_vars = dict(zip(secondary.pis, pi_vars))
-            for batch in batches:
-                encode_network(
-                    solver,
-                    secondary,
-                    pi_vars=pi_vars,
-                    roots=batch,
-                    var_of=sec_vars,
-                )
-            if not maps:
-                maps.extend((pi_vars, prim_vars[sigma_nid], sec_vars))
-            return solver
-
-        self._enc_batches = batches
-        self._runner = PortfolioRunner(self.portfolio, build)
-        self._runner.solver(0)  # materialize the maps for query building
-        self._pi_vars, self._sigma_var, self._sec_vars = maps
+        Only Σ1's cone of the primary network is encoded: the query only
+        constrains Σ1, and a SAT answer is a *total* assignment of every
+        encoded variable, so nodes outside the cone are pure propagation
+        cost.  The secondary network starts *empty* (PIs only) and grows
+        lazily, one queried cube cone at a time (see
+        :meth:`_require_sec_cone`) — the median query constrains a few
+        dozen of its hundreds of nodes.
+        """
+        if self._solver is None:
+            solver = Solver()
+            prim_vars = encode_network(
+                solver, self.primary_net, roots=[self.sigma_nid]
+            )
+            self._pi_vars = [prim_vars[pi] for pi in self.primary_net.pis]
+            self._sigma_var = prim_vars[self.sigma_nid]
+            self._sec_vars = dict(zip(self.secondary_net.pis, self._pi_vars))
+            self._solver = solver
+        return self._solver
 
     def _require_sec_cone(self, roots: List[int]) -> None:
-        """Lazily encode the fan-in cones of ``roots`` into every racer.
+        """Lazily encode the fan-in cones of ``roots`` into the session.
 
         A query's verdict depends only on Σ1's cone and the constrained
         fan-ins' cones; an UNSAT answer over the encoded subset implies
@@ -198,29 +143,23 @@ class SatCareChecker:
         """
         if all(r in self._sec_vars for r in roots):
             return
-        batch = tuple(roots)
-        self._enc_batches.append(batch)
-        base = dict(self._sec_vars)
-        for index, solver in self._runner.built():
-            solver.reset()  # clauses may only be added at level 0
-            encode_network(
-                solver,
-                self.secondary_net,
-                pi_vars=self._pi_vars,
-                roots=batch,
-                # Identical clause streams give identical numbering, so
-                # only the first racer needs to grow the shared map.
-                var_of=self._sec_vars if index == 0 else dict(base),
-            )
+        self._solver.reset()  # clauses may only be added at level 0
+        encode_network(
+            self._solver,
+            self.secondary_net,
+            pi_vars=self._pi_vars,
+            roots=roots,
+            var_of=self._sec_vars,
+        )
 
-    def _query_key(self, nid: int, cube: Cube):
-        """UnsatCache key: everything the query's verdict depends on.
+    def _query_key(self, nid: int, cube: Cube) -> Tuple:
+        """Memo key: everything the query's verdict depends on.
 
         The verdict of ``!Σ1 AND (fan-ins of nid in cube)`` is a function
         of Σ1's global function and the constrained fan-ins' global
         functions over the shared positional PI space — captured by
         structural fingerprints, so hits transfer across mutations of
-        other nodes, rounds, epochs, and networks with isomorphic cones.
+        other nodes.
         """
         if self._sigma_fp is None:
             self._sigma_fp = self.primary_net.node_fingerprints()[
@@ -238,35 +177,6 @@ class SatCareChecker:
         return (self._sigma_fp, lits)
 
     # -- witness pool ------------------------------------------------------
-
-    def _witness_key(self):
-        """Store key for this checker's witnesses: Σ1 identity × PI width."""
-        if self._sigma_fp is None:
-            self._sigma_fp = self.primary_net.node_fingerprints()[
-                self.sigma_nid
-            ]
-        return (self._sigma_fp, len(self.primary_net.pis))
-
-    def _witness_ns(self):
-        return store_runtime.get_store().namespace("witness")
-
-    def _persist_witness(self, assignment: List[bool]) -> None:
-        """Merge one harvested witness into the persistent pool.
-
-        Write-only from this run's perspective in ``off`` mode: persisted
-        witnesses never influence the current run's verdicts there, so
-        the warm==cold guarantee is untouched by the write path.
-        """
-        ns = self._witness_ns()
-        key = self._witness_key()
-        word = 0
-        for i, v in enumerate(assignment):
-            if v:
-                word |= 1 << i
-        stored = ns.get(key) or []
-        if word in stored or len(stored) >= WITNESS_POOL_LIMIT:
-            return
-        ns.put(key, stored + [word])
 
     def _witness_model(self) -> Optional[SignatureModel]:
         """Witness node values over the current secondary network."""
@@ -289,19 +199,13 @@ class SatCareChecker:
             )
         return self._wit_model
 
-    def _harvest_witness(self, solver: Solver) -> None:
-        """Pool a SAT model's PI assignment as a witness.
-
-        ``solver`` is the runner's winner — the baseline in ``off`` mode,
-        or whichever racer answered — so witnesses found by any
-        configuration feed every later fast-path check.
-        """
+    def _harvest_witness(self) -> None:
+        """Pool the session's SAT model's PI assignment as a witness."""
         if len(self._witness_pis) >= WITNESS_POOL_LIMIT:
             return
+        solver = self._solver
         assignment = [bool(solver.model_value(sv)) for sv in self._pi_vars]
         self._witness_pis.append(assignment)
-        if store_runtime.is_persistent():
-            self._persist_witness(assignment)
         if self._wit_model is not None:
             self._extend_witness_model(assignment)
 
@@ -353,9 +257,10 @@ class SatCareChecker:
             perf.incr("secondary.witness.hit")
             return False
         key = self._query_key(nid, cube)
-        if self._unsat.hit(key):
+        if key in self._proved:
+            perf.incr("secondary.memo.hit")
             return True
-        self._ensure_runner()
+        solver = self._ensure_solver()
         node = self.secondary_net.nodes[nid]
         roots = [node.fanins[var] for var, _ in cube.literals()]
         self._require_sec_cone(roots)
@@ -369,14 +274,14 @@ class SatCareChecker:
         # workloads re-deriving that prefix dominates the per-query cost.
         perf.incr("secondary.sat.calls")
         start = time.perf_counter()
-        result = self._runner.solve(
-            assumptions, baseline_conflicts=self.max_conflicts, keep_prefix=1
+        result = solver.solve(
+            assumptions, max_conflicts=self.max_conflicts, keep_prefix=1
         )
         perf.observe("sat.query.secondary", time.perf_counter() - start)
         if result is True:
-            self._harvest_witness(self._runner.winner)
+            self._harvest_witness()
         elif result is False:
-            self._unsat.add(key)
+            self._proved.add(key)
         else:
             perf.incr("secondary.sat.unknown")
         return result is False

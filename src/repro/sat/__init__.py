@@ -1,30 +1,12 @@
-"""CDCL SAT solving, CNF encodings of AIGs, and portfolio racing."""
+"""CDCL SAT solving and CNF encodings of AIGs."""
 
-from .solver import DEFAULT_CONFIG, Solver, SolverConfig, luby
+from .solver import Solver, luby
 from .cnf import AigCnf, implies, is_satisfiable
-from .portfolio import (
-    DEFAULT_CONFIGS,
-    GLOBAL_UNSAT_CACHE,
-    MODES as PORTFOLIO_MODES,
-    PortfolioConfig,
-    PortfolioRunner,
-    UnsatCache,
-    resolve_portfolio,
-)
 
 __all__ = [
     "Solver",
-    "SolverConfig",
-    "DEFAULT_CONFIG",
-    "DEFAULT_CONFIGS",
     "luby",
     "AigCnf",
     "implies",
     "is_satisfiable",
-    "PORTFOLIO_MODES",
-    "PortfolioConfig",
-    "PortfolioRunner",
-    "UnsatCache",
-    "GLOBAL_UNSAT_CACHE",
-    "resolve_portfolio",
 ]

@@ -15,8 +15,8 @@ class AigCnf:
     maps to a dedicated always-false variable shared by all encodings.
     """
 
-    def __init__(self, solver: Optional[Solver] = None):
-        self.solver = solver if solver is not None else Solver()
+    def __init__(self) -> None:
+        self.solver = Solver()
         self._false_var = self.solver.new_var()
         self.solver.add_clause([-self._false_var])
         self.maps: List[Dict[int, int]] = []

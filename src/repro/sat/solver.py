@@ -2,13 +2,9 @@
 
 Features: two-literal watching, first-UIP conflict analysis with clause
 learning, VSIDS decision heuristic with an indexed heap, phase saving, Luby
-restarts, and incremental solving under assumptions.
-
-The search strategy is parameterized by :class:`SolverConfig` so a
-portfolio can race configurations with genuinely different trajectories
-(seeded activity jitter, polarity modes, Luby vs. geometric restarts,
-clause-DB limits).  The default configuration reproduces the historical
-single-config behavior bit-for-bit.
+restarts, and incremental solving under assumptions.  There is one search
+strategy: saved phases, Luby restarts of :data:`RESTART_BASE` conflicts
+and VSIDS decay :data:`VAR_DECAY`.
 
 External literals use the DIMACS convention: variable ``v`` (1-based) is the
 positive literal ``v`` and the negative literal ``-v``.
@@ -16,8 +12,7 @@ positive literal ``v`` and the negative literal ``-v``.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 _UNDEF = -1
 
@@ -41,108 +36,13 @@ def luby(i: int) -> int:
     return 1 << seq
 
 
-class SolverConfig:
-    """Search-strategy parameters of one :class:`Solver` instance.
+RESTART_BASE = 64
+"""Conflicts before the first restart; restart ``n`` allows
+``RESTART_BASE * luby(n)``."""
 
-    Every field is a lever the portfolio layer uses to make racers explore
-    different trajectories on the same formula:
-
-    * ``seed`` — when set, a per-solver RNG jitters initial variable
-      activities (diversifying VSIDS tie-breaking) and drives the
-      ``random`` polarity mode.
-    * ``polarity`` — decision polarity: ``saved`` (phase saving),
-      ``false`` / ``true`` (fixed), or ``random`` (requires ``seed``).
-    * ``phase_saving`` — when off, ``saved`` polarity degrades to the
-      initial phase (``false``); decisions ignore remembered phases.
-    * ``restart`` — ``luby`` (``restart_base * luby(n)``) or ``geometric``
-      (``restart_base * restart_growth ** n``) conflict budgets.
-    * ``learned_limit`` — clause-DB cap: once the learned-clause count
-      exceeds it, the lower-activity half is dropped at the next restart
-      (reason clauses and binaries are kept).
-    * ``var_decay`` — VSIDS activity decay factor.
-
-    The default configuration reproduces the solver's historical behavior
-    bit-for-bit.
-    """
-
-    POLARITIES = ("saved", "false", "true", "random")
-    RESTARTS = ("luby", "geometric")
-
-    __slots__ = (
-        "name",
-        "seed",
-        "polarity",
-        "phase_saving",
-        "restart",
-        "restart_base",
-        "restart_growth",
-        "learned_limit",
-        "var_decay",
-    )
-
-    def __init__(
-        self,
-        name: str = "default",
-        seed: Optional[int] = None,
-        polarity: str = "saved",
-        phase_saving: bool = True,
-        restart: str = "luby",
-        restart_base: int = 64,
-        restart_growth: float = 1.5,
-        learned_limit: Optional[int] = None,
-        var_decay: float = 0.95,
-    ) -> None:
-        if polarity not in self.POLARITIES:
-            raise ValueError(f"polarity must be one of {self.POLARITIES}")
-        if restart not in self.RESTARTS:
-            raise ValueError(f"restart must be one of {self.RESTARTS}")
-        if polarity == "random" and seed is None:
-            raise ValueError("random polarity requires a seed")
-        if restart_base < 1:
-            raise ValueError("restart_base must be >= 1")
-        if restart_growth <= 1.0:
-            raise ValueError("restart_growth must be > 1")
-        if learned_limit is not None and learned_limit < 16:
-            raise ValueError("learned_limit must be >= 16")
-        if not 0.0 < var_decay <= 1.0:
-            raise ValueError("var_decay must be in (0, 1]")
-        self.name = name
-        self.seed = seed
-        self.polarity = polarity
-        self.phase_saving = phase_saving
-        self.restart = restart
-        self.restart_base = restart_base
-        self.restart_growth = restart_growth
-        self.learned_limit = learned_limit
-        self.var_decay = var_decay
-
-    def key(self) -> Tuple:
-        """Hashable identity of the configuration (``name`` excluded)."""
-        return (
-            self.seed,
-            self.polarity,
-            self.phase_saving,
-            self.restart,
-            self.restart_base,
-            self.restart_growth,
-            self.learned_limit,
-            self.var_decay,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SolverConfig):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        return f"SolverConfig({self.name!r})"
-
-
-DEFAULT_CONFIG = SolverConfig()
-"""The historical single-config behavior (phase saving, Luby-64)."""
+VAR_DECAY = 0.95
+"""VSIDS activity decay: the bump increment grows by ``1 / VAR_DECAY``
+per conflict."""
 
 
 class _VarHeap:
@@ -230,8 +130,7 @@ class Solver:
     clause and call stream always takes the same search.
     """
 
-    def __init__(self, config: Optional[SolverConfig] = None) -> None:
-        self.config = config if config is not None else DEFAULT_CONFIG
+    def __init__(self) -> None:
         # Clauses are lists of internal literals.  Watch lists and
         # reasons hold the clause objects themselves: each stored clause
         # sits in the lists of the negations of its first two literals.
@@ -260,18 +159,6 @@ class Solver:
         # levels 1..len(_assumption_levels); maintained by solve() and
         # _backtrack() so keep_prefix can reuse the propagated prefix.
         self._assumption_levels: List[int] = []
-        # Learned-clause bookkeeping (only populated under a learned_limit):
-        # id(clause) -> [activity, clause], in learning order.
-        self._learned: Dict[int, list] = {}
-        self.cla_inc = 1.0
-        cfg = self.config
-        self._rng = random.Random(cfg.seed) if cfg.seed is not None else None
-        # Phase saving only affects decisions: with it off, 'saved'
-        # polarity degrades to the initial phase ('false').
-        if cfg.polarity == "saved" and not cfg.phase_saving:
-            self._polarity = "false"
-        else:
-            self._polarity = cfg.polarity
 
     # -- variables and clauses ------------------------------------------------
 
@@ -282,12 +169,7 @@ class Solver:
         self._lv.append(_UNDEF)
         self.level.append(0)
         self.reason.append(None)
-        if self._rng is None:
-            self.activity.append(0.0)
-        else:
-            # Sub-unit jitter: diversifies VSIDS tie-breaking across racers
-            # without outweighing a single real activity bump.
-            self.activity.append(self._rng.random() * 1e-3)
+        self.activity.append(0.0)
         self.phase.append(1)
         self.watches.append([])
         self.watches.append([])
@@ -451,9 +333,6 @@ class Solver:
         index = len(trail) - 1
         clause = conflict
         while True:
-            entry = self._learned.get(id(clause))
-            if entry is not None:
-                entry[0] += self.cla_inc
             start = 0 if ilit == _UNDEF else 1
             for q in clause[start:]:
                 var = q >> 1
@@ -537,38 +416,11 @@ class Solver:
         self.watches[learned[0] ^ 1].append(learned)
         self.watches[learned[1] ^ 1].append(learned)
         self._enqueue(learned[0], learned)
-        if self.config.learned_limit is not None and len(learned) > 2:
-            self._learned[id(learned)] = [self.cla_inc, learned]
-
-    def _reduce_db(self) -> None:
-        """Drop the lower-activity half of the learned clauses.
-
-        Called at a restart point (propagation quiescent), so each live
-        clause is watched exactly once on each of its first two literals
-        and the watches can be removed eagerly — the propagation hot path
-        never has to skip tombstones.  Reason clauses of trail literals
-        are locked; binaries were never tracked.
-        """
-        locked = {id(self.reason[ilit >> 1]) for ilit in self.trail}
-        by_activity = sorted(self._learned.items(), key=lambda kv: kv[1][0])
-        target = len(by_activity) // 2
-        removed = 0
-        for key, (_act, clause) in by_activity:
-            if removed >= target:
-                break
-            if key in locked:
-                continue
-            for lit in clause[:2]:
-                ws = self.watches[lit ^ 1]
-                # By identity: another clause may hold the same literals.
-                del ws[next(i for i, c in enumerate(ws) if c is clause)]
-            del self._learned[key]
-            removed += 1
 
     # -- decisions ---------------------------------------------------------------
 
     def _decide(self) -> int:
-        """Pop the most active unassigned variable and pick its polarity.
+        """Pop the most active unassigned variable; decide its saved phase.
 
         Assigned variables popped on the way stay out of the heap until
         backtracking unassigns them (inlined :meth:`_VarHeap.pop`).
@@ -611,23 +463,10 @@ class Solver:
                 heap[i] = last
                 pos[last] = i
             if lv[var << 1] == _UNDEF:
-                polarity = self._polarity
-                if polarity == "saved":
-                    return (var << 1) | self.phase[var]
-                if polarity == "false":
-                    return (var << 1) | 1
-                if polarity == "true":
-                    return var << 1
-                return (var << 1) | (1 if self._rng.random() < 0.5 else 0)
+                return (var << 1) | self.phase[var]
         return _UNDEF
 
     # -- main solve loop -----------------------------------------------------------
-
-    def _restart_limit(self, restart_num: int) -> int:
-        cfg = self.config
-        if cfg.restart == "luby":
-            return cfg.restart_base * luby(restart_num)
-        return int(cfg.restart_base * cfg.restart_growth ** restart_num)
 
     def solve(
         self,
@@ -673,7 +512,7 @@ class Solver:
         for ext in assumptions:
             self._ensure_var(ext)
         restart_num = 0
-        conflict_budget = self._restart_limit(restart_num)
+        conflict_budget = RESTART_BASE * luby(restart_num)
         conflicts_here = 0
         total_conflicts = 0
         prop_limit = (
@@ -681,7 +520,6 @@ class Solver:
             if max_propagations is None
             else self.num_propagations + max_propagations
         )
-        learned_limit = self.config.learned_limit
         n_assumptions = len(assumptions)
         propagate = self._propagate
         while True:
@@ -719,26 +557,15 @@ class Solver:
                     self._backtrack(0)
                     continue
                 self._learn(learned)
-                self.var_inc /= self.config.var_decay
-                if learned_limit is not None:
-                    self.cla_inc /= 0.999
-                    if self.cla_inc > 1e20:
-                        for entry in self._learned.values():
-                            entry[0] *= 1e-20
-                        self.cla_inc *= 1e-20
+                self.var_inc /= VAR_DECAY
                 continue
             if conflicts_here >= conflict_budget:
                 restart_num += 1
-                conflict_budget = self._restart_limit(restart_num)
+                conflict_budget = RESTART_BASE * luby(restart_num)
                 conflicts_here = 0
                 self._backtrack(
                     len(self._assumption_levels) if keep_prefix else 0
                 )
-                if (
-                    learned_limit is not None
-                    and len(self._learned) > learned_limit
-                ):
-                    self._reduce_db()
                 continue
             if len(trail_lim) < n_assumptions:
                 ext = assumptions[len(trail_lim)]

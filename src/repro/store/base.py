@@ -1,8 +1,8 @@
 """The :class:`ResultStore` protocol and the consumer-facing namespace view.
 
 A result store is a namespaced key/value memo shared by every cache layer
-in the system (SPCF payloads, rejected cones, UNSAT verdicts, SAT
-witnesses, redundancy proofs).  The contract every backend implements:
+in the system (SPCF payloads, rejected cones, whole cone results,
+redundancy proofs).  The contract every backend implements:
 
 * **namespaced** ``get``/``put``/``stats`` — namespaces isolate layers
   with different key schemas and lifetimes inside one store;
@@ -137,8 +137,8 @@ class StoreConfig:
     ``path=None`` is a pure in-memory store (results die with the
     process); a path selects the tiered memory-over-SQLite arrangement.
     ``memory_entries`` bounds each in-memory namespace; ``limits`` gives
-    specific namespaces their own bound (e.g. the UNSAT verdict set runs
-    much larger than the SPCF payload table).
+    specific namespaces their own bound (e.g. the redundancy verdict set
+    runs larger than the SPCF payload table).
     """
 
     __slots__ = ("path", "memory_entries", "limits")

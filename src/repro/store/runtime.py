@@ -1,6 +1,6 @@
 """Process-wide store runtime: one store per process, fork-aware.
 
-The memo layers (cone cache, worker pools, UNSAT verdicts, witnesses,
+The memo layers (cone cache, worker pools, whole cone results,
 redundancy proofs) are reached from deep inside the optimizer and from
 pool workers; threading a store handle through every call chain would
 contaminate a dozen signatures.  Instead the process owns at most one
@@ -28,16 +28,14 @@ from .base import ResultStore, StoreConfig, StoreSpec, resolve_store
 from .memory import MemoryStore
 
 #: Per-namespace bounds for in-memory tiers, replicating the historical
-#: hand-rolled limits (see the pre-store ConeCache / UnsatCache / witness
-#: pool constants).  Namespaces not listed use the default bound.
+#: hand-rolled limits (see the pre-store ConeCache constants).
+#: Namespaces not listed use the default bound.
 MEMORY_LIMITS: Dict[str, int] = {
     "spcf": 4096,
     "tts": 4096,
     "rejected": 8192,
     "worker_tts": 256,
     "dp": 64,
-    "unsat": 1 << 16,
-    "witness": 1024,
     "redundant": 1 << 14,
     # Whole cone-task results (encoded networks — large entries, so a
     # modest in-memory bound; the disk tier holds the full history).
@@ -157,9 +155,9 @@ def is_persistent() -> bool:
     """Whether the runtime store has a disk tier.
 
     Layers whose persistence changes solver-visible behaviour only in
-    benign ways (witness pools, redundancy verdicts) gate their store
-    reads on this, so the default no-store configuration is bit-for-bit
-    the historical behaviour.
+    benign ways (redundancy verdicts) gate their store reads on this, so
+    the default no-store configuration is bit-for-bit the historical
+    behaviour.
     """
     return bool(get_store().persistent)
 

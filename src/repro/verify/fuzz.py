@@ -138,6 +138,20 @@ def replay_artifact(json_path: str) -> Optional[str]:
     return run_invariant(invariant, case)
 
 
+def resolve_checks(checks: Optional[Sequence[str]] = None) -> List[str]:
+    """The invariant names to run (default: all registered).
+
+    Raises ``ValueError`` naming every unknown name.
+    """
+    names = list(checks) if checks else list(INVARIANTS)
+    unknown = [n for n in names if n not in INVARIANTS]
+    if unknown:
+        raise ValueError(
+            f"unknown invariant(s) {unknown}; known: {sorted(INVARIANTS)}"
+        )
+    return names
+
+
 def fuzz(
     seed: int = 0,
     budget_s: float = 60.0,
@@ -153,12 +167,7 @@ def fuzz(
     By default the run stops at (and shrinks) the first failure; with
     ``keep_going`` it records every failing case and shrinks each.
     """
-    names = list(checks) if checks else list(INVARIANTS)
-    unknown = [n for n in names if n not in INVARIANTS]
-    if unknown:
-        raise ValueError(
-            f"unknown invariant(s) {unknown}; known: {sorted(INVARIANTS)}"
-        )
+    names = resolve_checks(checks)
     report = FuzzReport(seed=seed)
     deadline = time.monotonic() + budget_s
     start = time.monotonic()

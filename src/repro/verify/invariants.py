@@ -186,44 +186,6 @@ def spcf_tiers_agree(case: Case) -> Optional[str]:
     return None
 
 
-def sat_portfolio_agree(case: Case) -> Optional[str]:
-    """Every SAT portfolio mode upholds the optimizer contract.
-
-    Racing modes may settle borderline (budget-limited) queries that the
-    single-config flow left UNKNOWN — and an UNSAT-cache hit can upgrade
-    one — so outputs are deliberately *not* bit-compared across modes
-    (see DESIGN 3.19).  What must hold for every mode: the output is
-    CEC-equivalent to the input, the never-worse depth gate passes, and
-    a repeat run from the same cache state is bit-identical.
-    """
-    from ..sat.portfolio import GLOBAL_UNSAT_CACHE
-
-    before = _depth(case.aig, case)
-    for mode in ("off", "sprint", "race"):
-        GLOBAL_UNSAT_CACHE.clear()  # pin the ambient cache state (purity)
-        with case.optimizer(workers=1, sat_portfolio=mode) as opt:
-            out = opt.optimize(case.aig)
-        detail = _cec_detail(case.aig, out)
-        if detail:
-            return f"sat_portfolio={mode!r} broke equivalence — {detail}"
-        after = _depth(out, case)
-        if after > before:
-            return (
-                f"sat_portfolio={mode!r} made depth worse: "
-                f"{before} -> {after}"
-            )
-        GLOBAL_UNSAT_CACHE.clear()
-        with case.optimizer(workers=1, sat_portfolio=mode) as opt:
-            again = opt.optimize(case.aig)
-        if _dump(out) != _dump(again):
-            return (
-                f"sat_portfolio={mode!r} is not deterministic from a "
-                "cold cache"
-            )
-    GLOBAL_UNSAT_CACHE.clear()
-    return None
-
-
 def rank_prune_never_worse(case: Case) -> Optional[str]:
     """``--rank prune`` may cost QoR headroom only, never soundness.
 
@@ -428,7 +390,6 @@ INVARIANTS: Dict[str, Invariant] = {
     "cached_cold_identical": cached_cold_identical,
     "store_warm_equals_cold": store_warm_equals_cold,
     "spcf_tiers_agree": spcf_tiers_agree,
-    "sat_portfolio_agree": sat_portfolio_agree,
     "rank_prune_never_worse": rank_prune_never_worse,
     "area_recovery_equiv": area_recovery_equiv,
     "flow_equivalence": flow_equivalence,
@@ -443,7 +404,6 @@ INVARIANTS: Dict[str, Invariant] = {
 EXPENSIVE = {
     "serial_parallel_identical": 8,
     "flow_equivalence": 5,
-    "sat_portfolio_agree": 4,
     "rank_prune_never_worse": 4,
     "spcf_tiers_agree": 3,
     "store_warm_equals_cold": 3,

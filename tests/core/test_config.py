@@ -115,11 +115,11 @@ BAD_VALUES = {
         "('low', 'medium', 'high')",
         ["--area-effort", "extreme"], ENTRY_POINTS,
     ),
+    # The deleted SAT-portfolio knob is an unknown option now.
     "sat-portfolio": (
-        {"sat_portfolio": "warp"},
-        "unknown SAT portfolio mode 'warp'; expected one of "
-        "('off', 'sprint', 'race')",
-        ["--sat-portfolio", "warp"], ENTRY_POINTS,
+        {"sat_portfolio": "sprint"},
+        "unknown options: sat_portfolio",
+        None, ("job",),
     ),
     "rank-mode": (
         {"rank": "bogus"},
@@ -237,7 +237,6 @@ ALTERNATIVES = {
     "use_rules": False,
     "walk_modes": ("full", "target"),
     "spcf_tier": "signature",
-    "sat_portfolio": "sprint",
     "area_recovery": False,
     "area_effort": "high",
     "arrival_times": {"a0": 2},
@@ -251,6 +250,7 @@ def _configs():
     yield base
     for name, value in ALTERNATIVES.items():
         yield dataclasses.replace(base, **{name: value})
+    yield LookaheadConfig(**ALTERNATIVES)
     yield dataclasses.replace(base, rank="prune", rank_model=MODEL)
     yield LookaheadConfig(rank="prune", rank_model=MODEL, **{
         k: v for k, v in ALTERNATIVES.items() if k != "rank"
@@ -369,6 +369,19 @@ BAD_ARGV = {
         "stats", "{aag}", "--arrival-file", "{tmp}/missing.json",
     ],
 }
+
+
+def test_cli_rejects_the_deleted_sat_portfolio_flag(tmp_path, capsys):
+    from repro.cli import main
+
+    circuit = tmp_path / "rca2.aag"
+    with open(circuit, "w") as fh:
+        write_aag(ripple_carry_adder(2), fh)
+    with pytest.raises(SystemExit) as raised:
+        main(["optimize", str(circuit), "--sat-portfolio", "sprint"])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --sat-portfolio" in err
 
 
 @pytest.mark.parametrize("argv", list(BAD_ARGV.values()), ids=list(BAD_ARGV))

@@ -83,14 +83,13 @@ JOB_CASES = [
     ("adder16", {"flow": "lookahead-only"}, 2, "493cd955e70aecac"),
     ("adder16", {"flow": "lookahead-only", "arrivals": ADDER16_ARRIVALS}, 1,
      "11ab36a1a13ef8dc"),
-    ("adder16", {"flow": "lookahead-only", "sat_portfolio": "sprint",
-                 "area_effort": "high"}, 1, "edf53f4cccdc1c85"),
+    ("adder16", {"flow": "lookahead-only", "area_effort": "high"}, 1,
+     "edf53f4cccdc1c85"),
     ("C432", {"flow": "lookahead-only", "spcf_tier": "overapprox",
               "walk_modes": ["target"]}, 1, "f1cbd33968b7e977"),
     ("C432", {"flow": "lookahead-only", "spcf_tier": "signature",
               "area_recovery": False}, 1, "847d3636530a25d3"),
-    ("C432", {"flow": "lookahead-only", **GOLDEN_W1,
-              "sat_portfolio": "race"}, 1, "79b0b385fee3fe4a"),
+    ("C432", {"flow": "lookahead-only", **GOLDEN_W1}, 1, "79b0b385fee3fe4a"),
 ]
 
 
@@ -109,8 +108,8 @@ CLI_CASES = [
     ("adder16", ["--flow", "lookahead-only"], "493cd955e70aecac"),
     ("adder16", ["--flow", "lookahead-only", "--arrival", "a0=3,b0=3"],
      "11ab36a1a13ef8dc"),
-    ("adder16", ["--flow", "lookahead-only", "--sat-portfolio", "sprint",
-                 "--area-effort", "high"], "edf53f4cccdc1c85"),
+    ("adder16", ["--flow", "lookahead-only", "--area-effort", "high"],
+     "edf53f4cccdc1c85"),
 ]
 
 
@@ -137,13 +136,12 @@ def test_cli_output(circuit, flags, expected, tmp_path, monkeypatch):
 
 STORE_CASES = [
     pytest.param("adder8", dict(GOLDEN_W1), "33a93d444e0ce97c", id="adder8"),
-    pytest.param("C432", dict(max_rounds=12), "652f38667625f5a4", id="C432"),
+    pytest.param("C432", dict(max_rounds=12), "d48776bc4554996c", id="C432"),
     pytest.param(
         "C432",
-        dict(max_rounds=12, sat_portfolio="sprint",
-             arrival_times={"req0": 3, "req1": 2}),
-        "f730237616cdb5b5",
-        id="C432-arrivals-sprint",
+        dict(max_rounds=12, arrival_times={"req0": 3, "req1": 2}),
+        "1b0cc88c194957ec",
+        id="C432-arrivals",
     ),
 ]
 
@@ -161,7 +159,10 @@ def test_store_keys(circuit, options, expected, tmp_path):
         ).fetchall()
     finally:
         conn.close()
-    assert {ns for ns, _key in rows} >= {"spcf", "cone"}
+    namespaces = {ns for ns, _key in rows}
+    assert namespaces >= {"spcf", "cone"}
+    # SAT proofs and witnesses stay inside their checker.
+    assert not namespaces & {"unsat", "witness"}
     if circuit == "C432":
         assert any(ns == "rejected" for ns, _key in rows)
     assert _digest("".join(f"{ns}\t{key}\n" for ns, key in rows)) == expected

@@ -25,8 +25,7 @@ from repro.core import secondary as secondary_module
 from repro.core.lookahead import RENODE_K, _cone_spcf, _domain_model
 from repro.netlist import compute_levels, renode
 from repro.netlist.encode import encode_network
-from repro.sat import PORTFOLIO_MODES, Solver
-from repro.sat.portfolio import GLOBAL_UNSAT_CACHE
+from repro.sat import Solver
 from repro.sop import Cube
 from repro.store import runtime as store_runtime
 from repro.timing import AigTimingEngine
@@ -109,6 +108,12 @@ def full_encoding_verdicts(primary, sigma_nid, secondary, queries):
     return verdicts
 
 
+def _witness_pool(pool):
+    """Leave the witness pool on, or switch it off (limit 0)."""
+    limit = secondary_module.WITNESS_POOL_LIMIT if pool else 0
+    return mock.patch.object(secondary_module, "WITNESS_POOL_LIMIT", limit)
+
+
 def _minterm_queries(net):
     """Every minterm cube of every node with fan-ins."""
     return [
@@ -119,14 +124,15 @@ def _minterm_queries(net):
     ]
 
 
-def check_session_verdicts(mode, pool, seed, sigma_pick, mutations):
+def check_session_verdicts(pool, seed, sigma_pick, mutations):
     """Compare every session verdict with :func:`full_encoding_verdicts`.
 
     Like the optimizer's cone pair, Σ1 is a node of one copy of a random
     network and the other copy is queried under !Σ1: every minterm cube
     of every node, twice (the second pass answers its proofs from the
-    memo), then again after each ``(node pick, truth table)`` mutation
-    of a node that feeds another, followed by ``refresh()``.  Without
+    memo, counted as ``secondary.memo.hit``), then again after each
+    ``(node pick, truth table)`` mutation of a node that feeds another,
+    followed by ``refresh()``.  Without
     the witness pool (``pool=False``) every reachable cube goes to the
     memo and the solver too, instead of mostly to a pooled witness.
     """
@@ -138,7 +144,6 @@ def check_session_verdicts(mode, pool, seed, sigma_pick, mutations):
     ]
     assume(feeding)
     sigma_nid = primary.topo_order()[sigma_pick % len(primary.topo_order())]
-    GLOBAL_UNSAT_CACHE.clear()
     # An empty care signature sends every query past the simulation
     # pre-filter, to the witness pool, the memo and the solver.
     checker = SatCareChecker(
@@ -147,28 +152,26 @@ def check_session_verdicts(mode, pool, seed, sigma_pick, mutations):
         primary,
         sigma_nid,
         secondary,
-        sat_portfolio=mode,
     )
-    limit = secondary_module.WITNESS_POOL_LIMIT if pool else 0
-    try:
-        with mock.patch.object(secondary_module, "WITNESS_POOL_LIMIT", limit):
-            for step in range(len(mutations) + 1):
-                if step:
-                    pick, bits = mutations[step - 1]
-                    nid = feeding[pick % len(feeding)]
-                    nvars = len(secondary.nodes[nid].fanins)
-                    mask = (1 << (1 << nvars)) - 1
-                    secondary.set_function(nid, TruthTable(bits & mask, nvars))
-                    checker.refresh()
-                queries = _minterm_queries(secondary)
-                want = full_encoding_verdicts(
-                    primary, sigma_nid, secondary, queries
-                )
-                for _ in range(2):
-                    got = [checker.cube_unreachable(n, c) for n, c in queries]
-                    assert got == want
-    finally:
-        GLOBAL_UNSAT_CACHE.clear()
+    with _witness_pool(pool):
+        for step in range(len(mutations) + 1):
+            if step:
+                pick, bits = mutations[step - 1]
+                nid = feeding[pick % len(feeding)]
+                nvars = len(secondary.nodes[nid].fanins)
+                mask = (1 << (1 << nvars)) - 1
+                secondary.set_function(nid, TruthTable(bits & mask, nvars))
+                checker.refresh()
+            queries = _minterm_queries(secondary)
+            want = full_encoding_verdicts(
+                primary, sigma_nid, secondary, queries
+            )
+            for repeat in range(2):
+                hits = perf.counter("secondary.memo.hit")
+                got = [checker.cube_unreachable(n, c) for n, c in queries]
+                assert got == want
+                if repeat:  # the repeat pass takes every proof from the memo
+                    assert perf.counter("secondary.memo.hit") - hits == sum(got)
 
 
 def _c432_care_problem():
@@ -198,9 +201,13 @@ def _c432_care_problem():
     raise AssertionError("no decomposable critical output on C432")
 
 
+POOL = pytest.mark.parametrize(
+    "pool", [True, False], ids=["pool", "no-pool"]
+)
+
+
 class TestSatCareSession:
-    @pytest.mark.parametrize("pool", [True, False], ids=["pool", "no-pool"])
-    @pytest.mark.parametrize("mode", PORTFOLIO_MODES)
+    @POOL
     @given(
         st.integers(0, 10_000),
         st.integers(0, 1 << 16),
@@ -209,9 +216,9 @@ class TestSatCareSession:
     )
     @settings(deadline=None, max_examples=20)
     def test_verdicts_match_full_encoding_reference(
-        self, mode, pool, seed, sigma_pick, mutations
+        self, pool, seed, sigma_pick, mutations
     ):
-        check_session_verdicts(mode, pool, seed, sigma_pick, mutations)
+        check_session_verdicts(pool, seed, sigma_pick, mutations)
 
     def _c432_unknowns(self):
         store_runtime.reset()
@@ -229,25 +236,24 @@ class TestSatCareSession:
         monkeypatch.setattr(SatCareChecker, "max_conflicts", 0)
         assert self._c432_unknowns() > 0
 
-    @pytest.mark.parametrize("mode", PORTFOLIO_MODES)
-    def test_session_leaves_no_cyclic_garbage(self, mode):
+    @POOL
+    def test_session_leaves_no_cyclic_garbage(self, pool):
         pos_net, sigma_nid, neg_net, neg_model, care_sig = _c432_care_problem()
         calls = perf.counter("secondary.sat.calls")
         gc.collect()
         gc.disable()
         try:
-            checker = SatCareChecker(
-                neg_model, care_sig, pos_net, sigma_nid, neg_net,
-                sat_portfolio=mode,
-            )
-            secondary_simplify(neg_net, 0, checker, max_nodes=24)
+            with _witness_pool(pool):
+                checker = SatCareChecker(
+                    neg_model, care_sig, pos_net, sigma_nid, neg_net
+                )
+                secondary_simplify(neg_net, 0, checker, max_nodes=24)
             # secondary_simplify may end on a refresh(), which drops the
             # session; the next query past the fast paths rebuilds it.
-            checker._ensure_runner()
+            checker._ensure_solver()
             del checker
             garbage = gc.collect()
         finally:
             gc.enable()
-            GLOBAL_UNSAT_CACHE.clear()
         assert perf.counter("secondary.sat.calls") > calls
         assert garbage == 0

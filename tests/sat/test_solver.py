@@ -126,6 +126,91 @@ class TestRandomized:
         assert s.solve() == brute_force(clauses, n)
 
 
+def _random_cnf(rng, n_vars, n_clauses, width=3):
+    return [
+        [
+            rng.choice([1, -1]) * rng.randint(1, n_vars)
+            for _ in range(width)
+        ]
+        for _ in range(n_clauses)
+    ]
+
+
+def _pigeonhole(solver, holes=5, pigeons=6):
+    def var(p, h):
+        return p * holes + h + 1
+
+    for p in range(pigeons):
+        solver.add_clause([var(p, h) for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                solver.add_clause([-var(p1, h), -var(p2, h)])
+
+
+class TestBudgets:
+    def test_propagation_budget_returns_unknown(self):
+        s = Solver()
+        _pigeonhole(s)
+        assert s.solve(max_propagations=10) is None
+        # The solver stays usable: an unbudgeted call settles the query.
+        assert s.solve() is False
+
+    def test_propagation_budget_ignores_easy_instances(self):
+        s = Solver()
+        s.add_clause([1, 2])
+        s.add_clause([-1])
+        assert s.solve(max_propagations=100000) is True
+
+    def test_conflict_budget_interleaves_with_prefix_reuse(self):
+        """Budgeted UNKNOWN exits leave the retained prefix consistent."""
+        s = Solver()
+        _pigeonhole(s, holes=4, pigeons=5)
+        assumptions = [1]
+        while s.solve(assumptions, max_conflicts=3, keep_prefix=1) is None:
+            pass
+        fresh = Solver()
+        _pigeonhole(fresh, holes=4, pigeons=5)
+        assert fresh.solve(assumptions) is False
+
+
+class TestPrefixReuse:
+    def test_keep_prefix_matches_fresh_solves(self):
+        """Shared-prefix reuse is invisible in verdicts and models."""
+        rng = random.Random(3)
+        for trial in range(40):
+            n = rng.randint(4, 9)
+            clauses = _random_cnf(rng, n, rng.randint(4, 30))
+            reuse = Solver()
+            live = True
+            for clause in clauses:
+                live = reuse.add_clause(list(clause)) and live
+            if not live:
+                continue
+            prefix = rng.choice([1, -1])
+            for _ in range(6):
+                rest = [
+                    rng.choice([1, -1]) * rng.randint(2, n)
+                    for _ in range(rng.randint(0, 2))
+                ]
+                assumptions = [prefix] + rest
+                fresh = Solver()
+                for clause in clauses:
+                    fresh.add_clause(list(clause))
+                expected = fresh.solve(assumptions)
+                got = reuse.solve(assumptions, keep_prefix=1)
+                assert got is expected, (trial, assumptions)
+                if expected:
+                    model = [reuse.model_value(v + 1) for v in range(n)]
+                    assert all(
+                        any(
+                            model[abs(l) - 1] == (l > 0)
+                            for l in clause
+                        )
+                        for clause in clauses
+                    )
+
+
 class TestAigEncoding:
     def test_miter_of_equivalent_forms(self):
         # a&b == !(!a | !b): the XOR miter must be UNSAT.

@@ -8,10 +8,9 @@ learned clauses and model — so none of these may move.  Callers rely on
 that: a budgeted query that answered before must answer the same way, or
 optimization results would change.
 
-The scripts cover random, fixed and saved polarity, Luby and geometric
-restarts, learned-clause DB reduction, assumptions, conflict budgets that
-run out, ``keep_prefix`` reuse, and ``reset()`` followed by
-``add_clause``, under each of the portfolio's stock configurations.
+The scripts cover Luby restarts, saved phases, assumptions, conflict
+and propagation budgets that run out, ``keep_prefix`` reuse, and
+``reset()`` followed by ``add_clause``.
 """
 
 import hashlib
@@ -24,14 +23,7 @@ import pytest
 from repro.adders import ripple_carry_adder
 from repro.netlist import renode
 from repro.netlist.encode import encode_network
-from repro.sat import Solver, SolverConfig
-from repro.sat.portfolio import DEFAULT_CONFIGS
-
-CONFIGS = DEFAULT_CONFIGS + (
-    # The stock geo-db cap is never reached by these small scripts; a
-    # tight cap makes DB reduction part of the pinned search.
-    SolverConfig(name="tight-db", seed=5, restart_base=8, learned_limit=16),
-)
+from repro.sat import Solver
 
 
 def _outcome(solver, result):
@@ -59,12 +51,12 @@ def _random_lits(rng, n_vars, count):
     return [rng.choice([1, -1]) * v for v in picked]
 
 
-def _script_random(config):
+def _script_random():
     """Near-threshold random 3-CNFs: plain, assumed, budgeted, reused."""
     outcomes = []
     for seed, n_vars, n_clauses in ((0, 100, 426), (1, 120, 511)):
         rng = random.Random(seed)
-        solver = Solver(config)
+        solver = Solver()
         for clause in _random_clauses(rng, n_vars, n_clauses):
             solver.add_clause(clause)
 
@@ -87,12 +79,12 @@ def _script_random(config):
     return outcomes
 
 
-def _script_unsat(config):
+def _script_unsat():
     """Over-constrained instances: budgets that run out, then the proof."""
     outcomes = []
     for seed, n_vars, n_clauses in ((5, 100, 500), (3, 80, 400)):
         rng = random.Random(seed)
-        solver = Solver(config)
+        solver = Solver()
         for clause in _random_clauses(rng, n_vars, n_clauses):
             solver.add_clause(clause)
         for budget in (1, 20, 100):
@@ -106,7 +98,7 @@ def _script_unsat(config):
     return outcomes
 
 
-def _script_care(config):
+def _script_care():
     """Care queries over a Tseitin-encoded renoded rca8, plus a miter.
 
     Mirrors secondary simplification: a primary encoding holds Σ, a second
@@ -114,7 +106,7 @@ def _script_care(config):
     each query assumes ``!Σ`` plus one fan-in minterm of a node.
     """
     net = renode(ripple_carry_adder(8))
-    solver = Solver(config)
+    solver = Solver()
     prim = encode_network(solver, net)
     pi_vars = [prim[pi] for pi in net.pis]
     sigma = prim[net.pos[-1][0]]
@@ -159,13 +151,9 @@ SCRIPTS = {
 }
 
 
-def _trajectory(script, config):
-    return [list(o) for o in SCRIPTS[script](config)]
-
-
 EXPECTED_PATH = Path(__file__).with_name("solver_trajectory.json")
 """Per-call outcomes ``[result, propagations, decisions, conflicts,
-model digest]`` by script and configuration."""
+model digest]`` by script, recorded under the ``base`` key."""
 
 
 @pytest.fixture(scope="module")
@@ -174,25 +162,12 @@ def expected():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+# One search strategy; the JSON keys its lists by its name, "base".
+@pytest.mark.parametrize("config", ["base"])
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
 def test_trajectory_is_pinned(expected, script, config):
-    got = _trajectory(script, config)
-    want = expected[script][config.name]
+    got = [list(o) for o in SCRIPTS[script]()]
+    want = expected[script][config]
     assert len(got) == len(want)
     for call, (g, w) in enumerate(zip(got, want)):
-        assert g == w, f"{script}/{config.name} call {call}"
-
-
-def test_tight_db_reduces(monkeypatch):
-    calls = []
-    original = Solver._reduce_db
-
-    def counting(self):
-        calls.append(len(self._learned))
-        original(self)
-
-    monkeypatch.setattr(Solver, "_reduce_db", counting)
-    for script in SCRIPTS:
-        _trajectory(script, CONFIGS[-1])
-    assert calls, "the tight-db config never reduced its clause DB"
+        assert g == w, f"{script}/{config} call {call}"

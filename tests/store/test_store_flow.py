@@ -45,7 +45,9 @@ class TestRuntime:
         store = store_runtime.get_store()
         assert isinstance(store, MemoryStore)
         assert not store_runtime.is_persistent()
-        assert store.limit("unsat") == store_runtime.MEMORY_LIMITS["unsat"]
+        assert store.limit("redundant") == (
+            store_runtime.MEMORY_LIMITS["redundant"]
+        )
         assert store.limit("dp") == store_runtime.MEMORY_LIMITS["dp"]
 
     def test_configure_path_builds_tiered_store(self, tmp_path):
@@ -53,8 +55,8 @@ class TestRuntime:
         store = store_runtime.configure(path)
         assert isinstance(store, TieredStore)
         assert store_runtime.is_persistent()
-        assert store.memory.limit("unsat") == (
-            store_runtime.MEMORY_LIMITS["unsat"]
+        assert store.memory.limit("redundant") == (
+            store_runtime.MEMORY_LIMITS["redundant"]
         )
         # The shipped spec carries the path, never a live store object.
         spec = store_runtime.current_spec()
@@ -199,18 +201,18 @@ class TestCli:
 
         store = SqliteStore(path)
         store.put("spcf", (1,), ("tt", 5, 2))
-        store.put("unsat", (2,), True)
+        store.put("redundant", (2,), True)
         store.close()
         assert main(["cache", "stats", "--store", path]) == 0
         out = capsys.readouterr().out
-        assert "spcf" in out and "unsat" in out
+        assert "spcf" in out and "redundant" in out
 
         rc = main(["cache", "clear", "--store", path, "--namespace", "spcf"])
         assert rc == 0
         capsys.readouterr()
         reopened = SqliteStore(path)
         assert reopened.entries("spcf") == 0
-        assert reopened.entries("unsat") == 1
+        assert reopened.entries("redundant") == 1
         reopened.close()
         assert main(["cache", "clear", "--store", path]) == 0
         capsys.readouterr()

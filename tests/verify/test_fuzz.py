@@ -124,9 +124,15 @@ class TestFuzzCli:
         assert "regression artifact:" in captured.err
         assert os.listdir(str(tmp_path))  # .aag + .json were written
 
-    def test_unknown_check_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown invariant"):
-            main([
-                "fuzz", "--max-cases", "1", "--check", "nope",
-                "--artifact-dir", str(tmp_path),
-            ])
+    def test_unknown_check_rejected(self, tmp_path, capsys):
+        # A usage error, not the exit status 1 of an invariant failure.
+        rc = main([
+            "fuzz", "--max-cases", "1", "--check", "no_such_check",
+            "--artifact-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: unknown invariant(s) ['no_such_check']; known: ["
+        )
+        assert "Traceback" not in err
