@@ -187,10 +187,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         arrivals = _parse_arrivals(args, aig)
         store = _store_spec(args)
         if args.flow in JOB_FLOWS:
+            workers = perf.get_workers()
             job = normalize_job_config(_job_options(args, arrivals))
             if store is not None:
                 store_runtime.configure(store)
-            optimizer = make_job_optimizer(job, rank_data=args.rank_data)
+            optimizer = make_job_optimizer(
+                job, workers=workers, rank_data=args.rank_data
+            )
         elif arrivals or store or args.rank_data or any(
             hasattr(args, key) for key in LookaheadConfig.payload_keys()
         ):

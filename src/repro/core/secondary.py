@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import perf
 from ..netlist import Network, compute_levels, min_sops, node_level
-from ..netlist.encode import encode_network
+from ..netlist.encode import StrashTable, extend_encoding, topo_rank
 from ..sat import Solver
 from ..sop import Cube
 from ..tt import TruthTable
@@ -87,25 +87,30 @@ class SatCareChecker:
         self.secondary_net = secondary_net
         self._proved: Set[Tuple] = set()
         self._solver: Optional[Solver] = None
+        self._strash: Optional[StrashTable] = None
         self._sec_vars: Dict[int, int] = {}
         self._pi_vars: List[int] = []
         self._sigma_var = 0
         self._witness_pis: List[List[bool]] = []
         self._wit_model: Optional[SignatureModel] = None
-        self._sec_topo: Optional[List[int]] = None
+        # Topological ranks, computed once per network: ``set_function``
+        # keeps the structure, so they outlive :meth:`refresh`.
+        self._prim_rank: Optional[Dict[int, int]] = None
+        self._sec_rank: Optional[Dict[int, int]] = None
         self._sigma_fp: Optional[int] = None
         self._sec_fps: Optional[Dict[int, int]] = None
 
     def refresh(self) -> None:
         """Invalidate the encoding after a secondary-network mutation."""
         self.sig_model.recompute()
+        # The structural-hash table names the dropped solver's variables.
         self._solver = None
+        self._strash = None
         self._sec_fps = None
         # Witness PI assignments survive (the primary net is immutable
         # here), but their node values must be re-derived from the
         # mutated secondary network.
         self._wit_model = None
-        self._sec_topo = None
 
     def _ensure_solver(self) -> Solver:
         """The session's solver, encoding Σ1's cone on first use.
@@ -117,13 +122,24 @@ class SatCareChecker:
         lazily, one queried cube cone at a time (see
         :meth:`_require_sec_cone`) — the median query constrains a few
         dozen of its hundreds of nodes.
+
+        Both encodings share one structural-hash table: the secondary
+        network is a copy of the original network Σ1's cone was built
+        on, so most secondary nodes reuse a primary node's variable.
         """
         if self._solver is None:
             solver = Solver()
-            prim_vars = encode_network(
-                solver, self.primary_net, roots=[self.sigma_nid]
+            self._strash = {}
+            primary = self.primary_net
+            if self._prim_rank is None:
+                self._prim_rank = topo_rank(primary)
+                self._sec_rank = topo_rank(self.secondary_net)
+            self._pi_vars = [solver.new_var() for _ in primary.pis]
+            prim_vars = dict(zip(primary.pis, self._pi_vars))
+            extend_encoding(
+                solver, primary, [self.sigma_nid], prim_vars,
+                self._prim_rank, self._strash,
             )
-            self._pi_vars = [prim_vars[pi] for pi in self.primary_net.pis]
             self._sigma_var = prim_vars[self.sigma_nid]
             self._sec_vars = dict(zip(self.secondary_net.pis, self._pi_vars))
             self._solver = solver
@@ -140,16 +156,19 @@ class SatCareChecker:
         rest of the secondary network out of the CNF keeps the solver's
         total assignments — the dominant propagation cost — proportional
         to what the queries actually touched.
+
+        The encoded set is closed under fan-in, so the extension walks
+        only the cones' new nodes and emits them in the network's
+        topological rank: the clause stream of a whole-network
+        :func:`encode_network` walk, minus the nodes the structural-hash
+        table merges.
         """
         if all(r in self._sec_vars for r in roots):
             return
         self._solver.reset()  # clauses may only be added at level 0
-        encode_network(
-            self._solver,
-            self.secondary_net,
-            pi_vars=self._pi_vars,
-            roots=roots,
-            var_of=self._sec_vars,
+        extend_encoding(
+            self._solver, self.secondary_net, roots, self._sec_vars,
+            self._sec_rank, self._strash,
         )
 
     def _query_key(self, nid: int, cube: Cube) -> Tuple:
@@ -229,11 +248,7 @@ class SatCareChecker:
             if v:
                 wm.pi_words[i] |= bit
                 wm.fns[pi] |= bit
-        if self._sec_topo is None:
-            # ``set_function`` keeps the structure, but a refresh drops
-            # the order along with everything else derived from the net.
-            self._sec_topo = self.secondary_net.topo_order()
-        for nid in self._sec_topo:
+        for nid in self._sec_rank:  # keys in topological order
             node = self.secondary_net.nodes[nid]
             m = 0
             for j, f in enumerate(node.fanins):
@@ -273,11 +288,16 @@ class SatCareChecker:
         # decision level alive between queries — on propagation-bound
         # workloads re-deriving that prefix dominates the per-query cost.
         perf.incr("secondary.sat.calls")
+        props, conflicts = solver.num_propagations, solver.num_conflicts
         start = time.perf_counter()
         result = solver.solve(
             assumptions, max_conflicts=self.max_conflicts, keep_prefix=1
         )
         perf.observe("sat.query.secondary", time.perf_counter() - start)
+        perf.incr(
+            "secondary.sat.propagations", solver.num_propagations - props
+        )
+        perf.incr("secondary.sat.conflicts", solver.num_conflicts - conflicts)
         if result is True:
             self._harvest_witness()
         elif result is False:

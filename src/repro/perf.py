@@ -175,7 +175,12 @@ class PerfRegistry:
         snap = self.snapshot()
         counters = snap["counters"]
         if "secondary.sat.calls" in counters:  # listed even at zero
-            counters.setdefault("secondary.sat.unknown", 0)
+            for name in (
+                "secondary.sat.unknown",
+                "secondary.sat.propagations",
+                "secondary.sat.conflicts",
+            ):
+                counters.setdefault(name, 0)
         lines = ["perf counters:"]
         if not counters:
             lines.append("  (none)")

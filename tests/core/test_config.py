@@ -398,3 +398,19 @@ def test_cli_bad_option_is_an_error_line(argv, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_bad_workers_env_is_an_error_line(tmp_path, capsys, monkeypatch):
+    from repro.cli import main
+
+    circuit = tmp_path / "rca2.aag"
+    with open(circuit, "w") as fh:
+        write_aag(ripple_carry_adder(2), fh)
+    monkeypatch.setenv("REPRO_WORKERS", "abc")
+    out = tmp_path / "out.aag"
+    argv = ["optimize", str(circuit), "-o", str(out),
+            "--flow", "lookahead-only"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: REPRO_WORKERS must be an integer, got 'abc'\n"
+    assert not out.exists()  # rejected before any work

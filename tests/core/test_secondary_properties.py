@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import perf
+from repro.adders import ripple_carry_adder
 from repro.aig import random_patterns
 from repro.bench import BENCHMARKS
 from repro.core import (
@@ -228,6 +229,56 @@ class TestSatCareSession:
         ) as opt:
             opt.optimize(BENCHMARKS["C432"]())
         return perf.counter("secondary.sat.unknown") - before
+
+    def test_sigma_cone_queries_reuse_primary_variables(self):
+        # The optimizer's cone pair: both networks come from one circuit,
+        # so a secondary node inside Σ1's cone is structurally a primary
+        # node the session has already encoded.
+        aig = ripple_carry_adder(8)
+        primary, secondary = renode(aig), renode(aig)
+        sigma_nid = primary.pos[-1][0]
+        cone = primary.fanin_cone([sigma_nid])
+        patterns = random_patterns(len(aig.pis), 64, 0)
+        checker = SatCareChecker(
+            SignatureModel(secondary, patterns, 64),
+            0,
+            primary,
+            sigma_nid,
+            secondary,
+        )
+        solver = checker._ensure_solver()
+        nvars = solver.num_vars
+        calls = perf.counter("secondary.sat.calls")
+        queries = [
+            (nid, cube)
+            for nid, cube in _minterm_queries(secondary)
+            if nid in cone
+        ]
+        assert len(queries) > 20
+        with _witness_pool(False):
+            for nid, cube in queries:
+                checker.cube_unreachable(nid, cube)
+                assert solver.num_vars == nvars, (nid, cube)
+        assert perf.counter("secondary.sat.calls") - calls == len(queries)
+
+    def _c432_care_work(self, workers):
+        store_runtime.reset()
+        names = ("secondary.sat.propagations", "secondary.sat.conflicts")
+        before = [perf.counter(name) for name in names]
+        with LookaheadOptimizer(
+            workers=workers, max_rounds=1, max_outputs_per_round=4
+        ) as opt:
+            opt.optimize(BENCHMARKS["C432"]())
+        return [perf.counter(name) - b for name, b in zip(names, before)]
+
+    def test_care_solver_work_is_counted_deterministically(self):
+        work = self._c432_care_work(1)
+        assert all(work)
+        assert self._c432_care_work(1) == work
+        assert self._c432_care_work(2) == work
+        report = perf.report()
+        for name in ("propagations", "conflicts"):
+            assert re.search(rf"secondary\.sat\.{name} +\d+", report)
 
     def test_budget_exhausted_verdicts_are_counted(self, monkeypatch):
         assert self._c432_unknowns() == 0

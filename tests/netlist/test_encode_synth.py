@@ -1,17 +1,24 @@
 """Tests for network CNF encoding and network->AIG synthesis."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adders import ripple_carry_adder
 from repro.aig import AIG, po_tts
+from repro.bench import BENCHMARKS
 from repro.netlist import (
     ArrivalAwareBuilder,
     Network,
     encode_network,
+    min_sops,
     network_to_aig,
     renode,
     synthesize_node,
 )
+from repro.netlist.encode import extend_encoding, topo_rank
 from repro.sat import Solver
 from repro.tt import TruthTable
 
@@ -52,6 +59,98 @@ class TestEncodeNetwork:
         assert solver.solve()
         assert solver.model_value(var_of[one]) is True
         assert solver.model_value(var_of[zero]) is False
+
+
+class ClauseRecorder:
+    """Solver stand-in that records the variable and clause stream."""
+
+    def __init__(self):
+        self.num_vars = 0
+        self.stream = []
+
+    def new_var(self):
+        self.num_vars += 1
+        self.stream.append(("var", self.num_vars))
+        return self.num_vars
+
+    def add_clause(self, lits):
+        self.stream.append(("clause", tuple(lits)))
+        return True
+
+
+def whole_network_extension(solver, net, pi_vars, roots, var_of):
+    """Reference lazy extension: a walk over the whole network per call.
+
+    Every node of ``roots``' fan-in cones that is not yet in ``var_of``
+    is encoded in ``net.topo_order()`` order, one Tseitin variable per
+    node and per multi-literal cube of its on-set minimum SOP.
+    """
+    for pi, sv in zip(net.pis, pi_vars):
+        var_of[pi] = sv
+    keep = net.fanin_cone(roots)
+    for nid in net.topo_order():
+        if nid not in keep or nid in var_of:
+            continue
+        node = net.nodes[nid]
+        out = solver.new_var()
+        var_of[nid] = out
+        if node.tt.is_const0:
+            solver.add_clause([-out])
+            continue
+        if node.tt.is_const1:
+            solver.add_clause([out])
+            continue
+        aux_vars = []
+        for cube in min_sops(node.tt)[0]:
+            lits = [
+                var_of[node.fanins[var]] if pol else -var_of[node.fanins[var]]
+                for var, pol in cube.literals()
+            ]
+            if len(lits) == 1:
+                aux_vars.append(lits[0])
+                continue
+            aux = solver.new_var()
+            aux_vars.append(aux)
+            for lit in lits:
+                solver.add_clause([-aux, lit])
+            solver.add_clause([aux] + [-lit for lit in lits])
+        solver.add_clause([-out] + aux_vars)
+        for a in aux_vars:
+            solver.add_clause([out, -a])
+
+
+ENCODE_CIRCUITS = {
+    "rca8": lambda: ripple_carry_adder(8),
+    "C432": BENCHMARKS["C432"],
+}
+
+
+class TestConeExtension:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("circuit", sorted(ENCODE_CIRCUITS))
+    def test_rank_ordered_extension_matches_whole_network_walk(
+        self, circuit, seed
+    ):
+        # The care checker grows its secondary encoding one root batch
+        # at a time; without a structural-hash table its cone-local,
+        # rank-ordered walk must emit the reference's exact stream.
+        net = renode(ENCODE_CIRCUITS[circuit]())
+        rng = random.Random(seed)
+        ids = sorted(net.nodes)
+        got, want = ClauseRecorder(), ClauseRecorder()
+        pi_vars = [got.new_var() for _ in net.pis]
+        for _ in net.pis:
+            want.new_var()
+        got_vars = dict(zip(net.pis, pi_vars))
+        want_vars = {}
+        rank = topo_rank(net)
+        for _ in range(25):
+            roots = rng.sample(ids, rng.randint(1, 4))
+            extend_encoding(got, net, roots, got_vars, rank)
+            whole_network_extension(want, net, pi_vars, roots, want_vars)
+            assert got.stream == want.stream
+            assert got_vars == want_vars
+        assert len(got_vars) > len(net.pis)
 
 
 class TestSynthesis:
