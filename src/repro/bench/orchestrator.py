@@ -125,8 +125,19 @@ def write_manifest(manifest: Dict[str, Any], path: str) -> None:
 
 
 def load_manifest(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise OrchestratorError(
+            f"cannot read manifest {path}: {exc.strerror}"
+        ) from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise OrchestratorError(
+            f"manifest {path} is not JSON: {exc}"
+        ) from None
+    if not isinstance(manifest, dict):
+        raise OrchestratorError(f"manifest {path} is not a JSON object")
     body = {k: v for k, v in manifest.items() if k != "fingerprint"}
     if manifest.get("version") != MANIFEST_VERSION:
         raise OrchestratorError(

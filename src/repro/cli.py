@@ -526,7 +526,8 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     try:
         manifest = orchestrator.load_manifest(args.manifest)
         shard = orchestrator.parse_shard(args.shard)
-    except orchestrator.OrchestratorError as exc:
+        perf.get_workers()  # a malformed REPRO_WORKERS fails before any job
+    except (orchestrator.OrchestratorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     clients = []

@@ -51,7 +51,9 @@ class SatCareChecker:
     over the primary network (which contains the Σ1 node) and the
     *current* secondary network, sharing PIs.  One incremental
     :class:`Solver` session answers every query with one solve at
-    :attr:`max_conflicts` (see :meth:`_ensure_solver`).
+    :attr:`max_conflicts` that branches on the PIs only (see
+    :meth:`_ensure_solver`); a query that exhausts the budget is solved
+    once more, at the same budget, branching on every variable.
 
     An UNSAT answer is a proof and a SAT answer carries a *witness* (the
     model's PI assignment reaches the queried cube outside the window), so
@@ -126,6 +128,11 @@ class SatCareChecker:
         Both encodings share one structural-hash table: the secondary
         network is a copy of the original network Σ1's cone was built
         on, so most secondary nodes reuse a primary node's variable.
+
+        The solver branches only on the PI variables: every other
+        variable is a Tseitin gate or cube variable that unit propagation
+        fixes once the PIs are set, so the restricted search is complete
+        and its SAT models are PI assignments the witness pool replays.
         """
         if self._solver is None:
             solver = Solver()
@@ -135,6 +142,7 @@ class SatCareChecker:
                 self._prim_rank = topo_rank(primary)
                 self._sec_rank = topo_rank(self.secondary_net)
             self._pi_vars = [solver.new_var() for _ in primary.pis]
+            solver.branch_on(self._pi_vars)
             prim_vars = dict(zip(primary.pis, self._pi_vars))
             extend_encoding(
                 solver, primary, [self.sigma_nid], prim_vars,
@@ -293,6 +301,16 @@ class SatCareChecker:
         result = solver.solve(
             assumptions, max_conflicts=self.max_conflicts, keep_prefix=1
         )
+        if result is None:
+            # The PI-only search can run out where branching on every
+            # variable answers; without this retry, UNKNOWN verdicts and
+            # outputs move on dalu, C880, C3540 and lsu_stb_ctl_flat.
+            perf.incr("secondary.sat.widened")
+            solver.branch_on(None)
+            result = solver.solve(
+                assumptions, max_conflicts=self.max_conflicts, keep_prefix=1
+            )
+            solver.branch_on(self._pi_vars)
         perf.observe("sat.query.secondary", time.perf_counter() - start)
         perf.incr(
             "secondary.sat.propagations", solver.num_propagations - props

@@ -177,6 +177,7 @@ class PerfRegistry:
         if "secondary.sat.calls" in counters:  # listed even at zero
             for name in (
                 "secondary.sat.unknown",
+                "secondary.sat.widened",
                 "secondary.sat.propagations",
                 "secondary.sat.conflicts",
             ):

@@ -2,7 +2,8 @@
 
 Features: two-literal watching, first-UIP conflict analysis with clause
 learning, VSIDS decision heuristic with an indexed heap, phase saving, Luby
-restarts, and incremental solving under assumptions.  There is one search
+restarts, incremental solving under assumptions, and an optional set of
+decision variables (:meth:`Solver.branch_on`).  There is one search
 strategy: saved phases, Luby restarts of :data:`RESTART_BASE` conflicts
 and VSIDS decay :data:`VAR_DECAY`.
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 _UNDEF = -1
+_NO_BRANCH = -2
+"""Heap position of a variable that is not a decision variable."""
 
 
 def _ilit(ext: int) -> int:
@@ -48,8 +51,10 @@ per conflict."""
 class _VarHeap:
     """Indexed max-heap on variable activity.
 
-    ``pos[var]`` is the variable's index in ``heap``, or -1 while it is
-    not in the heap.  The solver inlines push (in :meth:`Solver._backtrack`)
+    ``pos[var]`` is the variable's index in ``heap``, -1 while it is
+    not in the heap, or :data:`_NO_BRANCH` while the solver does not
+    branch on it (:meth:`Solver.branch_on`); only variables at -1
+    re-enter the heap.  The solver inlines push (in :meth:`Solver._backtrack`)
     and pop (in :meth:`Solver._decide`); those copies make exactly the
     sift comparisons of :meth:`_up` and :meth:`_down`, since with equal
     activities the heap layout is the decision tie-break.
@@ -151,6 +156,8 @@ class Solver:
         # initial phase is false.
         self.phase: List[int] = []
         self.heap = _VarHeap()
+        # True while branch_on() limits the decision variables.
+        self._restricted = False
         self.ok = True
         self.num_conflicts = 0
         self.num_decisions = 0
@@ -173,8 +180,49 @@ class Solver:
         self.phase.append(1)
         self.watches.append([])
         self.watches.append([])
-        self.heap.push(var, self.activity)
+        if self._restricted:
+            self.heap.pos.append(_NO_BRANCH)
+        else:
+            self.heap.push(var, self.activity)
         return var + 1
+
+    def branch_on(self, variables: Optional[Iterable[int]]) -> None:
+        """Decide only on ``variables`` (DIMACS indices); None lifts it.
+
+        MiniSat's decision-variable set.  While a restriction is active,
+        :meth:`_decide` picks only those variables, :meth:`_backtrack`
+        re-inserts only them, and variables created later are not
+        decision variables.  A variable no decision reaches is still
+        assigned: once the heap runs dry, :meth:`_decide` takes the first
+        unassigned variable, so a SAT answer is always a total model.
+        The restriction pays off when every other variable is a function
+        of the decision variables that unit propagation fixes, as in a
+        Tseitin encoding over its inputs.  A solver that never calls this
+        method searches exactly as before.
+        """
+        # The heap takes the unassigned decision variables; an assigned
+        # one waits at -1 and re-enters it when backtracking unassigns it.
+        heap = self.heap
+        pos = heap.pos
+        lv = self._lv
+        if variables is None:
+            self._restricted = False
+            for var in range(self.num_vars):
+                if pos[var] == _NO_BRANCH:
+                    pos[var] = -1
+                    if lv[2 * var] == _UNDEF:
+                        heap.push(var, self.activity)
+            return
+        self._restricted = True
+        chosen = {abs(ext) - 1 for ext in variables}
+        heap.heap.clear()
+        for var in range(self.num_vars):
+            if var not in chosen:
+                pos[var] = _NO_BRANCH
+                continue
+            pos[var] = -1
+            if lv[2 * var] == _UNDEF:
+                heap.push(var, self.activity)
 
     @property
     def num_vars(self) -> int:
@@ -374,8 +422,8 @@ class Solver:
     def _backtrack(self, target_level: int) -> None:
         """Undo every level above ``target_level``.
 
-        Unassigned variables re-enter the heap in reverse trail order
-        (inlined :meth:`_VarHeap.push`).
+        Unassigned decision variables re-enter the heap in reverse trail
+        order (inlined :meth:`_VarHeap.push`).
         """
         trail_lim = self.trail_lim
         if len(trail_lim) <= target_level:
@@ -390,7 +438,7 @@ class Solver:
             lv[ilit] = _UNDEF
             lv[ilit ^ 1] = _UNDEF
             var = ilit >> 1
-            if pos[var] < 0:
+            if pos[var] == -1:
                 i = len(heap)
                 heap.append(var)
                 a = act[var]
@@ -423,7 +471,9 @@ class Solver:
         """Pop the most active unassigned variable; decide its saved phase.
 
         Assigned variables popped on the way stay out of the heap until
-        backtracking unassigns them (inlined :meth:`_VarHeap.pop`).
+        backtracking unassigns them (inlined :meth:`_VarHeap.pop`).  A
+        dry heap with an unassigned variable left (one :meth:`branch_on`
+        excluded) decides the first such variable.
         """
         heap = self.heap.heap
         pos = self.heap.pos
@@ -464,6 +514,9 @@ class Solver:
                 pos[last] = i
             if lv[var << 1] == _UNDEF:
                 return (var << 1) | self.phase[var]
+        if len(self.trail) < len(self.level):
+            var = lv.index(_UNDEF) >> 1
+            return (var << 1) | self.phase[var]
         return _UNDEF
 
     # -- main solve loop -----------------------------------------------------------

@@ -270,3 +270,60 @@ class TestReport:
         doc.write_text("no markers here\n")
         with pytest.raises(OrchestratorError, match="markers"):
             update_experiments(str(doc), merged)
+
+
+class TestCliBadInput:
+    """``repro bench run|merge`` turn bad input into one ``error:`` line."""
+
+    def _run(self, capsys, argv):
+        from repro.cli import main
+
+        rc = main(argv)
+        return rc, capsys.readouterr().err.splitlines()
+
+    def _argv(self, tmp_path, command, manifest):
+        argv = ["bench", command, "--manifest", str(manifest),
+                "--jobs-dir", str(tmp_path / "jobs")]
+        if command == "merge":
+            argv += ["-o", str(tmp_path / "t2.json")]
+        return argv
+
+    @pytest.mark.parametrize("command", ["run", "merge"])
+    def test_missing_manifest(self, tmp_path, capsys, command):
+        manifest = tmp_path / "typo.json"
+        rc, err = self._run(capsys, self._argv(tmp_path, command, manifest))
+        assert rc == 1
+        assert err == [
+            f"error: cannot read manifest {manifest}: "
+            "No such file or directory"
+        ]
+        assert not (tmp_path / "jobs").exists()
+
+    @pytest.mark.parametrize("command", ["run", "merge"])
+    @pytest.mark.parametrize("text, problem", [
+        ('{"version": 1, "jobs": [', "is not JSON: "),
+        ("[]", "is not a JSON object"),
+    ], ids=["truncated", "array"])
+    def test_malformed_manifest(self, tmp_path, capsys, command, text,
+                                problem):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        rc, err = self._run(capsys, self._argv(tmp_path, command, manifest))
+        assert rc == 1
+        assert len(err) == 1
+        assert err[0].startswith(f"error: manifest {manifest} {problem}")
+        assert not (tmp_path / "jobs").exists()
+
+    def test_bad_workers_env_fails_before_any_job(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        manifest = tmp_path / "m.json"
+        write_manifest(
+            plan_manifest(circuits=["C432"], flows=["DC", "Lookahead"]),
+            str(manifest),
+        )
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        rc, err = self._run(capsys, self._argv(tmp_path, "run", manifest))
+        assert rc == 1
+        assert err == ["error: REPRO_WORKERS must be an integer, got 'abc'"]
+        assert not (tmp_path / "jobs").exists()  # no job ran

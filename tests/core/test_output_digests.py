@@ -21,10 +21,11 @@ import sqlite3
 
 import pytest
 
+from repro import perf
 from repro.adders import ripple_carry_adder
 from repro.aig import read_aag, write_aag
 from repro.bench import BENCHMARKS
-from repro.bench.table2 import GOLDEN_W1
+from repro.bench.table2 import GOLDEN_W1, golden_config
 from repro.core import (
     LookaheadOptimizer,
     execute_optimize_job,
@@ -75,6 +76,36 @@ def test_constructor_output(circuit, extra, expected):
     with LookaheadOptimizer(workers=1, **GOLDEN_W1, **extra) as opt:
         out = opt.optimize(CIRCUITS[circuit]())
     assert _aag_digest(out) == expected
+
+
+# The golden circuits with budget-exhausted (UNKNOWN) care verdicts at
+# their golden configuration: an UNKNOWN is where the care check's search
+# reaches the output (DESIGN 3.19), so a change to the solver or to the
+# session's CNF may move these digests, and the counts show whether the
+# verdicts moved with them.
+SEARCH_CASES = [
+    ("C880", "5eb2f9510c23a17a", 3),
+    ("C3540", "7f353b1e23b691a0", 4),
+    ("lsu_stb_ctl_flat", "893d4dfb77faafd7", 1),
+    ("sparc_ifu_dec_flat", "1ac11a9b43c27565", 6),
+    ("tlu_hyperv_flat", "c6b042300f23bf4a", 1),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "circuit, expected, unknowns", SEARCH_CASES,
+    ids=[c[0] for c in SEARCH_CASES],
+)
+def test_search_dependent_output(circuit, expected, unknowns):
+    aig = BENCHMARKS[circuit]()
+    before = perf.counter("secondary.sat.unknown")
+    with LookaheadOptimizer(
+        workers=1, **golden_config(circuit, aig.num_ands())
+    ) as opt:
+        out = opt.optimize(aig)
+    assert _aag_digest(out) == expected
+    assert perf.counter("secondary.sat.unknown") - before == unknowns
 
 
 JOB_CASES = [

@@ -12,6 +12,7 @@ from repro import perf
 from repro.adders import ripple_carry_adder
 from repro.aig import random_patterns
 from repro.bench import BENCHMARKS
+from repro.bench.table2 import golden_config
 from repro.core import (
     ExactCareChecker,
     ExactModel,
@@ -33,6 +34,7 @@ from repro.timing import AigTimingEngine
 from repro.tt import TruthTable
 
 from ..aig.test_aig import random_aig
+from .test_output_digests import _aag_digest
 
 
 def _cone(seed):
@@ -221,14 +223,16 @@ class TestSatCareSession:
     ):
         check_session_verdicts(pool, seed, sigma_pick, mutations)
 
-    def _c432_unknowns(self):
+    def _c432_budget_counts(self):
+        """(UNKNOWN verdicts, widened retries) of one C432 optimize."""
         store_runtime.reset()
-        before = perf.counter("secondary.sat.unknown")
+        names = ("secondary.sat.unknown", "secondary.sat.widened")
+        before = [perf.counter(name) for name in names]
         with LookaheadOptimizer(
             workers=1, max_rounds=1, max_outputs_per_round=4
         ) as opt:
             opt.optimize(BENCHMARKS["C432"]())
-        return perf.counter("secondary.sat.unknown") - before
+        return [perf.counter(name) - b for name, b in zip(names, before)]
 
     def test_sigma_cone_queries_reuse_primary_variables(self):
         # The optimizer's cone pair: both networks come from one circuit,
@@ -281,11 +285,57 @@ class TestSatCareSession:
             assert re.search(rf"secondary\.sat\.{name} +\d+", report)
 
     def test_budget_exhausted_verdicts_are_counted(self, monkeypatch):
-        assert self._c432_unknowns() == 0
-        # --profile prints this report; the count is listed even at zero.
-        assert re.search(r"secondary\.sat\.unknown +\d+", perf.report())
+        assert self._c432_budget_counts() == [0, 0]
+        # --profile prints this report; the counts are listed even at zero.
+        report = perf.report()
+        for name in ("unknown", "widened"):
+            assert re.search(rf"secondary\.sat\.{name} +\d+", report)
         monkeypatch.setattr(SatCareChecker, "max_conflicts", 0)
-        assert self._c432_unknowns() > 0
+        unknown, widened = self._c432_budget_counts()
+        assert unknown > 0
+        # An UNKNOWN verdict is a PI-only search and its widened retry
+        # that both ran out; a retry may answer where the first try did
+        # not, even on a zero budget.
+        assert widened >= unknown
+
+    def test_widened_retry_keeps_dalu(self):
+        # One dalu care query exhausts its budget branching on the PIs
+        # alone; the retry that branches on every variable answers it,
+        # so the output is the one the unrestricted search gave.
+        store_runtime.reset()
+        aig = BENCHMARKS["dalu"]()
+        names = ("secondary.sat.widened", "secondary.sat.unknown")
+        before = [perf.counter(name) for name in names]
+        with LookaheadOptimizer(
+            workers=1, **golden_config("dalu", aig.num_ands())
+        ) as opt:
+            out = opt.optimize(aig)
+        widened, unknown = [
+            perf.counter(name) - b for name, b in zip(names, before)
+        ]
+        assert widened >= 1
+        assert unknown == 0
+        assert _aag_digest(out) == "926b093a86c15c67"
+
+    def test_care_queries_decide_only_on_inputs(self, monkeypatch):
+        pos_net, sigma_nid, neg_net, neg_model, care_sig = _c432_care_problem()
+        checker = SatCareChecker(
+            neg_model, care_sig, pos_net, sigma_nid, neg_net
+        )
+        decide = Solver._decide
+        decided = []
+
+        def spy(solver):
+            ilit = decide(solver)
+            if ilit >= 0:
+                decided.append((ilit >> 1) + 1 in checker._pi_vars)
+            return ilit
+
+        monkeypatch.setattr(Solver, "_decide", spy)
+        widened = perf.counter("secondary.sat.widened")
+        secondary_simplify(neg_net, 0, checker)
+        assert perf.counter("secondary.sat.widened") == widened
+        assert decided and all(decided)
 
     @POOL
     def test_session_leaves_no_cyclic_garbage(self, pool):

@@ -211,6 +211,53 @@ class TestPrefixReuse:
                     )
 
 
+class TestBranchOn:
+    """A decision-variable set changes the search, never the answer."""
+
+    @given(st.integers(0, 10_000))
+    @settings(deadline=None, max_examples=80)
+    def test_matches_brute_force_under_random_decision_sets(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        late = rng.randint(0, 2)  # created after the restriction
+        s = Solver()
+        for _ in range(n):
+            s.new_var()
+        # Most subsets leave variables that no decision fixes; the empty
+        # one leaves all of them.
+        s.branch_on(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        for _ in range(late):
+            s.new_var()
+        total = n + late
+        clauses = _random_cnf(rng, total, rng.randint(1, 4 * total))
+        live = True
+        for clause in clauses:
+            live = s.add_clause(list(clause)) and live
+        widen_at = rng.randint(0, 5)
+        for call in range(6):
+            if call == widen_at:
+                s.branch_on(None)
+            elif call == widen_at + 2:
+                s.branch_on(rng.sample(range(1, total + 1), rng.randint(0, 2)))
+            assumptions = [
+                rng.choice([1, -1]) * rng.randint(1, total)
+                for _ in range(rng.randint(0, 3))
+            ]
+            got = s.solve(assumptions, keep_prefix=rng.randint(0, 1))
+            want = live and brute_force(
+                clauses + [[a] for a in assumptions], total
+            )
+            assert got is want, (seed, call)
+            if got:
+                assert None not in [
+                    s.model_value(v) for v in range(1, s.num_vars + 1)
+                ]
+                for clause in clauses + [[a] for a in assumptions]:
+                    assert any(s.model_value(l) for l in clause), (
+                        seed, call, clause,
+                    )
+
+
 class TestAigEncoding:
     def test_miter_of_equivalent_forms(self):
         # a&b == !(!a | !b): the XOR miter must be UNSAT.

@@ -10,7 +10,9 @@ optimization results would change.
 
 The scripts cover Luby restarts, saved phases, assumptions, conflict
 and propagation budgets that run out, ``keep_prefix`` reuse, and
-``reset()`` followed by ``add_clause``.
+``reset()`` followed by ``add_clause``.  The ``care-inputs`` script
+pins the search restricted by ``branch_on``, a separate search from the
+unrestricted one the other scripts pin.
 """
 
 import hashlib
@@ -98,17 +100,24 @@ def _script_unsat():
     return outcomes
 
 
-def _script_care():
+def _script_care(inputs_only=False):
     """Care queries over a Tseitin-encoded renoded rca8, plus a miter.
 
     Mirrors secondary simplification: a primary encoding holds Σ, a second
     encoding of the same network over shared PIs grows cone by cone, and
-    each query assumes ``!Σ`` plus one fan-in minterm of a node.
+    each query assumes ``!Σ`` plus one fan-in minterm of a node.  With
+    ``inputs_only`` the PI variables come first and the solver branches
+    on them alone, as the care-check session does.
     """
     net = renode(ripple_carry_adder(8))
     solver = Solver()
-    prim = encode_network(solver, net)
-    pi_vars = [prim[pi] for pi in net.pis]
+    if inputs_only:
+        pi_vars = [solver.new_var() for _ in net.pis]
+        solver.branch_on(pi_vars)
+        prim = encode_network(solver, net, pi_vars=pi_vars)
+    else:
+        prim = encode_network(solver, net)
+        pi_vars = [prim[pi] for pi in net.pis]
     sigma = prim[net.pos[-1][0]]
     sec = dict(zip(net.pis, pi_vars))
     outcomes = []
@@ -148,6 +157,7 @@ SCRIPTS = {
     "random": _script_random,
     "unsat": _script_unsat,
     "care": _script_care,
+    "care-inputs": lambda: _script_care(inputs_only=True),
 }
 
 
