@@ -2,8 +2,9 @@
 
 Times redundancy removal (:func:`repro.core.remove_redundant_edges`, the
 :class:`repro.core.RedundancyEngine` hot path) on Table-2 circuits: each
-edge is answered with one bounded two-assumption SAT query against a
-persistent CNF, behind a shared simulation prefilter.
+edge is answered with one bounded two-assumption SAT query on a session
+that encodes only the cones its queries touch, behind a shared
+simulation prefilter.
 
 Rows are *merged* into ``BENCH_speed.json`` (flow ``area-incremental``)
 next to the lookahead rows; rerun this script after

@@ -5,15 +5,18 @@ algorithms" (Sec. 3.2).  Two passes implement that here:
 
 * :func:`sat_sweep` — merge simulation-equivalent node classes after
   bounded SAT proofs (including constant detection), then clean up
-  structurally.
+  structurally.  Each disproof's model is simulated and separates later
+  candidate pairs without the solver.
 * :class:`RedundancyEngine` / :func:`remove_redundant_edges` — drop AND
-  fan-in edges whose stuck-at-1 fault is untestable.  The engine keeps
-  one persistent incremental CNF encoding of the circuit and answers
+  fan-in edges whose stuck-at-1 fault is untestable.  The engine answers
   each candidate edge with a single bounded SAT query under two
   assumption literals — no per-candidate AIG rebuild, no full CEC — with
   a shared bit-parallel simulation prefilter
   (:mod:`repro.core.signatures`) screening out the testable majority
   before the solver is ever consulted.
+
+Each pass runs its queries on one :class:`_ConeSession`, a CNF that
+encodes only the cones the queries touch.
 
 :func:`recover_area` packages both passes behind one effort knob; the
 lookahead optimizer calls it once per accepted round.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from ..aig import (
     lit_not,
     lit_notif,
     lit_var,
+    lit_word,
     random_patterns,
     simulate,
 )
@@ -55,6 +59,119 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _WITNESS_BATCH = 64
 
 
+class _ConeSession:
+    """One lazily extended CNF of an AIG for a pass's bounded queries.
+
+    Each query first encodes whatever part of its literals' cones is not
+    encoded yet (:meth:`AigCnf.encode` with ``var_map``), so a pass pays
+    for the cones it queries, not for the whole AIG, and adds nothing
+    else to the solver: no query leaves a clause behind.
+    """
+
+    def __init__(self, aig: AIG) -> None:
+        self.aig = aig
+        self.enc = AigCnf()
+        self.var_map: Dict[int, int] = {}
+
+    def solve(self, lits: Sequence[int], max_conflicts: int) -> Optional[bool]:
+        """Can the AIG literals ``lits`` all be true?  None: unknown."""
+        enc, var_map = self.enc, self.var_map
+        solver = enc.solver
+        solver.reset()
+        enc.encode(self.aig, roots=lits, var_map=var_map)
+        props = solver.num_propagations
+        result = solver.solve(
+            [enc.lit(var_map, lit) for lit in lits],
+            max_conflicts=max_conflicts,
+        )
+        perf.incr("area.sat.propagations", solver.num_propagations - props)
+        return result
+
+    def pi_column(self) -> List[bool]:
+        """The last model's PI values; a PI no cone reached reads False."""
+        model_value = self.enc.solver.model_value
+        var_map = self.var_map
+        return [
+            pi in var_map and bool(model_value(var_map[pi]))
+            for pi in self.aig.pis
+        ]
+
+
+def _sweep_classes(aig: AIG, sim_width: int, seed: int) -> List[List[int]]:
+    """Candidate merge classes of the AND nodes and the constant.
+
+    Nodes whose random-simulation signatures agree up to complement share
+    a class.  Each member is the literal of its variable whose signature
+    is the class key, so members are candidates for equality as literals;
+    the first is the representative.  Singletons are dropped.
+    """
+    mask = (1 << sim_width) - 1
+    patterns = random_patterns(aig.num_pis, sim_width, seed)
+    values = simulate(aig, patterns, sim_width)
+    classes: Dict[int, List[int]] = {}
+    for var in range(aig.num_vars):
+        if var != 0 and not aig.is_and(var):
+            continue  # keep PIs out of merging
+        sig = values[var] & mask
+        key = min(sig, sig ^ mask)
+        classes.setdefault(key, []).append(lit_notif(2 * var, sig != key))
+    return [members for members in classes.values() if len(members) > 1]
+
+
+def _sweep_merges(
+    aig: AIG, classes: List[List[int]], max_pairs: int, max_conflicts: int
+) -> Dict[int, int]:
+    """Prove class members equal to their representative; var -> literal.
+
+    Each pair is proved on one :class:`_ConeSession` with two bounded
+    solves, ``[rep, ¬lit]`` and then, only if that one is UNSAT,
+    ``[¬rep, lit]``; an unknown answer means no merge.  Each satisfiable
+    model is simulated as one more pattern (FRAIG-style), and a later
+    pair that some such pattern already tells apart is answered without
+    the solver.  Every pair examined counts against ``max_pairs``.
+    """
+    session = _ConeSession(aig)
+    # Per-variable words of the simulated SAT models, one bit each.
+    witness = [0] * aig.num_vars
+    num_witnesses = 0
+    replacement: Dict[int, int] = {}
+    pairs_checked = 0
+    for members in classes:
+        if pairs_checked >= max_pairs:
+            break  # budget exhausted: stop scanning classes entirely
+        rep = members[0]
+        for lit in members[1:]:
+            if pairs_checked >= max_pairs:
+                break
+            pairs_checked += 1
+            if lit_word(witness, rep, num_witnesses) != lit_word(
+                witness, lit, num_witnesses
+            ):
+                perf.incr("area.sweep.witness_hits")
+                continue
+            perf.incr("area.sweep.queries")
+            start = time.perf_counter()
+            for query in ((rep, lit_not(lit)), (lit_not(rep), lit)):
+                result = session.solve(query, max_conflicts)
+                if result is not False:
+                    break
+            perf.observe("sat.query.sweep", time.perf_counter() - start)
+            if result is False:
+                perf.incr("area.sweep.merges")
+                replacement[lit_var(lit)] = lit_notif(rep, lit_neg(lit))
+            elif result is None:
+                perf.incr("area.sweep.unknown")
+            else:
+                perf.incr("area.sweep.witnesses")
+                bits = simulate(aig, session.pi_column(), 1)
+                witness = [
+                    word | (bit << num_witnesses)
+                    for word, bit in zip(witness, bits)
+                ]
+                num_witnesses += 1
+    return replacement
+
+
 def sat_sweep(
     aig: AIG,
     sim_width: int = 1024,
@@ -67,8 +184,10 @@ def sat_sweep(
     """Merge functionally equivalent internal nodes (SAT-proved).
 
     Simulation partitions nodes into candidate classes (up to complement);
-    each candidate merge is proved by an incremental SAT query (bounded by
-    ``max_conflicts``; unknown means no merge) before being applied.
+    each candidate merge is proved by two bounded SAT queries on one
+    cone-only session (``max_conflicts`` each; unknown means no merge)
+    before being applied, and each disproof's model separates later
+    candidates without the solver.
     Circuits beyond ``size_limit`` AND nodes are only cleaned structurally.
     Returns a rebuilt, cleaned AIG, never larger than ``aig.extract()``
     (a sweep whose dead-representative merges grew the net result is
@@ -78,58 +197,9 @@ def sat_sweep(
     """
     if aig.num_ands() > size_limit:
         return aig.extract()
-    mask = (1 << sim_width) - 1
-    patterns = random_patterns(aig.num_pis, sim_width, seed)
-    values = simulate(aig, patterns, sim_width)
-    # Candidate classes keyed by polarity-canonical signature.
-    classes: Dict[int, List[int]] = {}
-    for var in range(aig.num_vars):
-        if var != 0 and not aig.is_and(var):
-            continue  # keep PIs out of merging
-        sig = values[var] & mask
-        key = min(sig, sig ^ mask)
-        classes.setdefault(key, []).append(var)
-
-    enc: Optional[AigCnf] = None
-    var_map: Dict[int, int] = {}
-
-    def prove_equal(v1: int, v2: int, complemented: bool) -> bool:
-        nonlocal enc, var_map
-        if enc is None:
-            enc = AigCnf()
-            var_map = enc.encode(aig)
-        s1 = var_map[v1]
-        s2 = var_map[v2]
-        if complemented:
-            s2 = -s2
-        enc.solver.reset()
-        x = enc.add_xor(s1, s2)
-        perf.incr("area.sweep.queries")
-        start = time.perf_counter()
-        result = enc.solver.solve([x], max_conflicts=max_conflicts)
-        perf.observe("sat.query.sweep", time.perf_counter() - start)
-        enc.solver.reset()
-        return result is False
-
-    # representative literal for each merged variable.
-    replacement: Dict[int, int] = {}
-    pairs_checked = 0
-    for members in classes.values():
-        if pairs_checked >= max_pairs:
-            break  # budget exhausted: stop scanning classes entirely
-        if len(members) < 2:
-            continue
-        rep = members[0]
-        rep_sig = values[rep] & mask
-        for var in members[1:]:
-            if pairs_checked >= max_pairs:
-                break
-            pairs_checked += 1
-            complemented = (values[var] & mask) != rep_sig
-            if prove_equal(rep, var, complemented):
-                perf.incr("area.sweep.merges")
-                replacement[var] = lit_notif(rep * 2, complemented)
-
+    replacement = _sweep_merges(
+        aig, _sweep_classes(aig, sim_width, seed), max_pairs, max_conflicts
+    )
     if not replacement:
         return aig.extract()
 
@@ -186,7 +256,7 @@ def sat_sweep(
 
 
 class RedundancyEngine:
-    """Incremental stuck-at-1 redundancy removal over one persistent CNF.
+    """Incremental stuck-at-1 redundancy removal over one SAT session.
 
     An AND fan-in edge whose stuck-at-1 fault is untestable can be
     replaced by constant 1, i.e. the AND collapses onto its other fan-in.
@@ -194,12 +264,12 @@ class RedundancyEngine:
     ``v = AND(keep, drop)``, the edge to ``drop`` is redundant iff
     ``keep -> drop`` as circuit functions — the stuck-at-1 difference
     ``keep & !drop`` has no exciting input.  Each candidate is one
-    incremental SAT query ``solve([keep, -drop])`` against a single
-    Tseitin encoding of the circuit built once up front; the two
-    assumption literals select the edge under test, so no clauses are
-    ever added or retracted between queries.
+    incremental SAT query ``solve([keep, -drop])`` on a
+    :class:`_ConeSession` of the circuit; the two assumption literals
+    select the edge under test, and a query only ever adds the clauses
+    of the not-yet-encoded part of its two cones.
 
-    This framing is what keeps the persistent encoding *sound*: an
+    This framing is what keeps the session's encoding *sound*: an
     accepted drop makes ``v`` functionally identical to ``keep`` (it is a
     pure equivalence, not an observability-don't-care rewrite), so no
     node function ever changes and both the CNF and the simulation
@@ -247,10 +317,9 @@ class RedundancyEngine:
                 (1 << bits) - 1
             )
         self._witnesses: List[List[bool]] = []
-        # Lazy persistent CNF: circuits fully resolved by simulation never
-        # pay for an encoding.
-        self._enc: Optional[AigCnf] = None
-        self._var_map: Dict[int, int] = {}
+        # Created by the first query, so circuits fully resolved by
+        # simulation never allocate a solver.
+        self._session: Optional[_ConeSession] = None
         # Accepted-drop verdicts, keyed by the (keep, drop) literals'
         # structural fingerprints, live in the result store's
         # ``redundant`` namespace when the process has a persistent
@@ -286,12 +355,7 @@ class RedundancyEngine:
         """Fold the session's counterexample into the prefilter matrix."""
         if self.aig.num_pis == 0:
             return
-        solver = self._enc.solver
-        column = [
-            solver.model_value(self._var_map[pi]) or False
-            for pi in self.aig.pis
-        ]
-        self._witnesses.append(column)
+        self._witnesses.append(self._session.pi_column())
         perf.incr("area.redundancy.witnesses")
         if len(self._witnesses) < _WITNESS_BATCH:
             return
@@ -325,16 +389,11 @@ class RedundancyEngine:
                 perf.incr("area.redundancy.store_hits")
                 return True
         perf.incr("area.redundancy.queries")
-        if self._enc is None:
-            self._enc = AigCnf()
-            self._var_map = self._enc.encode(self.aig)
+        if self._session is None:
+            self._session = _ConeSession(self.aig)
         start = time.perf_counter()
-        result = self._enc.solver.solve(
-            [
-                self._enc.lit(self._var_map, keep),
-                -self._enc.lit(self._var_map, drop),
-            ],
-            max_conflicts=self.max_conflicts,
+        result = self._session.solve(
+            (keep, lit_not(drop)), self.max_conflicts
         )
         perf.observe("sat.query.redundancy", time.perf_counter() - start)
         if result is True:
@@ -446,8 +505,8 @@ def remove_redundant_edges(
 ) -> AIG:
     """Drop AND edges whose stuck-at-1 fault is untestable.
 
-    One :class:`RedundancyEngine` pass: a persistent incremental CNF of
-    the whole circuit answers each candidate edge with a single bounded
+    One :class:`RedundancyEngine` pass: a SAT session that encodes only
+    the cones it queries answers each candidate edge with a single bounded
     two-assumption SAT query (``max_checks`` queries, ``max_conflicts``
     conflicts each; unknown keeps the edge), after a shared bit-parallel
     simulation prefilter (``sim_width`` patterns, plus harvested SAT

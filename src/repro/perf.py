@@ -182,6 +182,9 @@ class PerfRegistry:
                 "secondary.sat.conflicts",
             ):
                 counters.setdefault(name, 0)
+        if counters.keys() & {"area.sweep.queries", "area.redundancy.queries"}:
+            for name in ("area.sweep.unknown", "area.redundancy.unknown"):
+                counters.setdefault(name, 0)  # listed even at zero
         lines = ["perf counters:"]
         if not counters:
             lines.append("  (none)")
@@ -221,6 +224,10 @@ class PerfRegistry:
             (
                 ("area.prefilter.hit", "area.prefilter.miss"),
                 "area prefilter hit rate",
+            ),
+            (
+                ("area.sweep.witness_hits", "area.sweep.queries"),
+                "sweep witness hit rate",
             ),
         ):
             h, m = (counters.get(k, 0) for k in pair)

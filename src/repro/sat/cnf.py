@@ -26,46 +26,59 @@ class AigCnf:
         aig: AIG,
         pi_vars: Optional[Sequence[int]] = None,
         roots: Optional[Iterable[int]] = None,
+        var_map: Optional[Dict[int, int]] = None,
     ) -> Dict[int, int]:
         """Encode ``aig`` (or just the cones of ``roots``) into the solver.
 
         ``pi_vars`` supplies solver variables for the PIs (shared PIs across
         AIGs make miters); fresh variables are created when omitted.
         Returns the AIG-var -> solver-var map.
+
+        ``var_map`` extends an earlier encoding of ``aig`` in place (an
+        empty dict starts one): only the part of the cones of ``roots``
+        not yet in the map is encoded, in var order, and a PI gets a fresh
+        variable when a cone first reaches it.  A session that extends
+        one map query by query thus pays only for the cones it queries.
+        The solver must be at decision level 0 (:meth:`Solver.reset`).
         """
-        var_map: Dict[int, int] = {0: self._false_var}
-        if pi_vars is None:
-            pi_vars = [self.solver.new_var() for _ in range(aig.num_pis)]
-        if len(pi_vars) != aig.num_pis:
-            raise ValueError("one solver variable per PI required")
-        for aig_var, sv in zip(aig.pis, pi_vars):
-            var_map[aig_var] = sv
+        solver = self.solver
+        if var_map is None:
+            var_map = {0: self._false_var}
+            if pi_vars is None:
+                pi_vars = [solver.new_var() for _ in range(aig.num_pis)]
+            if len(pi_vars) != aig.num_pis:
+                raise ValueError("one solver variable per PI required")
+            for aig_var, sv in zip(aig.pis, pi_vars):
+                var_map[aig_var] = sv
+            self.maps.append(var_map)
+        elif not var_map:
+            var_map[0] = self._false_var
+            self.maps.append(var_map)
         if roots is None:
-            needed = None
-        else:
-            needed = set()
-            stack = [lit_var(r) for r in roots]
-            while stack:
-                v = stack.pop()
-                if v in needed or not aig.is_and(v):
-                    continue
-                needed.add(v)
+            roots = [2 * var for var in range(aig.num_vars)]
+        new = set()
+        stack = [lit_var(r) for r in roots]
+        while stack:
+            v = stack.pop()
+            if v in var_map or v in new:
+                continue
+            new.add(v)
+            if aig.is_and(v):
                 f0, f1 = aig.fanins(v)
                 stack.append(lit_var(f0))
                 stack.append(lit_var(f1))
-        for var in aig.and_vars():
-            if needed is not None and var not in needed:
-                continue
+        for var in sorted(new):
+            out = solver.new_var()
+            var_map[var] = out
+            if not aig.is_and(var):
+                continue  # a PI, first reached by this extension
             f0, f1 = aig.fanins(var)
             a = self._sat_lit(var_map, f0)
             b = self._sat_lit(var_map, f1)
-            out = self.solver.new_var()
-            var_map[var] = out
             # out <-> a & b
-            self.solver.add_clause([-out, a])
-            self.solver.add_clause([-out, b])
-            self.solver.add_clause([out, -a, -b])
-        self.maps.append(var_map)
+            solver.add_clause([-out, a])
+            solver.add_clause([-out, b])
+            solver.add_clause([out, -a, -b])
         return var_map
 
     @staticmethod

@@ -57,7 +57,7 @@ import socketserver
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from .. import perf
 from ..aig import AIG, depth, read_aag, read_blif, write_aag
@@ -114,16 +114,25 @@ class Job:
         self.response: Optional[Dict[str, Any]] = None
         self._lock = threading.Lock()
 
-    def finish(self, response: Dict[str, Any]) -> bool:
+    def finish(
+        self,
+        response: Dict[str, Any],
+        commit: Optional[Callable[[], None]] = None,
+    ) -> bool:
         """Set the response exactly once; False if already finished.
 
         The single commit point arbitrates the watchdog/worker race: a
         late worker result after a timeout answer is simply discarded.
+        ``commit`` runs only for the winning response, before the waiting
+        client is woken, so bookkeeping it does is visible to any request
+        the client sends after its answer.
         """
         with self._lock:
             if self.response is not None:
                 return False
             self.response = response
+        if commit is not None:
+            commit()
         self.done.set()
         return True
 
@@ -267,7 +276,7 @@ class ReproDaemon:
         self._pool: Dict[Tuple, _OptimizerEntry] = {}
         self._pool_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._in_flight = 0
+        self._running: Set[int] = set()  # ids of started, unanswered jobs
         self._next_job_id = 1
         self._draining = False
         self._started = 0.0
@@ -459,7 +468,7 @@ class ReproDaemon:
 
     def status(self) -> Dict[str, Any]:
         with self._state_lock:
-            in_flight = self._in_flight
+            in_flight = len(self._running)
         store = store_runtime.get_store()
         counters = {
             name: perf.counter(f"serve.jobs.{name}")
@@ -554,17 +563,17 @@ class ReproDaemon:
         remaining = job.deadline - now
         if remaining <= 0:
             # Expired while queued: never start work nobody is waiting on.
-            perf.incr("serve.jobs.timeout")
             self._finish_job(
                 job, error_response(
                     f"job timed out after {job.timeout:.1f}s in queue",
                     "timeout",
                 ),
+                "serve.jobs.timeout",
             )
             return
         perf.observe("serve.job.queue_wait", now - job.submitted)
         with self._state_lock:
-            self._in_flight += 1
+            self._running.add(job.id)
         try:
             worker = threading.Thread(
                 target=self._execute,
@@ -581,19 +590,20 @@ class ReproDaemon:
                     entry.poisoned = True
                     if self._pool.get(entry.key) is entry:
                         del self._pool[entry.key]
-                perf.incr("serve.jobs.timeout")
                 self._finish_job(
                     job, error_response(
                         f"job timed out after {job.timeout:.1f}s", "timeout"
                     ),
+                    "serve.jobs.timeout",
                 )
                 if not worker.is_alive():
                     # Finished in the race window; close here because the
                     # worker observed poisoned=False (close is idempotent).
                     entry.optimizer.close()
         finally:
-            with self._state_lock:
-                self._in_flight -= 1
+            # A job answered by neither commit (a wedged worker whose
+            # client gave up) still leaves the in-flight count.
+            self._release(job)
 
     def _execute(self, job: Job, entry: _OptimizerEntry) -> None:
         hits0 = perf.counter("store.hit")
@@ -636,23 +646,38 @@ class ReproDaemon:
             response = error_response(
                 f"{type(exc).__name__}: {exc}", "failed"
             )
-        if self._finish_job(job, response):
-            # Count only the answer the client saw: a post-timeout result
-            # landing here was already reported as a timeout.
-            perf.incr(
-                "serve.jobs.completed"
-                if response.get("ok")
-                else "serve.jobs.failed"
-            )
+        # Count only the answer the client saw: a post-timeout result
+        # landing here was already reported as a timeout.
+        self._finish_job(
+            job, response,
+            "serve.jobs.completed" if response.get("ok")
+            else "serve.jobs.failed",
+        )
         if entry.poisoned:
             # We are the abandoned post-timeout thread: the pool no
             # longer references this optimizer, so reap it here.
             entry.optimizer.close()
 
-    def _finish_job(self, job: Job, response: Dict[str, Any]) -> bool:
-        committed = job.finish(response)
-        if committed:
+    def _finish_job(
+        self, job: Job, response: Dict[str, Any], outcome: str
+    ) -> None:
+        """Answer ``job`` unless already answered, counting ``outcome``.
+
+        The outcome counter, the latency and the in-flight count are all
+        committed before the client is woken, so a ``status`` sent after
+        the answer arrives already shows the job as finished.
+        """
+
+        def commit() -> None:
+            perf.incr(outcome)
             perf.observe(
                 "serve.job.latency", time.monotonic() - job.submitted
             )
-        return committed
+            self._release(job)
+
+        job.finish(response, commit)
+
+    def _release(self, job: Job) -> None:
+        """Drop ``job`` from the in-flight count (idempotent)."""
+        with self._state_lock:
+            self._running.discard(job.id)

@@ -1,5 +1,6 @@
 """Budget/limit behavior of area recovery."""
 
+from repro import perf
 from repro.adders import ripple_carry_adder
 from repro.aig import AIG, depth, po_tts
 from repro.cec import check_equivalence
@@ -65,7 +66,7 @@ def _pairwise_duplicates(num_pairs):
 
 
 def _counting_cnf(monkeypatch, calls):
-    """Patch area_recovery's AigCnf so every solver query is counted."""
+    """Patch area_recovery's AigCnf so every solver call is counted."""
 
     class CountingCnf(area_recovery_mod.AigCnf):
         def __init__(self, *args, **kwargs):
@@ -81,22 +82,33 @@ def _counting_cnf(monkeypatch, calls):
     monkeypatch.setattr(area_recovery_mod, "AigCnf", CountingCnf)
 
 
+def _swept_pairs(monkeypatch, max_pairs):
+    """Sweep four disjoint pairs; (pairs sent to the solver, solver calls).
+
+    A pair is proved with up to two solver calls, so pairs are counted
+    through ``area.sweep.queries`` and the calls only bounded by them.
+    """
+    calls = []
+    _counting_cnf(monkeypatch, calls)
+    before = perf.counter("area.sweep.queries")
+    swept = sat_sweep(_pairwise_duplicates(4), max_pairs=max_pairs)
+    assert check_equivalence(_pairwise_duplicates(4), swept)
+    return perf.counter("area.sweep.queries") - before, len(calls)
+
+
 def test_sweep_pair_budget_caps_total_queries(monkeypatch):
     # Four two-member classes offer four candidate pairs; a budget of two
     # must stop the scan globally — remaining classes may not keep
     # burning SAT queries after the budget is gone.
-    calls = []
-    _counting_cnf(monkeypatch, calls)
-    swept = sat_sweep(_pairwise_duplicates(4), max_pairs=2)
-    assert len(calls) == 2
-    assert check_equivalence(_pairwise_duplicates(4), swept)
+    pairs, calls = _swept_pairs(monkeypatch, max_pairs=2)
+    assert pairs == 2
+    assert calls <= 2 * pairs
 
 
 def test_sweep_uses_one_query_per_candidate_pair(monkeypatch):
-    calls = []
-    _counting_cnf(monkeypatch, calls)
-    sat_sweep(_pairwise_duplicates(4), max_pairs=100)
-    assert len(calls) == 4
+    pairs, calls = _swept_pairs(monkeypatch, max_pairs=100)
+    assert pairs == 4
+    assert calls <= 2 * pairs
 
 
 # -- redundancy-removal budgets ----------------------------------------------

@@ -6,7 +6,7 @@ under any ``PYTHONHASHSEED``.  Two things are pinned:
 * the ``write_aag`` text an optimize produces through the keyword
   constructor, a normalized job (``execute_optimize_job``) and the
   ``repro optimize`` CLI — the three ways an option set reaches the
-  optimizer;
+  optimizer — and the text area recovery alone produces;
 * the sorted ``(ns, key)`` rows a store-backed optimize writes to SQLite.
   Those keys are what a persistent store is looked up by, so a change to
   how any layer spells its options must leave them alone, or an existing
@@ -30,6 +30,7 @@ from repro.core import (
     LookaheadOptimizer,
     execute_optimize_job,
     normalize_job_config,
+    recover_area,
 )
 from repro.store import runtime as store_runtime
 
@@ -82,7 +83,8 @@ def test_constructor_output(circuit, extra, expected):
 # their golden configuration: an UNKNOWN is where the care check's search
 # reaches the output (DESIGN 3.19), so a change to the solver or to the
 # session's CNF may move these digests, and the counts show whether the
-# verdicts moved with them.
+# verdicts moved with them.  Area recovery's sweep and redundancy queries
+# reach the output the same way (DESIGN 3.18); they have none here.
 SEARCH_CASES = [
     ("C880", "5eb2f9510c23a17a", 3),
     ("C3540", "7f353b1e23b691a0", 4),
@@ -99,13 +101,43 @@ SEARCH_CASES = [
 )
 def test_search_dependent_output(circuit, expected, unknowns):
     aig = BENCHMARKS[circuit]()
-    before = perf.counter("secondary.sat.unknown")
+    names = (
+        "secondary.sat.unknown", "area.sweep.unknown",
+        "area.redundancy.unknown",
+    )
+    before = [perf.counter(name) for name in names]
     with LookaheadOptimizer(
         workers=1, **golden_config(circuit, aig.num_ands())
     ) as opt:
         out = opt.optimize(aig)
     assert _aag_digest(out) == expected
-    assert perf.counter("secondary.sat.unknown") - before == unknowns
+    counts = [perf.counter(name) - b for name, b in zip(names, before)]
+    assert counts == [unknowns, 0, 0]
+
+
+# Area recovery alone, at the optimizer's default effort.  Its output
+# depends on the SAT search only through a budget-exhausted (UNKNOWN)
+# sweep or redundancy query, or a ``max_pairs``/``max_checks`` cut-off
+# (DESIGN 3.18), so the UNKNOWN counts are pinned beside the digests.
+AREA_CASES = [
+    ("C432", "0fbfb6b37f6c2c97"),
+    ("sparc_tlu_intctl_flat", "e1e77626ec0fbaa6"),
+    ("lsu_excpctl_flat", "aa57c2fdd8d8c873"),
+]
+
+
+@pytest.mark.parametrize(
+    "circuit, expected", AREA_CASES, ids=[c[0] for c in AREA_CASES]
+)
+def test_area_recovery_output(circuit, expected):
+    before = {
+        name: perf.counter(name)
+        for name in ("area.sweep.unknown", "area.redundancy.unknown")
+    }
+    out = recover_area(BENCHMARKS[circuit](), effort="medium")
+    assert _aag_digest(out) == expected
+    for name, start in before.items():
+        assert perf.counter(name) - start == 0, name
 
 
 JOB_CASES = [

@@ -1,5 +1,7 @@
 """The incremental redundancy-removal engine and the effort pipeline."""
 
+import re
+
 import pytest
 
 from repro import perf
@@ -118,6 +120,20 @@ class TestRecoverArea:
         assert check_equivalence(aig, medium)
         assert low.num_ands() == 2
         assert medium.num_ands() == 0
+
+    def test_profile_report_lists_area_unknowns(self):
+        aig = AIG()
+        a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+        aig.add_po(aig.or_(aig.and_(a, b), aig.and_(a, c)))
+        aig.add_po(aig.and_(a, aig.or_(b, c)))
+        perf.reset()
+        recover_area(aig)
+        assert perf.counter("area.sweep.queries") > 0
+        # --profile prints this report; the counts are listed even at zero.
+        report = perf.report()
+        for name in ("area.sweep.unknown", "area.redundancy.unknown"):
+            assert re.search(rf"{re.escape(name)} +0\n", report), name
+        assert "sweep witness hit rate" in report
 
     def test_unknown_effort_rejected(self):
         with pytest.raises(ValueError, match="area effort"):

@@ -176,6 +176,31 @@ class TestSubmit:
         assert status["in_flight"] == 0
         assert status["queue_depth"] == 0
 
+    def test_status_after_answer_shows_job_finished(self, daemon, monkeypatch):
+        """A status sent once the answer arrives sees the job finished.
+
+        The job's thread is held right after it releases the answer, so
+        the count can only be right if it was committed before then.
+        """
+        release = threading.Event()
+        real_finish = daemon_module.Job.finish
+
+        def finish_then_hold(job, *args, **kwargs):
+            committed = real_finish(job, *args, **kwargs)
+            release.wait(60)
+            return committed
+
+        monkeypatch.setattr(daemon_module.Job, "finish", finish_then_hold)
+        client = _client(daemon)
+        try:
+            result = client.submit(_rca_text(), timeout=120)
+            status = client.status()
+        finally:
+            release.set()
+        assert result["ands"] > 0
+        assert status["in_flight"] == 0
+        assert status["jobs"]["completed"] == 1
+
 
 class TestRejection:
     def test_unknown_flow_is_bad_request(self, daemon):
