@@ -49,11 +49,10 @@ class BDD:
         if high == low:
             return high
         # Canonicalize: high edge must be regular.
-        out_neg = False
-        if ref_complemented(high):
-            high = ref_not(high)
-            low = ref_not(low)
-            out_neg = True
+        out_neg = high & 1
+        if out_neg:
+            high ^= 1
+            low ^= 1
         key = (var, high, low)
         node = self._unique.get(key)
         if node is None:
@@ -62,8 +61,7 @@ class BDD:
             self._high.append(high)
             self._low.append(low)
             self._unique[key] = node
-        ref = node << 1
-        return ref_not(ref) if out_neg else ref
+        return (node << 1) | out_neg
 
     def var(self, i: int) -> int:
         """Reference to the projection function ``x_i``."""
@@ -102,34 +100,48 @@ class BDD:
         if g == TRUE and h == FALSE:
             return f
         if g == FALSE and h == TRUE:
-            return ref_not(f)
+            return f ^ 1
         if g == f:
             g = TRUE
-        elif g == ref_not(f):
+        elif g == f ^ 1:
             g = FALSE
         if h == f:
             h = FALSE
-        elif h == ref_not(f):
+        elif h == f ^ 1:
             h = TRUE
-        # Normalize for cache hits: ensure f regular by output complement.
+        # Normalize for cache hits: ensure g regular by output complement.
         out_neg = False
-        if ref_complemented(g):
+        if g & 1:
             # ite(f,g,h) = !ite(f,!g,!h)
-            g, h = ref_not(g), ref_not(h)
+            g, h = g ^ 1, h ^ 1
             out_neg = True
         key = (f, g, h)
         cached = self._ite_cache.get(key)
         if cached is not None:
-            return ref_not(cached) if out_neg else cached
-        top = min(self.level_of(f), self.level_of(g), self.level_of(h))
-        f1, f0 = self.cofactors(f, top)
-        g1, g0 = self.cofactors(g, top)
-        h1, h0 = self.cofactors(h, top)
+            return cached ^ 1 if out_neg else cached
+        # Cofactors straight off the node arrays (the hot loop of every
+        # BDD build); same values as ``level_of``/``cofactors``.
+        var, high, low = self._var, self._high, self._low
+        fn, gn, hn = f >> 1, g >> 1, h >> 1
+        fv, gv, hv = var[fn], var[gn], var[hn]
+        top = min(fv, gv, hv)
+        if fv == top:
+            f1, f0 = high[fn] ^ (f & 1), low[fn] ^ (f & 1)
+        else:
+            f1 = f0 = f
+        if gv == top:
+            g1, g0 = high[gn] ^ (g & 1), low[gn] ^ (g & 1)
+        else:
+            g1 = g0 = g
+        if hv == top:
+            h1, h0 = high[hn] ^ (h & 1), low[hn] ^ (h & 1)
+        else:
+            h1 = h0 = h
         r1 = self.ite(f1, g1, h1)
         r0 = self.ite(f0, g0, h0)
         result = self._mk(top, r1, r0)
         self._ite_cache[key] = result
-        return ref_not(result) if out_neg else result
+        return result ^ 1 if out_neg else result
 
     # -- derived operations -------------------------------------------------------
 

@@ -25,7 +25,6 @@ lookahead optimizer calls it once per accepted round.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from ..aig import (
     AIG,
     CONST0,
     CONST1,
-    fanout_lists,
     lit_neg,
     lit_not,
     lit_notif,
@@ -277,14 +275,15 @@ class RedundancyEngine:
     don't-care-only redundancies are out of scope — those are exactly the
     ones that would invalidate the incremental encoding.
 
-    Candidate edges come off a fanout-driven worklist: every AND node is
-    visited once in topological order, and an accepted drop re-enqueues
-    only the fanouts of the collapsed node (their resolved fan-ins
-    changed), instead of restarting the scan from node zero.  A bounded
-    query returning unknown keeps the edge — timeouts can only cost
-    area, never correctness.  SAT counterexamples are harvested into new
-    signature columns (batched per :data:`_WITNESS_BATCH`) so each
-    testable edge pattern also prefilters its structural neighbours.
+    Candidate edges come from one pass over the AND nodes in topological
+    order, which stops once ``max_checks`` queries are spent.  A node
+    reads its fan-ins through the drops already accepted, and every
+    fanout of a collapsed node has a larger id, so cascades resolve in
+    that single pass with no revisit.  A bounded query returning unknown
+    keeps the edge — timeouts can only cost area, never correctness.
+    SAT counterexamples are harvested into new signature columns
+    (batched per :data:`_WITNESS_BATCH`) so each testable edge pattern
+    also prefilters its structural neighbours.
     """
 
     def __init__(
@@ -404,7 +403,7 @@ class RedundancyEngine:
             ns.put(key, True)
         return result is False
 
-    # -- the worklist pass ---------------------------------------------------
+    # -- the topological pass ------------------------------------------------
 
     def _try_node(self, var: int) -> bool:
         """Try to collapse ``var`` onto one of its resolved fan-ins."""
@@ -433,21 +432,9 @@ class RedundancyEngine:
         return False
 
     def run(self) -> AIG:
-        """One worklist pass; returns the rebuilt, cleaned AIG."""
-        fanouts = fanout_lists(self.aig)
-        queue = deque(self.aig.and_vars())
-        queued = set(queue)
-        while queue:
-            var = queue.popleft()
-            queued.discard(var)
-            if var in self.replacement:
-                continue
-            if self._try_node(var):
-                for fo in fanouts[var]:
-                    if fo not in queued and fo not in self.replacement:
-                        queue.append(fo)
-                        queued.add(fo)
-            elif self.checks >= self.max_checks:
+        """One topological pass; returns the rebuilt, cleaned AIG."""
+        for var in self.aig.and_vars():
+            if not self._try_node(var) and self.checks >= self.max_checks:
                 break
         return self._rebuild()
 

@@ -9,7 +9,7 @@ the optimal-depth trees assumed by the paper's level model.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from ..aig import AIG, CONST0, CONST1, lit_not, lit_var
 from ..sop import Cover, factor
@@ -17,6 +17,9 @@ from ..sop.factor import Expr
 from ..tt import TruthTable
 from .levels import min_sops
 from .network import Network
+
+#: (on-set, off-set) minimum SOPs, each with its factored form.
+_SopForms = Tuple[Tuple[Cover, Expr], Tuple[Cover, Expr]]
 
 
 class ArrivalAwareBuilder:
@@ -35,6 +38,9 @@ class ArrivalAwareBuilder:
 
         self.aig = aig
         self.engine = AigTimingEngine(aig, model)
+        # Factored min-SOP covers by local function: cut resynthesis meets
+        # the same function at many cuts, and factoring is its costly step.
+        self._factored: Dict[Tuple[int, int], _SopForms] = {}
 
     def level(self, lit: int) -> int:
         return self.engine.arrival(lit_var(lit))
@@ -47,12 +53,17 @@ class ArrivalAwareBuilder:
 
     def balanced(self, lits: Sequence[int], op: str) -> int:
         """Arrival-aware tree: always merge the two earliest operands."""
+        combine = self.and_ if op == "and" else self.or_
+        if len(lits) == 2:
+            # ``and_`` is symmetric: two operands need no arrivals.
+            return combine(lits[0], lits[1])
+        if len(lits) == 1:
+            return lits[0]
         if not lits:
             return CONST1 if op == "and" else CONST0
         heap = [(self.level(l), i, l) for i, l in enumerate(lits)]
         heapq.heapify(heap)
         counter = len(lits)
-        combine = self.and_ if op == "and" else self.or_
         while len(heap) > 1:
             _la, _ia, a = heapq.heappop(heap)
             _lb, _ib, b = heapq.heappop(heap)
@@ -92,9 +103,28 @@ class ArrivalAwareBuilder:
             terms.append(self.balanced(lits, "and"))
         return self.balanced(terms, "or")
 
-    def build_cover(self, cover: Cover, input_lits: Sequence[int]) -> int:
-        """Instantiate a cover: best of factored form and flat SOP."""
-        factored = self.build_expr(factor(cover), input_lits)
+    def factored_sops(self, tt: TruthTable) -> _SopForms:
+        """(on-set, off-set) min SOPs of ``tt``, each with its factored form.
+
+        Memoized per builder, so the memo lives as long as one synthesis
+        pass rather than the process.
+        """
+        key = (tt.bits, tt.nvars)
+        forms = self._factored.get(key)
+        if forms is None:
+            on_cover, off_cover = min_sops(tt)
+            forms = (
+                (on_cover, factor(on_cover)),
+                (off_cover, factor(off_cover)),
+            )
+            self._factored[key] = forms
+        return forms
+
+    def build_cover(
+        self, cover: Cover, expr: Expr, input_lits: Sequence[int]
+    ) -> int:
+        """Instantiate a cover: best of factored form ``expr`` and flat SOP."""
+        factored = self.build_expr(expr, input_lits)
         flat = self.build_cover_flat(cover, input_lits)
         if self.level(flat) < self.level(factored):
             return flat
@@ -109,9 +139,9 @@ def synthesize_node(
         return CONST0
     if tt.is_const1:
         return CONST1
-    on_cover, off_cover = min_sops(tt)
-    lit_on = builder.build_cover(on_cover, input_lits)
-    lit_off = lit_not(builder.build_cover(off_cover, input_lits))
+    (on_cover, on_expr), (off_cover, off_expr) = builder.factored_sops(tt)
+    lit_on = builder.build_cover(on_cover, on_expr, input_lits)
+    lit_off = lit_not(builder.build_cover(off_cover, off_expr, input_lits))
     if builder.level(lit_off) < builder.level(lit_on):
         return lit_off
     return lit_on

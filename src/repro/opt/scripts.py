@@ -67,11 +67,12 @@ def sis_minimize(aig: AIG) -> AIG:
 
 def sis_best(aig: AIG) -> AIG:
     """Best of the SIS-style scripts (delay / rugged / algebraic / speed_up)."""
+    minimized = sis_minimize(aig)  # neither speed_up nor balance mutates it
     candidates = [aig.extract()]
-    candidates.append(sis_minimize(aig))
+    candidates.append(minimized)
     candidates.append(speed_up(aig))
-    candidates.append(speed_up(sis_minimize(aig)))
-    candidates.append(balance(sis_minimize(aig)))
+    candidates.append(speed_up(minimized))
+    candidates.append(balance(minimized))
     return _best(candidates)
 
 

@@ -65,7 +65,9 @@ class AigTimingEngine(TimingEngine):
     extends the cached arrival array over any variables created since the
     last sync (counted as ``timing.recompute.incremental``), falling back
     to a full pass only on first use or when the model is fanout-sensitive
-    (fanouts of old nodes change as new readers appear).
+    (fanouts of old nodes change as new readers appear).  Under a
+    fanout-blind model an arrival already computed is final, so
+    :meth:`arrival` answers it without syncing.
     """
 
     def __init__(self, aig: AIG, model: Optional[DelayModel] = None):
@@ -157,6 +159,10 @@ class AigTimingEngine(TimingEngine):
         return self._arr
 
     def arrival(self, var: int) -> Number:
+        # Appending never changes a computed arrival unless the model
+        # reads fanout counts, so a settled one needs no sync.
+        if var < len(self._arr) and not self._fanout_sensitive:
+            return self._arr[var]
         self._sync()
         return self._arr[var]
 

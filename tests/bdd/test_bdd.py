@@ -1,10 +1,12 @@
 """Tests for the BDD package (against truth tables as the oracle)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import BDD, FALSE, TRUE, aig_to_bdd, ref_not
+from repro.bdd import BDD, FALSE, TRUE, aig_to_bdd, ref_complemented, ref_not
 from repro.tt import TruthTable
 from repro.aig import AIG, po_tts
 
@@ -148,3 +150,103 @@ class TestFromAig:
         f = aig.xor_many(xs)
         bdd = BDD()
         assert aig_to_bdd(bdd, aig, [f], size_limit=3) is None
+
+
+class ReferenceBDD(BDD):
+    """``ite`` written through ``level_of``/``cofactors``/``ref_not``.
+
+    The textbook recursion the array-reading ``BDD.ite`` must match call
+    for call: same terminal cases, cache keys, recursion order and
+    ``_mk`` calls, hence the same nodes allocated in the same order.
+    """
+
+    def ite(self, f, g, h):
+        if f == TRUE:
+            return g
+        if f == FALSE:
+            return h
+        if g == h:
+            return g
+        if g == TRUE and h == FALSE:
+            return f
+        if g == FALSE and h == TRUE:
+            return ref_not(f)
+        if g == f:
+            g = TRUE
+        elif g == ref_not(f):
+            g = FALSE
+        if h == f:
+            h = FALSE
+        elif h == ref_not(f):
+            h = TRUE
+        out_neg = False
+        if ref_complemented(g):
+            g, h = ref_not(g), ref_not(h)
+            out_neg = True
+        key = (f, g, h)
+        cached = self._ite_cache.get(key)
+        if cached is not None:
+            return ref_not(cached) if out_neg else cached
+        top = min(self.level_of(f), self.level_of(g), self.level_of(h))
+        f1, f0 = self.cofactors(f, top)
+        g1, g0 = self.cofactors(g, top)
+        h1, h0 = self.cofactors(h, top)
+        r1 = self.ite(f1, g1, h1)
+        r0 = self.ite(f0, g0, h0)
+        result = self._mk(top, r1, r0)
+        self._ite_cache[key] = result
+        return ref_not(result) if out_neg else result
+
+
+def _random_formulas(bdd, seed, nvars=7, steps=100):
+    """Refs of a random operation sequence (replayable on any manager)."""
+    rng = random.Random(seed)
+    pool = [TRUE, FALSE]
+    for i in rng.sample(range(nvars), nvars):
+        pool.append(bdd.var(i) ^ rng.getrandbits(1))
+    out = []
+    for _ in range(steps):
+        op = rng.randrange(6)
+        f, g, h = (rng.choice(pool) ^ rng.getrandbits(1) for _ in range(3))
+        if op == 0:
+            r = bdd.and_(f, g)
+        elif op == 1:
+            r = bdd.or_(f, g)
+        elif op == 2:
+            r = bdd.xor_(f, g)
+        elif op == 3:
+            r = bdd.ite(f, g, h)
+        elif op == 4:
+            r = bdd.compose(f, rng.randrange(nvars), g)
+        else:
+            r = bdd.exists(f, [rng.randrange(nvars)])
+        pool.append(r)
+        out.append(r)
+    return out
+
+
+class TestIteReference:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_same_refs_and_node_arrays(self, seed):
+        fast, ref = BDD(), ReferenceBDD()
+        assert _random_formulas(fast, seed) == _random_formulas(ref, seed)
+        assert fast._var == ref._var
+        assert fast._high == ref._high
+        assert fast._low == ref._low
+        assert fast._ite_cache == ref._ite_cache
+        assert fast.size() > 20  # the formulas reached real BDDs
+
+    @given(tt_strategy(5), tt_strategy(5))
+    @settings(deadline=None, max_examples=40)
+    def test_same_nodes_from_truth_tables(self, t1, t2):
+        n = max(t1.nvars, t2.nvars)
+        t1, t2 = t1.extend(n), t2.extend(n)
+        managers = (BDD(), ReferenceBDD())
+        refs = []
+        for bdd in managers:
+            a, b = tt_to_bdd(bdd, t1), tt_to_bdd(bdd, t2)
+            refs.append((a, b, bdd.and_(a, b), bdd.xor_(a, ref_not(b))))
+        assert refs[0] == refs[1]
+        fast, ref = managers
+        assert (fast._var, fast._high, fast._low) == \
+            (ref._var, ref._high, ref._low)

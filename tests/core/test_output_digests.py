@@ -6,7 +6,8 @@ under any ``PYTHONHASHSEED``.  Two things are pinned:
 * the ``write_aag`` text an optimize produces through the keyword
   constructor, a normalized job (``execute_optimize_job``) and the
   ``repro optimize`` CLI — the three ways an option set reaches the
-  optimizer — and the text area recovery alone produces;
+  optimizer — and the text area recovery alone and the conventional
+  flows produce;
 * the sorted ``(ns, key)`` rows a store-backed optimize writes to SQLite.
   Those keys are what a persistent store is looked up by, so a change to
   how any layer spells its options must leave them alone, or an existing
@@ -32,6 +33,7 @@ from repro.core import (
     normalize_job_config,
     recover_area,
 )
+from repro.opt import abc_resyn2rs, dc_map_effort_high, sis_best
 from repro.store import runtime as store_runtime
 
 CIRCUITS = {
@@ -140,6 +142,26 @@ def test_area_recovery_output(circuit, expected):
         assert perf.counter(name) - start == 0, name
 
 
+# The conventional flows: Table 2's baseline columns, and the
+# conventional half of every ``lookahead`` flow.
+FLOW_CASES = [
+    ("C432", sis_best, "50284eb801dbddee"),
+    ("C432", abc_resyn2rs, "f1962c72659871d8"),
+    ("C432", dc_map_effort_high, "0c25e0ec9684058a"),
+    ("adder8", sis_best, "5f60a6f05a1301d6"),
+    ("adder8", abc_resyn2rs, "5b1b33dcb7de630c"),
+    ("adder8", dc_map_effort_high, "f08466760ccd2975"),
+]
+
+
+@pytest.mark.parametrize(
+    "circuit, flow, expected", FLOW_CASES,
+    ids=[f"{c[0]}-{c[1].__name__}" for c in FLOW_CASES],
+)
+def test_conventional_flow_output(circuit, flow, expected):
+    assert _aag_digest(flow(CIRCUITS[circuit]())) == expected
+
+
 JOB_CASES = [
     ("C432", {"flow": "lookahead"}, 1, "fb22f0c8d789952a"),
     ("adder16", {"flow": "lookahead-only"}, 1, "493cd955e70aecac"),
@@ -153,6 +175,8 @@ JOB_CASES = [
     ("C432", {"flow": "lookahead-only", "spcf_tier": "signature",
               "area_recovery": False}, 1, "847d3636530a25d3"),
     ("C432", {"flow": "lookahead-only", **GOLDEN_W1}, 1, "79b0b385fee3fe4a"),
+    # The conventional flow and the BDD SPCF domain (17 PIs) in one job.
+    ("adder8", {"flow": "lookahead"}, 1, "77a1e78ee6317df4"),
 ]
 
 

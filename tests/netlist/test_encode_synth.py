@@ -1,5 +1,6 @@
 """Tests for network CNF encoding and network->AIG synthesis."""
 
+import heapq
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adders import ripple_carry_adder
-from repro.aig import AIG, po_tts
+from repro.aig import AIG, CONST0, CONST1, lit_not, lit_var, po_tts
 from repro.bench import BENCHMARKS
 from repro.netlist import (
     ArrivalAwareBuilder,
@@ -20,6 +21,8 @@ from repro.netlist import (
 )
 from repro.netlist.encode import extend_encoding, topo_rank
 from repro.sat import Solver
+from repro.sop import factor
+from repro.timing import AigTimingEngine, LoadAwareDelay, PrescribedArrival
 from repro.tt import TruthTable
 
 from ..aig.test_aig import random_aig
@@ -186,3 +189,134 @@ class TestSynthesis:
         # Create nodes behind the builder's back.
         deep = aig.and_(aig.and_(a, b), aig.and_(a ^ 1, b) ^ 1)
         assert builder.level(deep) == 2
+
+
+class ReferenceBuilder:
+    """Arrival-aware synthesis with no shortcuts.
+
+    Every tree goes through the heap, every cover is factored on every
+    use, and every arrival query syncs the timing engine.
+    ``ArrivalAwareBuilder`` + ``synthesize_node`` must build exactly the
+    same AIG.
+    """
+
+    def __init__(self, aig, model):
+        self.aig = aig
+        self.engine = AigTimingEngine(aig, model)
+
+    def level(self, lit):
+        return self.engine.arrivals()[lit_var(lit)]
+
+    def balanced(self, lits, op):
+        if not lits:
+            return CONST1 if op == "and" else CONST0
+        heap = [(self.level(l), i, l) for i, l in enumerate(lits)]
+        heapq.heapify(heap)
+        counter = len(lits)
+        while len(heap) > 1:
+            a = heapq.heappop(heap)[2]
+            b = heapq.heappop(heap)[2]
+            if op == "and":
+                out = self.aig.and_(a, b)
+            else:
+                out = lit_not(self.aig.and_(lit_not(a), lit_not(b)))
+            heapq.heappush(heap, (self.level(out), counter, out))
+            counter += 1
+        return heap[0][2]
+
+    def build_expr(self, expr, ins):
+        if expr.kind == "const0":
+            return CONST0
+        if expr.kind == "const1":
+            return CONST1
+        if expr.kind == "lit":
+            var, pol = expr.lit
+            return ins[var] if pol else lit_not(ins[var])
+        children = [self.build_expr(c, ins) for c in expr.children]
+        return self.balanced(children, expr.kind)
+
+    def build_cover(self, cover, ins):
+        factored = self.build_expr(factor(cover), ins)
+        if cover.is_empty():
+            flat = CONST0
+        else:
+            terms = [
+                self.balanced(
+                    [ins[v] if pol else lit_not(ins[v])
+                     for v, pol in cube.literals()],
+                    "and",
+                )
+                for cube in cover
+            ]
+            flat = self.balanced(terms, "or")
+        return flat if self.level(flat) < self.level(factored) else factored
+
+    def synthesize(self, tt, ins):
+        if tt.is_const0:
+            return CONST0
+        if tt.is_const1:
+            return CONST1
+        on_cover, off_cover = min_sops(tt)
+        lit_on = self.build_cover(on_cover, ins)
+        lit_off = lit_not(self.build_cover(off_cover, ins))
+        return lit_off if self.level(lit_off) < self.level(lit_on) else lit_on
+
+
+SYNTH_MODELS = {
+    "unit": lambda: None,
+    "prescribed": lambda: PrescribedArrival(
+        {"x0": 3, "x2": 1, "x5": 4, "x6": 2}
+    ),
+    # Fanout-sensitive: old arrivals move as readers are appended, so the
+    # engine's settled-arrival shortcut must stay off.
+    "load": lambda: LoadAwareDelay(arrivals={"x1": 40.0, "x4": 25.0}),
+}
+
+
+def _synthesis_trace(seed, model_name, use_reference):
+    """Synthesize random local functions over growing shared structure."""
+    rng = random.Random(seed)
+    aig = AIG()
+    model = SYNTH_MODELS[model_name]()
+    if use_reference:
+        ref = ReferenceBuilder(aig, model)
+        synth = ref.synthesize
+    else:
+        builder = ArrivalAwareBuilder(aig, model)
+
+        def synth(tt, ins):
+            return synthesize_node(builder, tt, ins)
+
+    signals = [aig.add_pi(f"x{i}") for i in range(8)]
+    # A small pool of local functions, so the same function recurs on
+    # different inputs (as at the many cuts of one resynthesis pass).
+    pool = []
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        pool.append(TruthTable(rng.getrandbits(1 << n), n))
+    lits = []
+    for _ in range(25):
+        tt = rng.choice(pool)
+        ins = [
+            s ^ rng.getrandbits(1)
+            for s in rng.sample(signals, tt.nvars)
+        ]
+        lit = synth(tt, ins)
+        lits.append(lit)
+        if lit_var(lit) > 0:
+            signals.append(lit)
+        if rng.random() < 0.2:
+            # A node created outside the builder.
+            a, b = rng.sample(signals, 2)
+            signals.append(aig.and_(a, b ^ 1))
+    return lits, aig._fanin0, aig._fanin1
+
+
+class TestSynthesisReference:
+    @pytest.mark.parametrize("model_name", sorted(SYNTH_MODELS))
+    @pytest.mark.parametrize("seed", range(16))
+    def test_same_aig_as_reference_builder(self, seed, model_name):
+        got = _synthesis_trace(seed, model_name, use_reference=False)
+        want = _synthesis_trace(seed, model_name, use_reference=True)
+        assert got == want
+        assert len(got[1]) > 30  # the trace built real structure

@@ -8,6 +8,7 @@ from repro.netlist import compute_levels, renode
 from repro.timing import (
     INF,
     AigTimingEngine,
+    LoadAwareDelay,
     NetworkTimingEngine,
     PrescribedArrival,
     UnitDelay,
@@ -96,6 +97,21 @@ class TestIncrementalEqualsFull:
             lits.append(aig.and_(a, b))
         fresh = AigTimingEngine(aig)
         assert list(engine.arrivals()) == list(fresh.arrivals())
+
+    def test_arrival_queries_track_appends(self):
+        # ``arrival(var)`` answers settled variables without a sync; under
+        # a fanout-sensitive model an appended reader must still move them.
+        for model in (PrescribedArrival({"pi0": 2}), LoadAwareDelay()):
+            aig = random_aig(5)
+            engine = AigTimingEngine(aig, model)
+            old = [engine.arrival(v) for v in range(aig.num_vars)]
+            x = aig.pis[1] * 2
+            for var in list(aig.and_vars())[:6]:
+                aig.and_(var * 2, x ^ 1)
+            fresh = AigTimingEngine(aig, model)
+            got = [engine.arrival(v) for v in range(aig.num_vars)]
+            assert got == list(fresh.arrivals())
+            assert (got[: len(old)] != old) == engine._fanout_sensitive
 
     def test_invalidate_recovers(self):
         aig = random_aig(3)
