@@ -7,13 +7,13 @@ models are provided:
 * :class:`ExactModel` — global truth tables over the PIs (small circuits);
 * :class:`SignatureModel` — packed random-simulation signatures (any size).
 
-Both expose the same small algebra (literal/conj/complement/count) so the
-core algorithms are mode-agnostic.
+All of them expose the same small algebra (literal/conj/complement/count/
+is_zero) so the core algorithms are mode-agnostic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..netlist import Network, min_sops
 from ..sop import Cube
@@ -55,6 +55,9 @@ class ExactModel:
 
     def count(self, fn: TruthTable) -> int:
         return fn.count_ones()
+
+    def is_zero(self, fn: TruthTable) -> bool:
+        return fn.is_const0
 
     def cube_condition(self, nid: int, cube: Cube) -> TruthTable:
         """Global condition: node ``nid``'s fan-ins lie inside ``cube``."""
@@ -158,6 +161,11 @@ class BddModel:
     def count(self, fn: int) -> int:
         return self.bdd.sat_count(fn, self.num_pis)
 
+    def is_zero(self, fn: int) -> bool:
+        from ..bdd import FALSE
+
+        return fn == FALSE  # canonical: the empty function has one ref
+
     def cube_condition(self, nid: int, cube: Cube) -> int:
         node = self.net.nodes[nid]
         terms = [
@@ -203,33 +211,25 @@ class SignatureModel:
         self.recompute()
 
     def recompute(self) -> None:
-        fns: Dict[int, int] = {}
-        for pi, word in zip(self.net.pis, self.pi_words):
-            fns[pi] = word & self.mask
-        for nid in self.net.topo_order():
-            node = self.net.nodes[nid]
-            fanin_words = [fns[f] for f in node.fanins]
-            fns[nid] = self._eval_node(node.tt, fanin_words)
-        self.fns = fns
+        """Re-evaluate every node (after nodes were added, say)."""
+        self.fns = {
+            pi: word & self.mask
+            for pi, word in zip(self.net.pis, self.pi_words)
+        }
+        self.update(self.net.topo_order())
 
-    def _eval_node(self, tt: TruthTable, fanin_words: List[int]) -> int:
-        if tt.is_const0:
-            return 0
-        if tt.is_const1:
-            return self.mask
-        on_cover, _off = min_sops(tt)
-        out = 0
-        for cube in on_cover:
-            term = self.mask
-            for var, pol in cube.literals():
-                w = fanin_words[var]
-                term &= w if pol else (w ^ self.mask)
-                if not term:
-                    break
-            out |= term
-            if out == self.mask:
-                break
-        return out
+    def update(self, nids: Iterable[int]) -> None:
+        """Re-evaluate ``nids``, given in topological order, in place.
+
+        After ``set_function(nid, ...)`` the words that change are those
+        of ``nid``'s transitive fanout; every other word stays valid.
+        """
+        fns = self.fns
+        nodes = self.net.nodes
+        mask = self.mask
+        for nid in nids:
+            node = nodes[nid]
+            fns[nid] = eval_words(node.tt, [fns[f] for f in node.fanins], mask)
 
     def fn(self, nid: int) -> int:
         return self.fns[nid]
@@ -251,6 +251,9 @@ class SignatureModel:
     def count(self, fn: int) -> int:
         return bin(fn).count("1")
 
+    def is_zero(self, fn: int) -> bool:
+        return fn == 0
+
     def cube_condition(self, nid: int, cube: Cube) -> int:
         node = self.net.nodes[nid]
         terms = [
@@ -270,3 +273,28 @@ class SignatureModel:
             return 0.0
         hit = self.count(spcf_fn & self.cube_condition(nid, cube))
         return hit / total
+
+
+def eval_words(tt: TruthTable, fanin_words: List[int], mask: int) -> int:
+    """Bit-parallel value of a local function over packed fan-in words.
+
+    Bit ``w`` of the result is ``tt`` applied to bit ``w`` of every
+    fan-in word, for the bits set in ``mask``.
+    """
+    if tt.is_const0:
+        return 0
+    if tt.is_const1:
+        return mask
+    on_cover, _off = min_sops(tt)
+    out = 0
+    for cube in on_cover:
+        term = mask
+        for var, pol in cube.literals():
+            w = fanin_words[var]
+            term &= w if pol else (w ^ mask)
+            if not term:
+                break
+        out |= term
+        if out == mask:
+            break
+    return out

@@ -2,24 +2,26 @@
 
 Cubes of a node's on/off minimum SOPs that are *unreachable* when Σ1 = 0
 become don't-cares and the node function is re-minimized (the paper,
-Sec. 3.1).  Unreachability is proved, never guessed: the exact model counts
-minterms exactly; the signature model pre-filters with simulation and
-confirms with a SAT query spanning the (Σ1-bearing) primary network and the
-current secondary network, so correctness never rests on the estimator.
+Sec. 3.1).  Unreachability is proved, never guessed: the exact models test
+the care condition for emptiness; the signature model pre-filters with
+simulation and confirms with a SAT query spanning the (Σ1-bearing) primary
+network and the current secondary network, so correctness never rests on
+the estimator.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import perf
-from ..netlist import Network, compute_levels, min_sops, node_level
+from ..netlist import Network, min_sops
 from ..netlist.encode import StrashTable, extend_encoding, topo_rank
 from ..sat import Solver
 from ..sop import Cube
+from ..timing import NetworkTimingEngine
 from ..tt import TruthTable
-from .model import ExactModel, SignatureModel
+from .model import ExactModel, SignatureModel, eval_words
 from .simplify import complete_function
 
 MINTERM_GRANULARITY_LIMIT = 8
@@ -30,18 +32,97 @@ WITNESS_POOL_LIMIT = 1024
 
 
 class ExactCareChecker:
-    """Unreachability by exact counting over global truth tables."""
+    """Unreachability by exact emptiness tests on global functions.
+
+    The model is an :class:`ExactModel` or a ``BddModel``: both are
+    canonical, so a care condition is empty iff it is the domain's zero,
+    and no minterm needs counting.
+    """
 
     def __init__(self, model: ExactModel, care_fn):
         self.model = model
         self.care_fn = care_fn
 
-    def refresh(self) -> None:
+    def refresh(self, nid: int) -> None:
+        """Recompute the model after ``set_function(nid, ...)``.
+
+        The whole model is recomputed; ``nid`` is accepted so both
+        checkers share one refresh path.
+        """
         self.model.recompute()
 
     def cube_unreachable(self, nid: int, cube: Cube) -> bool:
         cond = self.model.cube_condition(nid, cube)
-        return self.model.count(self.model.conj([self.care_fn, cond])) == 0
+        return self.model.is_zero(self.model.conj([self.care_fn, cond]))
+
+
+class WitnessPool:
+    """Pooled reachability witnesses and their values on a network.
+
+    A witness is a PI assignment; the pool keeps one word per node whose
+    bit ``w`` is the node's value under witness ``w``.  Node words are
+    filled lazily: :meth:`condition` evaluates, bit-parallel over every
+    witness, only the part of the fan-in cones it reads that holds no
+    word yet.  A new witness drops every node word (each needs one more
+    bit), and :meth:`invalidate` drops the words of mutated nodes; PI
+    words always hold every witness.
+    """
+
+    def __init__(self, net: Network, rank: Dict[int, int]):
+        self.net = net
+        self.rank = rank
+        self.size = 0
+        self.words: Dict[int, int] = {pi: 0 for pi in net.pis}
+
+    def add(self, assignment: Sequence[bool]) -> None:
+        """Pool one witness (a value per PI, in ``net.pis`` order)."""
+        bit = 1 << self.size
+        self.size += 1
+        words = self.words
+        self.words = {
+            pi: (words[pi] | bit) if value else words[pi]
+            for pi, value in zip(self.net.pis, assignment)
+        }
+
+    def invalidate(self, nids: Iterable[int]) -> None:
+        """Drop the words of nodes whose global function changed."""
+        words = self.words
+        for nid in nids:
+            words.pop(nid, None)
+
+    def condition(self, nid: int, cube: Cube) -> int:
+        """Witnesses under which ``nid``'s fan-ins lie inside ``cube``."""
+        fanins = self.net.nodes[nid].fanins
+        literals = list(cube.literals())
+        self._fill([fanins[var] for var, _ in literals])
+        words = self.words
+        mask = (1 << self.size) - 1
+        out = mask
+        for var, pol in literals:
+            word = words[fanins[var]]
+            out &= word if pol else word ^ mask
+            if not out:
+                break
+        return out
+
+    def _fill(self, roots: List[int]) -> None:
+        """Give every node in the fan-in cones of ``roots`` its word."""
+        words = self.words
+        nodes = self.net.nodes
+        stale = set()
+        stack = list(roots)
+        while stack:
+            nid = stack.pop()
+            if nid in words or nid in stale:
+                continue
+            stale.add(nid)
+            stack.extend(nodes[nid].fanins)
+        mask = (1 << self.size) - 1
+        for nid in sorted(stale, key=self.rank.__getitem__):
+            node = nodes[nid]
+            words[nid] = eval_words(
+                node.tt, [words[f] for f in node.fanins], mask
+            )
 
 
 class SatCareChecker:
@@ -52,8 +133,8 @@ class SatCareChecker:
     *current* secondary network, sharing PIs.  One incremental
     :class:`Solver` session answers every query with one solve at
     :attr:`max_conflicts` that branches on the PIs only (see
-    :meth:`_ensure_solver`); a query that exhausts the budget is solved
-    once more, at the same budget, branching on every variable.
+    :meth:`_encode_sigma_cone`); a query that exhausts the budget is
+    solved once more, at the same budget, branching on every variable.
 
     An UNSAT answer is a proof and a SAT answer carries a *witness* (the
     model's PI assignment reaches the queried cube outside the window), so
@@ -61,10 +142,11 @@ class SatCareChecker:
     depend on how the session searched.  Witnesses stay valid for the
     checker's whole lifetime — they satisfy !Σ1 against the primary
     network, which is never mutated during secondary simplification — so
-    they are pooled and replayed through the *current* secondary network
-    before later queries go to SAT.  On circuits whose window covers the
-    random patterns (``care_sig == 0``, where the simulation pre-filter
-    never fires) the pool removes almost every satisfiable SAT call.
+    they are pooled (:class:`WitnessPool`) and replayed through the
+    *current* secondary network before later queries go to SAT.  On
+    circuits whose window covers the random patterns (``care_sig == 0``,
+    where the simulation pre-filter never fires) the pool removes almost
+    every satisfiable SAT call.
 
     Proofs are memoized: the :meth:`_query_key` of every proved query
     goes into a set the checker owns and keeps across :meth:`refresh`, so
@@ -90,32 +172,81 @@ class SatCareChecker:
         self._proved: Set[Tuple] = set()
         self._solver: Optional[Solver] = None
         self._strash: Optional[StrashTable] = None
+        # The session right after Σ1's cone is encoded, before any solve:
+        # every session of this checker starts from a copy of it.
+        self._base: Optional[Tuple[Solver, StrashTable]] = None
         self._sec_vars: Dict[int, int] = {}
         self._pi_vars: List[int] = []
         self._sigma_var = 0
-        self._witness_pis: List[List[bool]] = []
-        self._wit_model: Optional[SignatureModel] = None
-        # Topological ranks, computed once per network: ``set_function``
-        # keeps the structure, so they outlive :meth:`refresh`.
-        self._prim_rank: Optional[Dict[int, int]] = None
-        self._sec_rank: Optional[Dict[int, int]] = None
+        # ``set_function`` keeps the structure, so the secondary network's
+        # topological rank and fanouts hold for the checker's lifetime.
+        self._sec_rank = topo_rank(secondary_net)
+        self._sec_fanouts: Optional[Dict[int, List[int]]] = None
+        self._witnesses = WitnessPool(secondary_net, self._sec_rank)
         self._sigma_fp: Optional[int] = None
         self._sec_fps: Optional[Dict[int, int]] = None
 
-    def refresh(self) -> None:
-        """Invalidate the encoding after a secondary-network mutation."""
-        self.sig_model.recompute()
-        # The structural-hash table names the dropped solver's variables.
+    def refresh(self, nid: int) -> None:
+        """Update the state after ``set_function(nid, ...)``.
+
+        Only ``nid``'s transitive fanout changes its global function.  Its
+        signature words and query fingerprints are re-evaluated in place,
+        its witness words are dropped (the next lookup refills the ones it
+        reads), and the session restarts from Σ1's snapshot at the next
+        query past the fast paths: the secondary encoding names the old
+        functions.
+        """
+        cone = self._fanout_cone(nid)
+        perf.incr("secondary.refresh.nodes", len(cone))
+        self.sig_model.update(cone)
+        fps = self._sec_fps
+        if fps is not None:
+            net = self.secondary_net
+            for n in cone:
+                fps[n] = net.node_fingerprint(n, fps)
+        self._witnesses.invalidate(cone)
         self._solver = None
         self._strash = None
-        self._sec_fps = None
-        # Witness PI assignments survive (the primary net is immutable
-        # here), but their node values must be re-derived from the
-        # mutated secondary network.
-        self._wit_model = None
+
+    def _fanout_cone(self, nid: int) -> List[int]:
+        """``nid`` and its transitive fanout, in topological order."""
+        if self._sec_fanouts is None:
+            self._sec_fanouts = self.secondary_net.fanout_map()
+        fanouts = self._sec_fanouts
+        cone = {nid}
+        stack = [nid]
+        while stack:
+            for out in fanouts[stack.pop()]:
+                if out not in cone:
+                    cone.add(out)
+                    stack.append(out)
+        return sorted(cone, key=self._sec_rank.__getitem__)
 
     def _ensure_solver(self) -> Solver:
-        """The session's solver, encoding Σ1's cone on first use.
+        """The session's solver: a copy of Σ1's snapshot, made on first use.
+
+        The first session of the checker encodes Σ1's cone
+        (:meth:`_encode_sigma_cone`) and keeps that state as the
+        snapshot; every later session restarts from a copy of it, so it
+        begins exactly as a freshly encoded one, with no clause, learned
+        fact or heuristic state of the sessions before it.
+        """
+        if self._solver is None:
+            if self._base is None:
+                self._base = self._encode_sigma_cone()
+                perf.incr("secondary.session.built")
+            else:
+                perf.incr("secondary.session.restored")
+            solver, strash = self._base
+            self._solver = solver.copy()
+            self._strash = dict(strash)
+            self._sec_vars = dict(zip(self.secondary_net.pis, self._pi_vars))
+        return self._solver
+
+    def _encode_sigma_cone(self) -> Tuple[Solver, StrashTable]:
+        """A new solver holding Σ1's cone, and its structural-hash table.
+
+        Also sets the PI and Σ1 variables, which every copy shares.
 
         Only Σ1's cone of the primary network is encoded: the query only
         constrains Σ1, and a SAT answer is a *total* assignment of every
@@ -134,24 +265,18 @@ class SatCareChecker:
         fixes once the PIs are set, so the restricted search is complete
         and its SAT models are PI assignments the witness pool replays.
         """
-        if self._solver is None:
-            solver = Solver()
-            self._strash = {}
-            primary = self.primary_net
-            if self._prim_rank is None:
-                self._prim_rank = topo_rank(primary)
-                self._sec_rank = topo_rank(self.secondary_net)
-            self._pi_vars = [solver.new_var() for _ in primary.pis]
-            solver.branch_on(self._pi_vars)
-            prim_vars = dict(zip(primary.pis, self._pi_vars))
-            extend_encoding(
-                solver, primary, [self.sigma_nid], prim_vars,
-                self._prim_rank, self._strash,
-            )
-            self._sigma_var = prim_vars[self.sigma_nid]
-            self._sec_vars = dict(zip(self.secondary_net.pis, self._pi_vars))
-            self._solver = solver
-        return self._solver
+        solver = Solver()
+        strash: StrashTable = {}
+        primary = self.primary_net
+        self._pi_vars = [solver.new_var() for _ in primary.pis]
+        solver.branch_on(self._pi_vars)
+        prim_vars = dict(zip(primary.pis, self._pi_vars))
+        extend_encoding(
+            solver, primary, [self.sigma_nid], prim_vars,
+            topo_rank(primary), strash,
+        )
+        self._sigma_var = prim_vars[self.sigma_nid]
+        return solver, strash
 
     def _require_sec_cone(self, roots: List[int]) -> None:
         """Lazily encode the fan-in cones of ``roots`` into the session.
@@ -203,69 +328,14 @@ class SatCareChecker:
         )
         return (self._sigma_fp, lits)
 
-    # -- witness pool ------------------------------------------------------
-
-    def _witness_model(self) -> Optional[SignatureModel]:
-        """Witness node values over the current secondary network."""
-        if not self._witness_pis:
-            return None
-        if (
-            self._wit_model is None
-            or self._wit_model.width != len(self._witness_pis)
-        ):
-            width = len(self._witness_pis)
-            pi_words = []
-            for i in range(len(self.secondary_net.pis)):
-                word = 0
-                for w, assignment in enumerate(self._witness_pis):
-                    if assignment[i]:
-                        word |= 1 << w
-                pi_words.append(word)
-            self._wit_model = SignatureModel(
-                self.secondary_net, pi_words, width
-            )
-        return self._wit_model
-
     def _harvest_witness(self) -> None:
         """Pool the session's SAT model's PI assignment as a witness."""
-        if len(self._witness_pis) >= WITNESS_POOL_LIMIT:
+        if self._witnesses.size >= WITNESS_POOL_LIMIT:
             return
         solver = self._solver
-        assignment = [bool(solver.model_value(sv)) for sv in self._pi_vars]
-        self._witness_pis.append(assignment)
-        if self._wit_model is not None:
-            self._extend_witness_model(assignment)
-
-    def _extend_witness_model(self, assignment: List[bool]) -> None:
-        """Append one witness column to the packed model in place.
-
-        Cheaper than a full rebuild per harvest: one scalar evaluation
-        pass through the secondary network, OR-ing the new bit into every
-        node's packed word.  Constant nodes need the pass too — their
-        packed words were built against the old (narrower) mask.
-        """
-        wm = self._wit_model
-        bit = 1 << wm.width
-        wm.width += 1
-        wm.mask = (wm.mask << 1) | 1
-        vals: Dict[int, bool] = {}
-        for i, (pi, v) in enumerate(
-            zip(self.secondary_net.pis, assignment)
-        ):
-            vals[pi] = v
-            if v:
-                wm.pi_words[i] |= bit
-                wm.fns[pi] |= bit
-        for nid in self._sec_rank:  # keys in topological order
-            node = self.secondary_net.nodes[nid]
-            m = 0
-            for j, f in enumerate(node.fanins):
-                if vals[f]:
-                    m |= 1 << j
-            v = bool(node.tt.value(m))
-            vals[nid] = v
-            if v:
-                wm.fns[nid] |= bit
+        self._witnesses.add(
+            [bool(solver.model_value(sv)) for sv in self._pi_vars]
+        )
 
     def cube_unreachable(self, nid: int, cube: Cube) -> bool:
         # Fast path: any care-set simulation pattern inside the cube proves
@@ -275,8 +345,7 @@ class SatCareChecker:
             return False
         # Second fast path: a pooled witness inside the cube is a known
         # !Σ1 assignment, i.e. a reachability proof without the solver.
-        wit = self._witness_model()
-        if wit is not None and wit.cube_condition(nid, cube):
+        if self._witnesses.size and self._witnesses.condition(nid, cube):
             perf.incr("secondary.witness.hit")
             return False
         key = self._query_key(nid, cube)
@@ -332,11 +401,14 @@ def secondary_simplify(
 
     Mutates ``net``; returns the number of nodes whose function changed.
     Nodes are processed in topological order and the checker is refreshed
-    after every mutation, so each proof is against the current network.
+    with every mutated node, so each proof is against the current network.
+    ``set_function`` keeps the structure, so the order is computed once
+    and one timing engine re-evaluates only the mutated nodes' fanout.
     """
     root, _neg = net.pos[po_index]
     cone = net.fanin_cone([root])
-    levels = compute_levels(net)
+    timing = NetworkTimingEngine(net)
+    levels = timing.levels()
     changed = 0
     for nid in net.topo_order():
         if nid not in cone:
@@ -370,6 +442,7 @@ def secondary_simplify(
             continue
         net.set_function(nid, new_tt)
         changed += 1
-        checker.refresh()
-        levels = compute_levels(net)
+        checker.refresh(nid)
+        timing.invalidate(nid)
+        levels = timing.levels()
     return changed

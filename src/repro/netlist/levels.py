@@ -11,23 +11,30 @@ with the classic Huffman-style merge of the two earliest arrivals.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ..sop import Cover, min_sop
 from ..tt import TruthTable
 from .network import Network
 
-_SOP_CACHE: Dict[Tuple[int, int], Tuple[Cover, Cover]] = {}
+SOP_CACHE_SIZE = 8192
+"""Local functions whose minimum SOPs :func:`min_sops` keeps.
+
+Well above what one process meets in practice (649 distinct functions
+after the whole flow on C432 and an 8-bit adder), yet bounded, so a
+long-lived daemon does not keep every function it has ever seen."""
 
 
 def min_sops(tt: TruthTable) -> Tuple[Cover, Cover]:
     """Cached (on-set, off-set) minimum SOPs of a local function."""
-    key = (tt.bits, tt.nvars)
-    cached = _SOP_CACHE.get(key)
-    if cached is None:
-        cached = (min_sop(tt), min_sop(~tt))
-        _SOP_CACHE[key] = cached
-    return cached
+    return _min_sops(tt.bits, tt.nvars)
+
+
+@lru_cache(maxsize=SOP_CACHE_SIZE)
+def _min_sops(bits: int, nvars: int) -> Tuple[Cover, Cover]:
+    tt = TruthTable(bits, nvars)
+    return min_sop(tt), min_sop(~tt)
 
 
 def tree_level(arrivals: Sequence[int]) -> int:

@@ -164,12 +164,20 @@ class Network:
         for i, pi in enumerate(self.pis):
             fps[pi] = hash((0x9E3779B9, i))
         for nid in self.topo_order():
-            node = self.nodes[nid]
-            fps[nid] = hash(
-                (node.tt.nvars, node.tt.bits)
-                + tuple(fps[f] for f in node.fanins)
-            )
+            fps[nid] = self.node_fingerprint(nid, fps)
         return fps
+
+    def node_fingerprint(self, nid: int, fps: Dict[int, int]) -> int:
+        """One internal node's fingerprint, from its fan-ins' in ``fps``.
+
+        After ``set_function(nid, ...)``, re-hashing ``nid``'s transitive
+        fanout in topological order brings :meth:`node_fingerprints`'
+        result up to date.
+        """
+        node = self.nodes[nid]
+        return hash(
+            (node.tt.nvars, node.tt.bits) + tuple(fps[f] for f in node.fanins)
+        )
 
     # -- evaluation ---------------------------------------------------------------
 

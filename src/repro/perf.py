@@ -180,6 +180,9 @@ class PerfRegistry:
                 "secondary.sat.widened",
                 "secondary.sat.propagations",
                 "secondary.sat.conflicts",
+                "secondary.session.built",
+                "secondary.session.restored",
+                "secondary.refresh.nodes",
             ):
                 counters.setdefault(name, 0)
         if counters.keys() & {"area.sweep.queries", "area.redundancy.queries"}:

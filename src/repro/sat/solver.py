@@ -13,7 +13,7 @@ positive literal ``v`` and the negative literal ``-v``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 _UNDEF = -1
 _NO_BRANCH = -2
@@ -643,6 +643,52 @@ class Solver:
     def reset(self) -> None:
         """Backtrack to the root level (allows adding clauses after solve)."""
         self._backtrack(0)
+
+    def copy(self) -> "Solver":
+        """An independent solver in exactly this solver's state.
+
+        The copy holds the same clauses in the same watch-list order, the
+        same trail, heap layout, activities, phases and counters, so a
+        call stream on it searches call for call as the same stream on
+        this solver.  A clause sits in two watch lists (and maybe in
+        ``reason``) and :meth:`_propagate` reorders its literals in
+        place, so each clause is copied once and every reference to it
+        points at that one copy.
+        """
+        twins: Dict[int, List[int]] = {}
+        watches: List[List[List[int]]] = []
+        for ws in self.watches:
+            row = []
+            for clause in ws:
+                twin = twins.get(id(clause))
+                if twin is None:
+                    twin = twins[id(clause)] = clause[:]
+                row.append(twin)
+            watches.append(row)
+        new = Solver()
+        new.watches = watches
+        # Every stored clause is watched, so every reason has a twin.
+        new.reason = [
+            None if clause is None else twins[id(clause)]
+            for clause in self.reason
+        ]
+        new._lv = self._lv[:]
+        new.level = self.level[:]
+        new.trail = self.trail[:]
+        new.trail_lim = self.trail_lim[:]
+        new.qhead = self.qhead
+        new.activity = self.activity[:]
+        new.var_inc = self.var_inc
+        new.phase = self.phase[:]
+        new.heap.heap = self.heap.heap[:]
+        new.heap.pos = self.heap.pos[:]
+        new._restricted = self._restricted
+        new.ok = self.ok
+        new.num_conflicts = self.num_conflicts
+        new.num_decisions = self.num_decisions
+        new.num_propagations = self.num_propagations
+        new._assumption_levels = self._assumption_levels[:]
+        return new
 
     # -- model access ------------------------------------------------------------
 

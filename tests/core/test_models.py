@@ -93,3 +93,22 @@ class TestExactVsBdd:
         exact = ExactModel(net)
         with pytest.raises(ValueError):
             exact.spcf_fn(Spcf("sim", signature=3))
+
+
+class TestEmptiness:
+    @given(st.integers(0, 40))
+    @settings(deadline=None, max_examples=8)
+    def test_is_zero_iff_nothing_counts(self, seed):
+        # Care checks ask only whether a condition is empty; each domain
+        # answers with its zero test, never a minterm count.
+        aig, net = _setup(seed)
+        pi_words = random_patterns(len(net.pis), 64, seed)
+        models = (
+            ExactModel(net), BddModel(net), SignatureModel(net, pi_words, 64)
+        )
+        for model in models:
+            for nid in net.topo_order():
+                k = len(net.nodes[nid].fanins)
+                for m in range(1 << k):
+                    cond = model.cube_condition(nid, Cube.from_minterm(m, k))
+                    assert model.is_zero(cond) == (model.count(cond) == 0)

@@ -30,7 +30,7 @@ from repro.netlist.encode import encode_network
 from repro.sat import Solver
 from repro.sop import Cube
 from repro.store import runtime as store_runtime
-from repro.timing import AigTimingEngine
+from repro.timing import AigTimingEngine, NetworkTimingEngine
 from repro.tt import TruthTable
 
 from ..aig.test_aig import random_aig
@@ -135,7 +135,7 @@ def check_session_verdicts(pool, seed, sigma_pick, mutations):
     of every node, twice (the second pass answers its proofs from the
     memo, counted as ``secondary.memo.hit``), then again after each
     ``(node pick, truth table)`` mutation of a node that feeds another,
-    followed by ``refresh()``.  Without
+    followed by ``refresh(node)``.  Without
     the witness pool (``pool=False``) every reachable cube goes to the
     memo and the solver too, instead of mostly to a pooled witness.
     """
@@ -164,7 +164,7 @@ def check_session_verdicts(pool, seed, sigma_pick, mutations):
                 nvars = len(secondary.nodes[nid].fanins)
                 mask = (1 << (1 << nvars)) - 1
                 secondary.set_function(nid, TruthTable(bits & mask, nvars))
-                checker.refresh()
+                checker.refresh(nid)
             queries = _minterm_queries(secondary)
             want = full_encoding_verdicts(
                 primary, sigma_nid, secondary, queries
@@ -202,6 +202,137 @@ def _c432_care_problem():
         care_sig = model.complement(model.fn(result.sigma_nid))
         return pos_net, result.sigma_nid, neg_net, neg_model, care_sig
     raise AssertionError("no decomposable critical output on C432")
+
+
+class FreshSessionChecker(SatCareChecker):
+    """Reference checker: every session encodes Σ1's cone anew."""
+
+    def _ensure_solver(self):
+        if self._solver is None:
+            self._solver, self._strash = self._encode_sigma_cone()
+            self._sec_vars = dict(zip(self.secondary_net.pis, self._pi_vars))
+        return self._solver
+
+
+def _care_session_trace(checker_cls, monkeypatch):
+    """Every care solve of secondary simplification on the C432 problem.
+
+    Returns ``(calls, output)``: each ``Solver.solve`` call's result,
+    decisions and propagations, and the simplified network's local
+    functions.
+    """
+    pos_net, sigma_nid, neg_net, neg_model, care_sig = _c432_care_problem()
+    checker = checker_cls(neg_model, care_sig, pos_net, sigma_nid, neg_net)
+    solve = Solver.solve
+    calls = []
+
+    def spy(solver, *args, **kwargs):
+        decisions, props = solver.num_decisions, solver.num_propagations
+        result = solve(solver, *args, **kwargs)
+        calls.append((
+            result,
+            solver.num_decisions - decisions,
+            solver.num_propagations - props,
+        ))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Solver, "solve", spy)
+        secondary_simplify(neg_net, 0, checker)
+    return calls, {nid: node.tt for nid, node in neg_net.nodes.items()}
+
+
+class TestIncrementalCareState:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 1 << 16),
+        st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+                 min_size=1, max_size=4),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_refresh_matches_fresh_recomputation(
+        self, seed, sigma_pick, mutations
+    ):
+        # The cone pair of check_session_verdicts.  After each mutation
+        # and refresh(node), the signature words, the query fingerprints,
+        # the witness words every pool lookup reads and the timing
+        # engine's levels equal a recomputation from scratch.
+        aig = random_aig(seed, n_pis=6, n_nodes=60, n_pos=8)
+        primary, secondary = renode(aig, k=3), renode(aig, k=3)
+        nodes = secondary.topo_order()
+        feeding = [
+            n for n in nodes
+            if any(n in secondary.nodes[o].fanins for o in nodes)
+        ]
+        assume(feeding)
+        order = primary.topo_order()
+        sigma_nid = order[sigma_pick % len(order)]
+        patterns = random_patterns(6, 64, seed)
+        checker = SatCareChecker(
+            SignatureModel(secondary, patterns, 64), 0, primary, sigma_nid,
+            secondary,
+        )
+        timing = NetworkTimingEngine(secondary)
+        timing.levels()
+        queries = _minterm_queries(secondary)
+        pool = checker._witnesses
+        for pick, bits in mutations:
+            # Queries harvest witnesses and fill fingerprints and words.
+            for nid, cube in queries:
+                checker.cube_unreachable(nid, cube)
+            assume(pool.size)  # Σ1 is not constant 1
+            nid = feeding[pick % len(feeding)]
+            nvars = len(secondary.nodes[nid].fanins)
+            mask = (1 << (1 << nvars)) - 1
+            secondary.set_function(nid, TruthTable(bits & mask, nvars))
+            checker.refresh(nid)
+            timing.invalidate(nid)
+            fresh = SignatureModel(secondary, patterns, 64)
+            assert checker.sig_model.fns == fresh.fns
+            assert checker._sec_fps == secondary.node_fingerprints()
+            assert timing.levels() == compute_levels(secondary)
+            found = [pool.condition(n, c) for n, c in queries]
+            replay = SignatureModel(
+                secondary, [pool.words[pi] for pi in secondary.pis],
+                pool.size,
+            )
+            assert found == [replay.cube_condition(n, c) for n, c in queries]
+            read = {
+                f
+                for n, c in queries
+                for f in secondary.nodes[n].fanins
+            }
+            assert read <= pool.words.keys()
+            for n, word in pool.words.items():
+                assert word == replay.fns[n], n
+
+    def test_restored_sessions_search_as_fresh_ones(self, monkeypatch):
+        # Each session after a refresh restarts from a copy of the first
+        # session's state right after Σ1's cone was encoded; query for
+        # query it decides and propagates as a session encoded anew.
+        names = ("secondary.session.built", "secondary.session.restored")
+        before = [perf.counter(name) for name in names]
+        restored = _care_session_trace(SatCareChecker, monkeypatch)
+        built, restores = [
+            perf.counter(name) - b for name, b in zip(names, before)
+        ]
+        assert (built, restores) == (1, 2)
+        fresh = _care_session_trace(FreshSessionChecker, monkeypatch)
+        assert len(restored[0]) > 50
+        assert restored == fresh
+
+    def test_profile_report_lists_session_counters(self):
+        pos_net, sigma_nid, neg_net, neg_model, care_sig = _c432_care_problem()
+        checker = SatCareChecker(
+            neg_model, care_sig, pos_net, sigma_nid, neg_net
+        )
+        nodes = perf.counter("secondary.refresh.nodes")
+        changed = secondary_simplify(neg_net, 0, checker)
+        assert changed
+        assert perf.counter("secondary.refresh.nodes") - nodes >= changed
+        report = perf.report()
+        for name in ("session.built", "session.restored", "refresh.nodes"):
+            assert re.search(rf"secondary\.{name} +\d+", report)
 
 
 POOL = pytest.mark.parametrize(
@@ -349,8 +480,9 @@ class TestSatCareSession:
                     neg_model, care_sig, pos_net, sigma_nid, neg_net
                 )
                 secondary_simplify(neg_net, 0, checker, max_nodes=24)
-            # secondary_simplify may end on a refresh(), which drops the
-            # session; the next query past the fast paths rebuilds it.
+            # secondary_simplify may end on a refresh(nid), which drops the
+            # session; the next query past the fast paths restores it from
+            # the checker's snapshot.
             checker._ensure_solver()
             del checker
             garbage = gc.collect()

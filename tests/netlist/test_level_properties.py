@@ -5,7 +5,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netlist import cover_level, node_level, tree_level
+from repro.netlist import cover_level, levels as levels_module, min_sops
+from repro.netlist import node_level, tree_level
 from repro.sop import Cover, min_sop
 from repro.tt import TruthTable
 
@@ -102,3 +103,25 @@ class TestCoverLevel:
 
     def test_empty_cover_is_constant(self):
         assert cover_level(Cover.empty(3), [4, 4, 4]) == 0
+
+
+class TestMinSopsCache:
+    def test_cache_keeps_at_most_its_cap(self, monkeypatch):
+        # A long-lived process meets ever new local functions; the memo
+        # keeps the SOP_CACHE_SIZE most recent ones, never every one.
+        cap = levels_module.SOP_CACHE_SIZE
+        monkeypatch.setattr(levels_module, "min_sop", lambda tt: tt.bits)
+        levels_module._min_sops.cache_clear()
+        try:
+            for bits in range(cap + 100):
+                tt = TruthTable(bits, 5)
+                assert min_sops(tt) == (bits, (~tt).bits)
+            assert levels_module._min_sops.cache_info().currsize == cap
+            # The oldest function was evicted and is minimized again.
+            monkeypatch.setattr(levels_module, "min_sop", lambda tt: -1)
+            assert min_sops(TruthTable(0, 5)) == (-1, -1)
+            assert min_sops(TruthTable(cap + 99, 5)) == (
+                cap + 99, (~TruthTable(cap + 99, 5)).bits
+            )
+        finally:
+            levels_module._min_sops.cache_clear()

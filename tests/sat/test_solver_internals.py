@@ -98,3 +98,44 @@ class TestIncremental:
             s.trail_lim.pop()
             return
         raise AssertionError("expected RuntimeError")
+
+
+class TestCopy:
+    @given(st.integers(0, 10_000), st.integers(0, 7))
+    @settings(deadline=None, max_examples=25)
+    def test_copy_continues_the_search_of_the_original(self, seed, cut):
+        # A copy taken anywhere in a call stream (learned clauses, a kept
+        # assumption prefix and a branch restriction included) answers
+        # the rest of the stream exactly as the original does, and
+        # searching on the copy leaves the original untouched.
+        rng = random.Random(seed)
+        n = 60
+        solver = Solver()
+        for _ in range(255):
+            solver.add_clause(
+                [rng.choice([1, -1]) * rng.randint(1, n) for _ in range(3)]
+            )
+        if seed % 2:
+            solver.branch_on(range(1, n // 2))
+        head = [rng.choice([1, -1]) * v for v in rng.sample(range(1, n), 2)]
+        stream = []
+        for i in range(8):
+            tail = [
+                rng.choice([1, -1]) * v for v in rng.sample(range(1, n), 3)
+            ]
+            kwargs = {"max_conflicts": 4} if i % 3 == 2 else {}
+            stream.append((head + tail, dict(kwargs, keep_prefix=2)))
+
+        def outcomes(s, calls):
+            got = []
+            for assumptions, kwargs in calls:
+                result = s.solve(assumptions, **kwargs)
+                got.append((
+                    result, s.num_propagations, s.num_decisions,
+                    s.num_conflicts, s.model() if result else None,
+                ))
+            return got
+
+        outcomes(solver, stream[:cut])
+        twin = solver.copy()
+        assert outcomes(twin, stream[cut:]) == outcomes(solver, stream[cut:])
