@@ -12,6 +12,8 @@ AIGs rather than mutating in place.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 CONST0 = 0  #: literal constant false
@@ -127,6 +129,21 @@ class AIG:
         return sum(
             1 for v in range(self.num_vars) if self.is_and(v)
         )
+
+    def structure_digest(self) -> str:
+        """SHA-256 of the graph exactly as stored: variable numbering,
+        fan-in literals, PI/PO order and names.
+
+        Stricter than :func:`~repro.aig.cone.aig_fingerprint` (64 bits,
+        blind to names and numbering) and than an AIGER dump
+        (``write_aag`` renumbers): equal digests mean equal graphs.
+        """
+        payload = json.dumps(
+            [self._fanin0, self._fanin1, self.pis, self.pos,
+             self.pi_names, self.po_names],
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def is_pi(self, var: int) -> bool:
         return self._is_pi[var]

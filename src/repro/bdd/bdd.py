@@ -42,6 +42,9 @@ class BDD:
         self._low: List[int] = [TRUE]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        # sat_count memo: nvars -> {ref: count}.  Nodes never change once
+        # made, so a count stays valid while the manager grows.
+        self._sat_counts: Dict[int, Dict[int, int]] = {}
 
     # -- node management -------------------------------------------------------
 
@@ -238,8 +241,12 @@ class BDD:
         return not ref_complemented(ref)
 
     def sat_count(self, f: int, nvars: int) -> int:
-        """Number of satisfying minterms over ``nvars`` variables (0..nvars-1)."""
-        cache: Dict[int, int] = {}
+        """Number of satisfying minterms over ``nvars`` variables (0..nvars-1).
+
+        Counts are memoized per manager, so the counts of overlapping
+        functions share their common nodes' work.
+        """
+        cache = self._sat_counts.setdefault(nvars, {})
         full = 1 << nvars
 
         def count(ref: int) -> int:

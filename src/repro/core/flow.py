@@ -10,9 +10,10 @@ sensitizable critical structure.
 
 from __future__ import annotations
 
+import io
 from typing import Any, Dict, Optional, Tuple
 
-from ..aig import AIG
+from ..aig import AIG, aig_fingerprint, read_aag, write_aag
 from .cache import ConeCache
 from .config import FLOW_DEFAULTS, LookaheadConfig, positive_int
 from .lookahead import LookaheadOptimizer
@@ -205,6 +206,26 @@ def make_job_optimizer(
     )
 
 
+def job_store_key(aig: AIG, config: Dict[str, Any]) -> Tuple:
+    """Store key of a job's answer (the ``job`` namespace, DESIGN 3.20).
+
+    The structural fingerprint leads, by the store's convention; the
+    SHA-256 of the exact graph pins what the optimizer reads (numbering
+    and names included, which neither the fingerprint nor an AIGER dump
+    does); :func:`job_config_key` pins every option that can change the
+    answer.
+    """
+    return (
+        aig_fingerprint(aig), aig.structure_digest(), job_config_key(config)
+    )
+
+
+def _aag_text(aig: AIG) -> str:
+    buf = io.StringIO()
+    write_aag(aig, buf)
+    return buf.getvalue()
+
+
 def execute_optimize_job(
     aig: AIG,
     config: Dict[str, Any],
@@ -216,16 +237,38 @@ def execute_optimize_job(
     ``optimizer`` is the daemon's warm per-config instance; when ``None``
     an ephemeral one is created and closed (the one-shot path used by
     tests and programmatic callers).
+
+    With a persistent runtime store, a job whose input and config key
+    were answered before replays that answer whole, without running the
+    optimizer.  ``rank='log'`` jobs always run: their dataset rows are a
+    side effect of the run.
     """
+    from ..store import runtime as store_runtime
+
+    answers = key = None
+    if store_runtime.is_persistent() and config["lookahead"].rank != "log":
+        answers = store_runtime.get_store().namespace(
+            "job", encode=_aag_text,
+            decode=lambda text: read_aag(io.StringIO(text)),
+        )
+        key = job_store_key(aig, config)
+        stored = answers.get(key)
+        if stored is not None:
+            return stored
     owned = optimizer is None
     if owned:
         optimizer = make_job_optimizer(config, workers=workers)
     try:
         if config["flow"] == "lookahead-only":
-            return optimizer.optimize(aig)
-        return lookahead_flow(
-            aig, optimizer=optimizer, max_iterations=config["max_iterations"]
-        )
+            answer = optimizer.optimize(aig)
+        else:
+            answer = lookahead_flow(
+                aig, optimizer=optimizer,
+                max_iterations=config["max_iterations"],
+            )
     finally:
         if owned:
             optimizer.close()
+    if answers is not None:
+        answers.put(key, answer)
+    return answer

@@ -375,11 +375,18 @@ class SatCareChecker:
             # variable answers; without this retry, UNKNOWN verdicts and
             # outputs move on dalu, C880, C3540 and lsu_stb_ctl_flat.
             perf.incr("secondary.sat.widened")
+            retry_props = solver.num_propagations
             solver.branch_on(None)
             result = solver.solve(
                 assumptions, max_conflicts=self.max_conflicts, keep_prefix=1
             )
             solver.branch_on(self._pi_vars)
+            perf.incr(
+                "secondary.sat.widened.propagations",
+                solver.num_propagations - retry_props,
+            )
+            if result is None:
+                perf.incr("secondary.sat.widened.unknown")
         perf.observe("sat.query.secondary", time.perf_counter() - start)
         perf.incr(
             "secondary.sat.propagations", solver.num_propagations - props

@@ -178,6 +178,8 @@ class PerfRegistry:
             for name in (
                 "secondary.sat.unknown",
                 "secondary.sat.widened",
+                "secondary.sat.widened.unknown",
+                "secondary.sat.widened.propagations",
                 "secondary.sat.propagations",
                 "secondary.sat.conflicts",
                 "secondary.session.built",

@@ -40,6 +40,9 @@ MEMORY_LIMITS: Dict[str, int] = {
     # Whole cone-task results (encoded networks — large entries, so a
     # modest in-memory bound; the disk tier holds the full history).
     "cone": 256,
+    # Whole job answers (AIGER text of a circuit, DESIGN 3.20): larger
+    # still, so a smaller bound.
+    "job": 64,
     # Fitted rank-model artifacts, keyed by fingerprint (DESIGN 3.23).
     "rank_model": 16,
 }

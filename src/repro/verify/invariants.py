@@ -21,9 +21,16 @@ import io
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from .. import perf
 from ..aig import AIG, read_aag, read_blif, write_aag, write_blif
 from ..cec import check_equivalence
-from ..core import LookaheadOptimizer, lookahead_flow
+from ..core import (
+    LookaheadConfig,
+    LookaheadOptimizer,
+    execute_optimize_job,
+    lookahead_flow,
+    normalize_job_config,
+)
 from ..timing import AigTimingEngine, NetworkTimingEngine, resolve_arrivals
 
 
@@ -122,7 +129,10 @@ def store_warm_equals_cold(case: Case) -> Optional[str]:
     and store-backed against the database the cold run left behind (with
     the process runtime reset in between, so hits come from disk, not the
     memory tier) — must be bit-identical: the store may only ever replay
-    results the cold computation would have produced.
+    results the cold computation would have produced.  The same three
+    runs of the case as a ``lookahead-only`` job, on a second database,
+    must give that answer too, the warm one replayed whole from the
+    ``job`` namespace.
     """
     import os
     import shutil
@@ -132,6 +142,19 @@ def store_warm_equals_cold(case: Case) -> Optional[str]:
 
     tmpdir = tempfile.mkdtemp(prefix="repro-store-fuzz-")
     path = os.path.join(tmpdir, "results.db")
+
+    def run_job(store):
+        store_runtime.reset()
+        if store is not None:
+            store_runtime.configure(store)
+        job = normalize_job_config({
+            "flow": "lookahead-only",
+            **LookaheadConfig(
+                arrival_times=case.arrival_times, **case.config
+            ).to_payload(),
+        })
+        return execute_optimize_job(case.aig, job, workers=1)
+
     try:
         with case.optimizer(workers=1) as opt:
             baseline = opt.optimize(case.aig)
@@ -141,6 +164,13 @@ def store_warm_equals_cold(case: Case) -> Optional[str]:
         store_runtime.reset()  # drop the memory tier: warm = disk only
         with case.optimizer(workers=1, store=path) as opt:
             warm = opt.optimize(case.aig)
+        job_path = os.path.join(tmpdir, "jobs.db")
+        jobs = [("storeless job", run_job(None)),
+                ("store-backed cold job", run_job(job_path))]
+        replays = perf.counter("store.job.hit")
+        jobs.append(("disk-warm job", run_job(job_path)))
+        if perf.counter("store.job.hit") != replays + 1:
+            return "the disk-warm job did not replay its stored answer"
         if _dump(cold) != _dump(baseline):
             return (
                 "store-backed optimize() differs from the storeless run: "
@@ -151,6 +181,12 @@ def store_warm_equals_cold(case: Case) -> Optional[str]:
                 "disk-warm optimize() differs from cold: "
                 f"warm={warm!r} cold={cold!r}"
             )
+        for label, out in jobs:
+            if _dump(out) != _dump(baseline):
+                return (
+                    f"{label} differs from the storeless optimize(): "
+                    f"job={out!r} baseline={baseline!r}"
+                )
         detail = _cec_detail(case.aig, warm)
         if detail:
             return f"store-warm optimize() broke equivalence — {detail}"

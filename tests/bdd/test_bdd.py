@@ -225,6 +225,35 @@ def _random_formulas(bdd, seed, nvars=7, steps=100):
     return out
 
 
+def _fresh_count(bdd, ref, nvars):
+    """``sat_count`` on an empty memo, as every call counted before."""
+    memo, bdd._sat_counts = bdd._sat_counts, {}
+    try:
+        return bdd.sat_count(ref, nvars)
+    finally:
+        bdd._sat_counts = memo
+
+
+class TestSatCountMemo:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_memoized_counts_match_fresh_counts(self, seed):
+        # Counts interleave with the ite calls that grow the manager, and
+        # each function is counted over two variable spaces: the memo the
+        # manager keeps must answer as a memo started for the call.
+        rng = random.Random(seed)
+        bdd = BDD()
+        seen = []
+        for batch in range(5):
+            seen.extend(_random_formulas(bdd, f"{seed}:{batch}", steps=30))
+            for ref in rng.sample(seen, 20):
+                for nvars in (7, 9):
+                    fresh = _fresh_count(bdd, ref, nvars)
+                    assert bdd.sat_count(ref, nvars) == fresh
+                oracle = bdd_to_tt(bdd, ref, 7).count_ones()
+                assert bdd.sat_count(ref, 7) == oracle
+        assert len(bdd._sat_counts[7]) > 20  # the memo was shared
+
+
 class TestIteReference:
     @pytest.mark.parametrize("seed", range(25))
     def test_same_refs_and_node_arrays(self, seed):

@@ -355,9 +355,15 @@ class TestSatCareSession:
         check_session_verdicts(pool, seed, sigma_pick, mutations)
 
     def _c432_budget_counts(self):
-        """(UNKNOWN verdicts, widened retries) of one C432 optimize."""
+        """(UNKNOWN verdicts, widened retries, retries ending UNKNOWN,
+        retry propagations) of one C432 optimize."""
         store_runtime.reset()
-        names = ("secondary.sat.unknown", "secondary.sat.widened")
+        names = (
+            "secondary.sat.unknown",
+            "secondary.sat.widened",
+            "secondary.sat.widened.unknown",
+            "secondary.sat.widened.propagations",
+        )
         before = [perf.counter(name) for name in names]
         with LookaheadOptimizer(
             workers=1, max_rounds=1, max_outputs_per_round=4
@@ -416,18 +422,23 @@ class TestSatCareSession:
             assert re.search(rf"secondary\.sat\.{name} +\d+", report)
 
     def test_budget_exhausted_verdicts_are_counted(self, monkeypatch):
-        assert self._c432_budget_counts() == [0, 0]
+        assert self._c432_budget_counts() == [0, 0, 0, 0]
         # --profile prints this report; the counts are listed even at zero.
         report = perf.report()
-        for name in ("unknown", "widened"):
+        for name in ("unknown", "widened", "widened.unknown",
+                     "widened.propagations"):
             assert re.search(rf"secondary\.sat\.{name} +\d+", report)
         monkeypatch.setattr(SatCareChecker, "max_conflicts", 0)
-        unknown, widened = self._c432_budget_counts()
+        unknown, widened, widened_unknown, widened_props = (
+            self._c432_budget_counts()
+        )
         assert unknown > 0
         # An UNKNOWN verdict is a PI-only search and its widened retry
         # that both ran out; a retry may answer where the first try did
         # not, even on a zero budget.
         assert widened >= unknown
+        assert widened_unknown == unknown
+        assert widened_props > 0
 
     def test_widened_retry_keeps_dalu(self):
         # One dalu care query exhausts its budget branching on the PIs
