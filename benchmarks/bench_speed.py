@@ -4,11 +4,9 @@ Times the per-output lookahead rounds on the Table-1 adders and two
 Table-2 circuits, once serial (workers=1), once parallel (workers from
 ``REPRO_WORKERS`` or 4), once serial against a disk-warm persistent
 result store (``--store``; the database is seeded by one cold
-store-backed run first), and once serial behind a rank-prune gate
-fitted at recall 1.0 on the circuit's own ``--rank log`` trajectory.
-The parallel, warm-store, and rank flows must produce the bit-identical
-AIG — the store only replays memoized results, and a recall-1.0 model
-only skips rounds its training run discarded.  Writes
+store-backed run first).  The parallel and warm-store flows must
+produce the bit-identical AIG — the store only replays memoized
+results.  Writes
 schema-stable JSON rows ``{circuit, flow, seconds, depth, ands}`` to
 ``BENCH_speed.json`` so successive PRs can track the perf trajectory.
 
@@ -39,7 +37,6 @@ from repro import perf
 from repro.adders import ripple_carry_adder
 from repro.aig import AIG, depth, write_aag
 from repro.core import LookaheadOptimizer
-from repro.rank import RankLogger, fit_model
 
 DEFAULT_OUTPUT = "BENCH_speed.json"
 
@@ -59,7 +56,7 @@ def _circuits() -> Dict[str, Callable[[], AIG]]:
     return table
 
 
-def _optimizer(workers: int, store=None, **rank_kwargs) -> LookaheadOptimizer:
+def _optimizer(workers: int, store=None) -> LookaheadOptimizer:
     """Bounded-effort optimizer so the bench measures the hot path, not
     the search budget; all flows use identical settings.  The default
     two walk strategies are kept — the second strategy's rounds revisit
@@ -70,7 +67,6 @@ def _optimizer(workers: int, store=None, **rank_kwargs) -> LookaheadOptimizer:
         sim_width=512,
         workers=workers,
         store=store,
-        **rank_kwargs,
     )
 
 
@@ -160,38 +156,6 @@ def run_bench(quick: bool = False, verbose: bool = True) -> List[dict]:
         finally:
             store_runtime.reset()
             shutil.rmtree(store_dir, ignore_errors=True)
-        # Learned candidate ranking: an untimed --rank log run records
-        # the feature/outcome dataset, the fitted model (recall 1.0 —
-        # provably the same trajectory on its own training circuit) gates
-        # a timed serial prune run, which must therefore reproduce the
-        # serial reference bit-for-bit while skipping the SPCF work of
-        # candidates the unranked flow evaluated only to reject.
-        logger = RankLogger()
-        _optimizer(1, rank="log", rank_data=logger).optimize(aig)
-        model = fit_model(logger.rows, target_recall=1.0)
-        perf.reset()
-        flow_name = "lookahead-w1-rank"
-        opt = _optimizer(1, rank="prune", rank_model=model)
-        start = time.perf_counter()
-        optimized = opt.optimize(aig)
-        seconds = time.perf_counter() - start
-        outputs[flow_name] = _dump(optimized)
-        rows.append(
-            {
-                "circuit": name,
-                "flow": flow_name,
-                "seconds": round(seconds, 4),
-                "depth": depth(optimized),
-                "ands": optimized.num_ands(),
-            }
-        )
-        if verbose:
-            print(
-                f"{name:10s} {flow_name:17s} {seconds:8.2f}s "
-                f"depth {depth(optimized):3d} "
-                f"ands {optimized.num_ands():5d} "
-                f"pruned {perf.counter('rank.pruned'):4d}"
-            )
         reference = outputs[flows[0][0]]
         for flow_name, dumped in outputs.items():
             if dumped != reference:

@@ -244,7 +244,8 @@ class BDD:
         """Number of satisfying minterms over ``nvars`` variables (0..nvars-1).
 
         Counts are memoized per manager, so the counts of overlapping
-        functions share their common nodes' work.
+        functions share their common nodes' work.  Raises ``ValueError``
+        when ``f`` depends on a variable beyond ``nvars``, at any depth.
         """
         cache = self._sat_counts.setdefault(nvars, {})
         full = 1 << nvars
@@ -258,6 +259,10 @@ class BDD:
             if ref in cache:
                 return cache[ref]
             node = ref_node(ref)
+            # Checked before anything is cached: a raise leaves no count
+            # above the offending node.
+            if self._var[node] >= nvars:
+                raise ValueError("function depends on variables beyond nvars")
             hi = self._high[node] ^ (ref & 1)
             lo = self._low[node] ^ (ref & 1)
             # f = x·hi + !x·lo with hi, lo independent of x, so the sum
@@ -266,8 +271,6 @@ class BDD:
             cache[ref] = out
             return out
 
-        if self.level_of(f) < self._TERMINAL_LEVEL and self.level_of(f) >= nvars:
-            raise ValueError("function depends on variables beyond nvars")
         try:
             return count(f)
         finally:

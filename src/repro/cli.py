@@ -38,7 +38,6 @@ from .cec import check_equivalence
 from .core import (
     AREA_EFFORTS,
     JOB_FLOWS,
-    RANK_MODES,
     SPCF_TIERS,
     WALK_MODES,
     LookaheadConfig,
@@ -167,11 +166,6 @@ def _job_options(args: argparse.Namespace, arrivals: ArrivalMap) -> Dict:
     )
     if arrivals:
         options["arrivals"] = arrivals
-    if "rank_model" in options:
-        from .rank import RankModel
-
-        # A job embeds the model payload, so read the file here.
-        options["rank_model"] = RankModel.load(options["rank_model"]).payload()
     return options
 
 
@@ -191,10 +185,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             job = normalize_job_config(_job_options(args, arrivals))
             if store is not None:
                 store_runtime.configure(store)
-            optimizer = make_job_optimizer(
-                job, workers=workers, rank_data=args.rank_data
-            )
-        elif arrivals or store or args.rank_data or any(
+            optimizer = make_job_optimizer(job, workers=workers)
+        elif arrivals or store or any(
             hasattr(args, key) for key in LookaheadConfig.payload_keys()
         ):
             print(
@@ -282,41 +274,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
         return 1
-    return 0
-
-
-def cmd_rank_fit(args: argparse.Namespace) -> int:
-    """Fit a candidate-ranking model from --rank log datasets."""
-    from .rank import fit_model, load_dataset
-
-    rows = load_dataset(args.data)
-    if not rows:
-        print("error: no dataset rows in " + ", ".join(args.data),
-              file=sys.stderr)
-        return 1
-    model = fit_model(
-        rows,
-        target_recall=args.target_recall,
-        meta={"datasets": list(args.data)},
-    )
-    model.save(args.output)
-    accepts = sum(int(r["accept"]) for r in rows)
-    kind = "pass-through" if model.meta.get("degenerate") else model.kind
-    print(
-        f"fitted {kind} model on {len(rows)} rows ({accepts} accepts); "
-        f"threshold {model.threshold:.6g}"
-    )
-    print(f"wrote {args.output} (fingerprint {model.fingerprint()[:16]})")
-    if args.store is not None:
-        path = args.store if args.store else default_store_path()
-        store = SqliteStore(path)
-        try:
-            store.namespace("rank_model").put(
-                model.fingerprint(), model.payload()
-            )
-        finally:
-            store.close()
-        print(f"stored rank_model {model.fingerprint()[:16]} in {path}")
     return 0
 
 
@@ -663,28 +620,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated walk strategies from {', '.join(WALK_MODES)}",
         **option,
     )
-    lookahead.add_argument(
-        "--rank", metavar="MODE",
-        help=f"learned candidate ranking: {', '.join(RANK_MODES)} (log "
-             "writes --rank-data, prune reads --rank-model)",
-        **option,
-    )
-    lookahead.add_argument(
-        "--rank-model", metavar="PATH",
-        help="rank model artifact from `repro rank fit` (required with "
-             "--rank prune)",
-        **option,
-    )
-    p_opt.add_argument(
-        "--rank-data", metavar="PATH",
-        help="JSONL file appended with one feature/outcome row per "
-             "candidate under --rank log",
-    )
     p_opt.add_argument(
         "--store", nargs="?", const="", default=None, metavar="PATH",
-        help="persist memo-layer results (SPCFs, rejected cones, whole "
-             "cone results, redundancy proofs) in an on-disk "
-             "store so later runs start warm; with no PATH uses "
+        help="persist whole-job answers and memo-layer results (SPCFs, "
+             "rejected cones, whole cone results, redundancy proofs) in "
+             "an on-disk store, so a repeated job replays its answer "
+             "and later runs start warm; with no PATH uses "
              "$REPRO_STORE or ~/.cache/repro/results.db (lookahead "
              "flows only; warm runs are bit-identical in QoR)",
     )
@@ -695,35 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_arrival_args(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
-
-    p_rank = sub.add_parser(
-        "rank", help="fit candidate-ranking models from --rank log data"
-    )
-    rank_sub = p_rank.add_subparsers(dest="rank_command", required=True)
-    pr_fit = rank_sub.add_parser(
-        "fit", help="fit a ranking model from logged datasets"
-    )
-    pr_fit.add_argument(
-        "--data", action="append", required=True, metavar="PATH",
-        help="JSONL dataset from `repro optimize --rank log --rank-data` "
-             "(repeatable; rows are concatenated)",
-    )
-    pr_fit.add_argument(
-        "-o", "--output", required=True, metavar="PATH",
-        help="model artifact to write (versioned JSON)",
-    )
-    pr_fit.add_argument(
-        "--target-recall", type=float, default=1.0, metavar="R",
-        help="fraction of training accepts the threshold must keep "
-             "(default 1.0: never prune anything the log run accepted)",
-    )
-    pr_fit.add_argument(
-        "--store", nargs="?", const="", default=None, metavar="PATH",
-        help="also record the artifact in the result store's rank_model "
-             "namespace, keyed by fingerprint (no PATH: $REPRO_STORE or "
-             "~/.cache/repro/results.db)",
-    )
-    pr_fit.set_defaults(func=cmd_rank_fit)
 
     p_cache = sub.add_parser(
         "cache", help="inspect or reset the persistent result store"

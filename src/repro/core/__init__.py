@@ -27,7 +27,6 @@ from .sdc import sdc_minimize
 from .analysis import OutputReport, RoundReport, analyze_round, print_round_report
 from .config import (
     FLOW_DEFAULTS,
-    RANK_MODES,
     SPCF_TIERS,
     WALK_MODES,
     LookaheadConfig,
@@ -81,7 +80,6 @@ __all__ = [
     "sat_sweep",
     "FLOW_DEFAULTS",
     "LookaheadConfig",
-    "RANK_MODES",
     "SPCF_TIERS",
     "TT_MODE_PI_LIMIT",
     "WALK_MODES",

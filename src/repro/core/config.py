@@ -5,8 +5,8 @@ optimizer returns: each field carries its default, ``__post_init__`` is
 the only validation, :meth:`~LookaheadConfig.key` is the identity job
 keys derive from, and ``to_payload`` / ``from_payload`` are the JSON a
 ``repro serve`` job carries.  Arguments that never change the result —
-workers, cone cache, result store, per-round verification, the rank
-dataset sink — stay runtime arguments of the optimizer.
+workers, cone cache, result store and per-round verification — stay
+runtime arguments of the optimizer.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ SPCF_TIERS = ("auto", "overapprox", "signature")
 
 WALK_MODES = ("target", "full")
 """Admissible critical-walk strategies for ``walk_modes``."""
-
-RANK_MODES = ("off", "log", "prune")
-"""Candidate-ranking modes: 'off' is the unranked flow bit-for-bit,
-'log' records per-candidate features and outcomes to a dataset, 'prune'
-gates candidates on a fitted model's accept probability."""
 
 FLOW_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "lookahead": {"max_rounds": 16, "max_outputs_per_round": 8},
@@ -118,13 +113,6 @@ class LookaheadConfig:
     criticality, SPCFs, reconstruction trees and the acceptance metric
     then follow completion times instead of logic depth.  ``None`` (or
     an empty map) is the unit-delay model.
-
-    ``rank`` selects the learned candidate ranker (DESIGN 3.23): 'off'
-    is the unranked flow, 'log' records per-candidate features and
-    outcomes, 'prune' skips candidates scoring under the threshold of
-    ``rank_model`` (a model path, payload dict or
-    :class:`repro.rank.RankModel`, held here as its payload) before any
-    SPCF work; a zero-accept window re-runs them ungated.
     """
 
     max_rounds: int = 4
@@ -137,8 +125,6 @@ class LookaheadConfig:
     area_recovery: bool = True
     area_effort: str = "medium"
     arrival_times: Optional[Dict[str, int]] = None
-    rank: str = "off"
-    rank_model: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
         positive_int("max_rounds", self.max_rounds)
@@ -149,32 +135,11 @@ class LookaheadConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         _choice("SPCF tier", self.spcf_tier, SPCF_TIERS)
         _choice("area effort", self.area_effort, AREA_EFFORTS)
-        _choice("rank mode", self.rank, RANK_MODES)
-        if self.rank == "prune" and self.rank_model is None:
-            raise ValueError(
-                "rank='prune' requires a rank_model "
-                "(a model path, payload dict, or RankModel)"
-            )
-        rank_model = None
-        if self.rank_model is not None:
-            if self.rank != "prune":
-                raise ValueError(
-                    "rank_model is only meaningful with rank='prune'"
-                )
-            from ..rank import resolve_model
-
-            try:
-                rank_model = resolve_model(self.rank_model).payload()
-            except (KeyError, TypeError) as exc:
-                raise ValueError(
-                    f"malformed rank_model payload: {exc}"
-                ) from None
         normalized = {
             "use_rules": bool(self.use_rules),
             "area_recovery": bool(self.area_recovery),
             "walk_modes": validate_walk_modes(self.walk_modes),
             "arrival_times": _arrival_map(self.arrival_times),
-            "rank_model": rank_model,
         }
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
@@ -186,10 +151,6 @@ class LookaheadConfig:
             value = getattr(self, f.name)
             if f.name == "arrival_times" and value is not None:
                 value = tuple(sorted(value.items()))
-            elif f.name == "rank_model" and value is not None:
-                from ..rank import RankModel
-
-                value = RankModel.from_payload(value).fingerprint()
             out.append(value)
         return tuple(out)
 
@@ -224,10 +185,8 @@ class LookaheadConfig:
 
         A ``null`` value means the key's default, and unknown keys are
         errors: a typo'd option silently doing nothing is how a client
-        ends up benchmarking the wrong flow.  The payload spells out a
-        rank model as its embedded payload, never as a path (that would
-        be a file on whichever host decodes it), and "no arrivals" as an
-        absent key rather than an empty map.
+        ends up benchmarking the wrong flow.  The payload spells "no
+        arrivals" as an absent key rather than an empty map.
         """
         names = cls.payload_keys()
         payload = dict(payload or {})
@@ -236,10 +195,6 @@ class LookaheadConfig:
             raise ValueError(f"unknown options: {', '.join(unknown)}")
         if payload.get("arrivals") == {}:
             raise ValueError("arrivals must be a non-empty {name: int} map")
-        rank_model = payload.get("rank_model")
-        if rank_model is not None and not isinstance(rank_model, dict):
-            raise ValueError("a payload must embed the model payload "
-                             "as rank_model")
         options = dict(defaults or {})
         options.update(
             (names[key], value)

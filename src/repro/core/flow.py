@@ -54,7 +54,6 @@ def lookahead_flow(
     max_iterations: int = MAX_ITERATIONS,
     verify: bool = False,
     store=None,
-    rank_data=None,
     **options,
 ) -> AIG:
     """Conventional high-effort optimization alternated with decomposition.
@@ -69,8 +68,8 @@ def lookahead_flow(
     Without an explicit ``optimizer`` the flow builds one from
     ``options`` — :class:`~repro.core.config.LookaheadConfig` fields over
     the flow's defaults (:data:`~repro.core.config.FLOW_DEFAULTS`) —
-    plus the runtime ``store`` and ``rank_data``; all are ignored when
-    an ``optimizer`` is passed.  The quality gate follows the
+    plus the runtime ``store``; all are ignored when an ``optimizer`` is
+    passed.  The quality gate follows the
     optimizer's ``arrival_times``.
 
     ``verify=True`` equivalence-checks every accepted candidate against
@@ -84,8 +83,7 @@ def lookahead_flow(
     from ..opt import dc_map_effort_high
 
     opt = optimizer or LookaheadOptimizer(
-        store=store, rank_data=rank_data,
-        **{**FLOW_DEFAULTS["lookahead"], **options},
+        store=store, **{**FLOW_DEFAULTS["lookahead"], **options}
     )
     _quality = _make_quality(opt.config.arrival_times)
     current = aig.extract()
@@ -185,7 +183,6 @@ def job_config_key(config: Dict[str, Any]) -> Tuple:
 def make_job_optimizer(
     config: Dict[str, Any],
     workers: Optional[int] = None,
-    rank_data=None,
 ) -> LookaheadOptimizer:
     """A reusable optimizer for every job sharing ``job_config_key``.
 
@@ -202,7 +199,6 @@ def make_job_optimizer(
         config=config["lookahead"],
         workers=workers,
         cache=ConeCache(store=store_runtime.get_store()),
-        rank_data=rank_data,
     )
 
 
@@ -240,13 +236,12 @@ def execute_optimize_job(
 
     With a persistent runtime store, a job whose input and config key
     were answered before replays that answer whole, without running the
-    optimizer.  ``rank='log'`` jobs always run: their dataset rows are a
-    side effect of the run.
+    optimizer.
     """
     from ..store import runtime as store_runtime
 
     answers = key = None
-    if store_runtime.is_persistent() and config["lookahead"].rank != "log":
+    if store_runtime.is_persistent():
         answers = store_runtime.get_store().namespace(
             "job", encode=_aag_text,
             decode=lambda text: read_aag(io.StringIO(text)),

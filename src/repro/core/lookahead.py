@@ -42,13 +42,11 @@ from .. import perf
 from ..aig import (
     AIG,
     CONST0,
-    aig_fingerprint,
     cone_fingerprint,
     lit_not,
     lit_var,
     random_patterns,
 )
-from ..rank import RankLogger, RoundFeatureExtractor, resolve_model
 from ..netlist import (
     ArrivalAwareBuilder,
     Network,
@@ -484,7 +482,6 @@ class LookaheadOptimizer:
         cache: Optional[ConeCache] = None,
         store: StoreSpec = None,
         verify: bool = False,
-        rank_data=None,
         **options,
     ):
         """Configure the optimizer.
@@ -508,36 +505,12 @@ class LookaheadOptimizer:
         ``None`` (default) keeps every memo process-local —
         bit-identical to the historical behaviour; disk-warm runs are
         bit-identical in QoR to cold ones, just faster (DESIGN 3.20).
-        ``rank_data`` is where ``rank='log'`` writes its per-candidate
-        rows (a JSONL path or :class:`repro.rank.RankLogger`; ``None``
-        keeps them in memory).
         """
-        config = dataclasses.replace(config or LookaheadConfig(), **options)
-        if rank_data is not None and config.rank != "log":
-            raise ValueError("rank_data is only meaningful with rank='log'")
-        self.config = config
+        self.config = dataclasses.replace(config or LookaheadConfig(), **options)
         self.verify = verify
         self.workers = workers
-        self._rank_model = (
-            resolve_model(config.rank_model) if config.rank == "prune"
-            else None
-        )
-        if config.rank == "log":
-            self.rank_logger = (
-                rank_data
-                if isinstance(rank_data, RankLogger)
-                else RankLogger(rank_data)
-            )
-        else:
-            self.rank_logger = None
-        # Per-optimize-call ranking state: config keys whose rejection
-        # this call has (re)confirmed or predicted, per-cone consecutive
-        # reject streaks, and the round counter stamped into log rows.
+        # Config keys whose rejection this optimize call has confirmed.
         self._call_rejected: Set[Tuple] = set()
-        self._rank_streaks: Dict[int, int] = {}
-        self._rank_round = 0
-        self._round_rows: List[dict] = []
-        self._call_rows: List[dict] = []
         if store is not None:
             store_runtime.configure(store)
         if cache is not None:
@@ -580,42 +553,15 @@ class LookaheadOptimizer:
         iteration loop — reuse warm worker processes.  Call :meth:`close`
         (or use the optimizer as a context manager) when done.
         """
-        # Ranking state is per call: verdict replay from earlier calls
-        # flows through the cone cache, never through these.
+        # The rejection set is per call: verdict replay from earlier
+        # calls flows through the cone cache, never through it.
         self._call_rejected = set()
-        self._rank_streaks = {}
-        self._rank_round = 0
-        self._round_rows = []
-        self._call_rows = []
-        walk_modes = self.config.walk_modes
         with perf.timer("optimize"):
             results = [
-                self._optimize_with(aig, walk_mode) for walk_mode in walk_modes
+                self._optimize_with(aig, walk_mode)
+                for walk_mode in self.config.walk_modes
             ]
-        winner = min(range(len(results)), key=lambda i: results[i][1])
-        self._log_call_rows(walk_modes[winner])
-        return results[winner][0]
-
-    def _log_call_rows(self, winning_walk: str) -> None:
-        """Write the call's staged rows, demoting the losing walks.
-
-        The final labelling level: a candidate only stays ``accept=1``
-        when the walk strategy it ran under is the one whose result
-        this call actually returned.  A quality-kept round inside a
-        losing walk re-derived a result the winning walk already had —
-        on one-critical-output circuits that duplicated secondary SAT
-        pass is most of the wall-clock, and it is exactly the work a
-        recall-1.0 prune model may skip without touching the returned
-        circuit (DESIGN 3.23).
-        """
-        rows, self._call_rows = self._call_rows, []
-        if self.rank_logger is None:
-            return
-        for row in rows:
-            if row["walk"] != winning_walk:
-                row["accept"] = 0
-            perf.incr("rank.logged")
-            self.rank_logger.log(row)
+        return min(results, key=lambda result: result[1])[0]
 
     def _optimize_with(self, aig: AIG, walk_mode: str) -> Tuple[AIG, Tuple]:
         """Run the round sequence for one walk; returns (AIG, quality).
@@ -623,29 +569,18 @@ class LookaheadOptimizer:
         The incumbent's quality is computed once and cached across
         rounds (and handed to ``optimize``'s final comparison), so a
         sequence of rejected rounds costs one timing analysis per fresh
-        candidate instead of two.
-
-        The reject-streak counters are walk-local.  They feed the rank
-        features, and a prune run's streak evolution must replay its
-        training run's exactly for the recall-1.0 calibration to hold;
-        a streak that leaked across walks would let one walk's pruned
-        (but training-accepted) candidates shift a later walk's feature
-        vectors — and with them, scores — off the logged trajectory
-        (found by repro.verify fuzzing, seed 4 case 1112).  Config-key
-        verdicts need no such scoping: ``cfg_key`` embeds the walk mode.
+        candidate instead of two.  Config-key verdicts in
+        ``_call_rejected`` need no per-walk scoping: ``cfg_key`` embeds
+        the walk mode.
         """
-        self._rank_streaks = {}
         current = aig.extract()
         current_q = self._quality(current)
         for _round in range(self.config.max_rounds):
             candidate = self._one_round(current, walk_mode)
             if candidate is None:
-                self._flush_rank_rows(kept=False)
                 break
             candidate_q = self._quality(candidate)
-            kept = candidate_q < current_q
-            self._flush_rank_rows(kept=kept)
-            if not kept:
+            if candidate_q >= current_q:
                 break
             if self.verify:
                 from ..cec import assert_equivalent
@@ -653,25 +588,6 @@ class LookaheadOptimizer:
                 assert_equivalent(current, candidate, "lookahead round")
             current, current_q = candidate, candidate_q
         return current, current_q
-
-    def _flush_rank_rows(self, kept: bool) -> None:
-        """Promote the round's staged rows to the call buffer.
-
-        A candidate only keeps ``accept=1`` when its replacement was
-        spliced in by ``_rebuild`` *and* the round's aggregate survived
-        the quality gate: a rebuild-accepted cone in a quality-rejected
-        round contributed nothing (the paper's metric discarded the
-        whole candidate circuit), and labelling it positive would teach
-        the prune gate to spend SPCF and SAT time on provably dead
-        rounds.  The rows reach the logger in :meth:`_log_call_rows`,
-        which applies the final walk-level demotion (DESIGN 3.23).
-        """
-        rows, self._round_rows = self._round_rows, []
-        if self.rank_logger is None:
-            return
-        for row in rows:
-            row["accept"] = int(row["accept"] and kept)
-            self._call_rows.append(row)
 
     # -- worker pool ------------------------------------------------------------
 
@@ -697,8 +613,6 @@ class LookaheadOptimizer:
         should do the same (or use ``with LookaheadOptimizer(...) as opt``).
         """
         self._shutdown_executor()
-        if self.rank_logger is not None:
-            self.rank_logger.close()
 
     def __enter__(self) -> "LookaheadOptimizer":
         return self
@@ -726,8 +640,6 @@ class LookaheadOptimizer:
             return None
         mode = self._resolve_mode(aig)
         perf.incr("rounds")
-        self._rank_round += 1
-        self._round_rows = []
         aig_levels = engine.arrivals()
         # Criticality is judged on the decomposed circuit (the AIG), where
         # the SPCF and the paper's quality metric live; under prescribed
@@ -736,7 +648,7 @@ class LookaheadOptimizer:
 
         # Renoding is only needed once a cone actually dispatches, so the
         # windowed path takes it lazily: a round whose whole window the
-        # rank gate prunes (or the cache replays) never pays for it.
+        # cache replays never pays for it.
         net_box: List[Network] = []
 
         def net_thunk() -> Network:
@@ -774,16 +686,6 @@ class LookaheadOptimizer:
             walk_mode, RENODE_K, config.use_rules, SAT_MODE_KEY,
         )
         return fp, spcf_key, cfg_key
-
-    def _note_reject(self, fp: int) -> None:
-        self._rank_streaks[fp] = self._rank_streaks.get(fp, 0) + 1
-
-    def _unnote_reject(self, fp: int) -> None:
-        streak = self._rank_streaks.get(fp, 0) - 1
-        if streak > 0:
-            self._rank_streaks[fp] = streak
-        else:
-            self._rank_streaks.pop(fp, None)
 
     def _select_window(
         self, aig: AIG, queue: List[int], mode: str, walk_mode: str
@@ -832,14 +734,6 @@ class LookaheadOptimizer:
         their whole budget on known-rejected cones.
         """
         queue = list(critical)
-        extractor = None
-        if self.config.rank != "off":
-            extractor = RoundFeatureExtractor(
-                aig,
-                aig_levels,
-                _pi_arrival_ints(self._delay_model(), aig.pi_names),
-                self.config.seed,
-            )
         max_windows = (
             1 if self.config.max_outputs_per_round is None
             else BUDGET_WINDOWS
@@ -851,7 +745,7 @@ class LookaheadOptimizer:
             if not window:
                 return None
             rebuilt = self._run_window(
-                aig, net_thunk, window, aig_levels, mode, walk_mode, extractor
+                aig, net_thunk, window, aig_levels, mode, walk_mode
             )
             if rebuilt is not None:
                 return rebuilt
@@ -867,83 +761,23 @@ class LookaheadOptimizer:
         aig_levels: List[int],
         mode: str,
         walk_mode: str,
-        extractor,
     ) -> Optional[AIG]:
-        """One window: dispatch, judge, bookkeep; AIG if anything won.
-
-        In prune mode, a *partially* pruned window re-runs the pruned
-        candidates ungated before the rebuild judgment — once the gate
-        has let anything through, the round is going to pay for a
-        dispatch and a rebuild anyway, and evaluating the pruned
-        candidates alongside keeps the round's accepted set identical
-        to the unranked flow's (a pruned candidate that would have been
-        accepted must cost extra latency, never QoR).  The predicted
-        verdicts are rolled back first, so the fallback behaves exactly
-        like an ungated window over those candidates.  A *wholly*
-        pruned window (nothing dispatched at all) is instead trusted as
-        the round verdict: the model was calibrated so that every
-        winning-walk quality-kept training row scores above threshold,
-        and re-running everything it prunes would make the gate's best
-        case cost-neutral (DESIGN 3.23).
-        """
-        processed, reject_keys, pruned, features, dispatched = (
-            self._cone_round(
-                aig, net_thunk, window, aig_levels, mode, walk_mode,
-                extractor, gate=True,
-            )
+        """One window: dispatch, rebuild, bookkeep; AIG if anything won."""
+        processed, reject_keys = self._cone_round(
+            aig, net_thunk, window, aig_levels, mode, walk_mode
         )
-        fallback_pos: Set[int] = set()
-        if pruned and dispatched:
-            perf.incr("rank.fallback.windows")
-            for _po, fp, _spcf_key, cfg_key in pruned:
-                self._call_rejected.discard(cfg_key)
-                self._unnote_reject(fp)
-            f_processed, f_reject_keys, _pruned, _feats, _disp = (
-                self._cone_round(
-                    aig, net_thunk, pruned, aig_levels, mode, walk_mode,
-                    extractor, gate=False,
-                )
-            )
-            processed = processed + f_processed
-            reject_keys.update(f_reject_keys)
-            fallback_pos = {entry[0] for entry in f_processed}
         accepted: Set[int] = set()
         rebuilt: Optional[AIG] = None
         if processed:
             with perf.timer("phase.rebuild"):
                 rebuilt, accepted = self._rebuild(aig, processed)
-        rescued = accepted & fallback_pos
-        if rescued:
-            perf.incr("rank.false_prune_detected", len(rescued))
-        fp_by_po = {entry[0]: entry[1] for entry in window}
         for po_index, key in reject_keys.items():
             if po_index in accepted:
                 perf.incr("replacements.accepted")
-                self._rank_streaks.pop(fp_by_po[po_index], None)
             else:
                 perf.incr("replacements.rejected")
                 self.cache.mark_rejected(key)
                 self._call_rejected.add(key)
-                self._note_reject(fp_by_po[po_index])
-        if self.rank_logger is not None:
-            # Rows are staged, not written: the label a candidate earns
-            # here (did _rebuild splice it in?) is only half the story —
-            # the round's aggregate must also survive the quality gate
-            # in _optimize_with, which ANDs the verdict in at flush time.
-            circuit_fp = format(aig_fingerprint(aig), "016x")
-            for po_index, fp, _spcf_key, _cfg_key in window:
-                feats = features.get(po_index)
-                if feats is None:
-                    continue
-                self._round_rows.append({
-                    "features": feats,
-                    "accept": int(po_index in accepted),
-                    "po": po_index,
-                    "round": self._rank_round,
-                    "walk": walk_mode,
-                    "fp": format(fp, "016x"),
-                    "circuit": circuit_fp,
-                })
         if not accepted:
             # Nothing won: stop here rather than returning the
             # restrashed copy.  A sweep-only "improvement" from an
@@ -962,15 +796,7 @@ class LookaheadOptimizer:
         aig_levels: List[int],
         mode: str,
         walk_mode: str,
-        extractor=None,
-        gate: bool = True,
-    ) -> Tuple[
-        List[Tuple[int, Network, int, Network]],
-        Dict[int, Tuple],
-        List[Tuple[int, int, Tuple, Tuple]],
-        Dict[int, List[float]],
-        int,
-    ]:
+    ) -> Tuple[List[Tuple[int, Network, int, Network]], Dict[int, Tuple]]:
         """Fan the per-output pipeline out over extracted cones.
 
         ``window`` holds ``(po_index, fingerprint, spcf_key, cfg_key)``
@@ -983,23 +809,15 @@ class LookaheadOptimizer:
         ``net_thunk`` materialises the renoded network on first use, so
         a window that dispatches nothing never pays for renoding.
 
-        Returns ``(processed, reject_keys, pruned, features,
-        dispatched)``: ``pruned`` are candidates the rank gate skipped
-        (``gate=True`` and a prune model is active); ``features`` maps
-        po_index to the feature vector computed for logging/scoring;
-        ``dispatched`` counts the tasks that actually ran (the caller's
-        fallback heuristic needs to distinguish a wholly pruned window
-        from a partially evaluated one).  Every candidate whose verdict
-        is determined here — replayed, SPCF-empty, pruned, or
-        walk-failed — lands in ``_call_rejected`` under its *config*
-        key, so later window selections skip it regardless of which
-        underlying verdict it was; that uniformity is what keeps a
-        prune run's window composition bit-identical to its training
-        run's (DESIGN 3.23).
+        Returns ``(processed, reject_keys)``: the replacement networks of
+        the candidates that produced one, and the config key of each of
+        them by output.  Every candidate whose verdict is determined
+        here — replayed, SPCF-empty or walk-failed — lands in
+        ``_call_rejected`` under its *config* key, so later window
+        selections skip it regardless of which underlying verdict it
+        was.
         """
         nworkers = perf.get_workers(self.workers)
-        gating = gate and self._rank_model is not None
-        want_features = self.config.rank == "log" or gating
         sim_width, seed = self.config.sim_width, self.config.seed
 
         # On the serial path, sim-mode SPCFs come from one shared timed
@@ -1033,40 +851,16 @@ class LookaheadOptimizer:
         tasks: List[Tuple] = []
         spcf_keys: Dict[int, Tuple] = {}
         reject_keys: Dict[int, Tuple] = {}
-        fp_by_po: Dict[int, int] = {}
         cached_payload: Set[int] = set()
-        pruned: List[Tuple[int, int, Tuple, Tuple]] = []
-        features: Dict[int, List[float]] = {}
         with perf.timer("phase.dispatch"):
-            for po_index, fp, spcf_key, cfg_key in window:
+            for po_index, _fp, spcf_key, cfg_key in window:
                 po_lit = aig.pos[po_index]
-                fp_by_po[po_index] = fp
-                score = None
-                if want_features:
-                    t0 = time.perf_counter()
-                    feats = extractor.features(
-                        po_index, self._rank_streaks.get(fp, 0), walk_mode
-                    )
-                    if gating:
-                        score = self._rank_model.score(feats)
-                        perf.observe(
-                            "rank.score", time.perf_counter() - t0
-                        )
-                        perf.incr("rank.scored")
-                    features[po_index] = feats
                 if self.cache.is_rejected(cfg_key) or self.cache.is_rejected(
                     spcf_key
                 ):
                     # Replay an inherited (cross-call) verdict into the
                     # in-call set so later windows skip it at selection.
                     self._call_rejected.add(cfg_key)
-                    self._note_reject(fp)
-                    continue
-                if gating and score < self._rank_model.threshold:
-                    perf.incr("rank.pruned")
-                    self._call_rejected.add(cfg_key)
-                    self._note_reject(fp)
-                    pruned.append((po_index, fp, spcf_key, cfg_key))
                     continue
                 payload = self.cache.get_spcf(spcf_key)
                 if payload is not None:
@@ -1077,7 +871,6 @@ class LookaheadOptimizer:
                     if found is None:
                         self.cache.mark_rejected(spcf_key)
                         self._call_rejected.add(cfg_key)
-                        self._note_reject(fp)
                         continue
                     payload = _serialize_spcf(*found)
                 cone_aig = None
@@ -1129,11 +922,10 @@ class LookaheadOptimizer:
                 else:
                     self.cache.mark_rejected(reject_keys[po_index])
                 self._call_rejected.add(reject_keys[po_index])
-                self._note_reject(fp_by_po[po_index])
                 del reject_keys[po_index]
                 continue
             processed.append((po_index, pos_net, sigma_nid, neg_net))
-        return processed, reject_keys, pruned, features, len(tasks)
+        return processed, reject_keys
 
     def _rebuild(
         self,

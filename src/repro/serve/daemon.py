@@ -426,13 +426,6 @@ class ReproDaemon:
             config = normalize_job_config(request.get("options"))
         except ValueError as exc:
             raise ServeError(str(exc), code="bad-request")
-        if config["lookahead"].rank == "log":
-            # Dataset logging writes rows where the optimizer runs: a
-            # local concern, never a served one.
-            raise ServeError(
-                "unservable rank mode 'log'; jobs may use 'off' or 'prune'",
-                code="bad-request",
-            )
         arrivals = config["lookahead"].arrival_times
         if arrivals:
             unknown = sorted(set(arrivals) - set(aig.pi_names))

@@ -43,8 +43,6 @@ MEMORY_LIMITS: Dict[str, int] = {
     # Whole job answers (AIGER text of a circuit, DESIGN 3.20): larger
     # still, so a smaller bound.
     "job": 64,
-    # Fitted rank-model artifacts, keyed by fingerprint (DESIGN 3.23).
-    "rank_model": 16,
 }
 
 DEFAULT_MEMORY_ENTRIES = 4096

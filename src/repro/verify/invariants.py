@@ -222,59 +222,6 @@ def spcf_tiers_agree(case: Case) -> Optional[str]:
     return None
 
 
-def rank_prune_never_worse(case: Case) -> Optional[str]:
-    """``--rank prune`` may cost QoR headroom only, never soundness.
-
-    Two halves (DESIGN 3.23).  An all-prune model (threshold above every
-    possible score) prunes every window whole, and wholly pruned windows
-    are trusted (no fallback re-run) — so the maximally wrong model must
-    degenerate to exactly "no optimization": the output is the untouched
-    input copy, still CEC-equivalent and never deeper than the input.
-    And a model fitted at recall 1.0 on the case's own ``--rank log``
-    trajectory must keep the output CEC-equivalent to the input and
-    never deeper than the unranked result — the winning walk's
-    quality-kept rows score above threshold by construction (and its
-    feature state is walk-local, so other walks' prunes cannot shift
-    it), so that walk replays exactly and the cross-walk ``min()``
-    returns a result at least as good as the unranked one.
-    """
-    from ..rank import RankLogger, fit_model, passthrough_model
-
-    with case.optimizer(workers=1) as opt:
-        off = opt.optimize(case.aig)
-
-    allprune = passthrough_model()
-    allprune.threshold = 2.0  # scores are probabilities: prunes everything
-    with case.optimizer(
-        workers=1, rank="prune", rank_model=allprune
-    ) as opt:
-        no_work = opt.optimize(case.aig)
-    if _dump(no_work) != _dump(case.aig.extract()):
-        return (
-            "all-prune model did not degenerate to the untouched input: "
-            f"got={no_work!r} input={case.aig!r}"
-        )
-
-    logger = RankLogger()
-    with case.optimizer(workers=1, rank="log", rank_data=logger) as opt:
-        logged = opt.optimize(case.aig)
-    if _dump(logged) != _dump(off):
-        return "rank='log' changed the result vs rank='off'"
-    model = fit_model(logger.rows, target_recall=1.0)
-    with case.optimizer(workers=1, rank="prune", rank_model=model) as opt:
-        pruned = opt.optimize(case.aig)
-    detail = _cec_detail(case.aig, pruned)
-    if detail:
-        return f"rank='prune' broke equivalence — {detail}"
-    off_depth, pruned_depth = _depth(off, case), _depth(pruned, case)
-    if pruned_depth > off_depth:
-        return (
-            "rank='prune' made depth worse than rank='off': "
-            f"{off_depth} -> {pruned_depth}"
-        )
-    return None
-
-
 def area_recovery_equiv(case: Case) -> Optional[str]:
     """Area recovery preserves function and never worsens depth or size.
 
@@ -426,7 +373,6 @@ INVARIANTS: Dict[str, Invariant] = {
     "cached_cold_identical": cached_cold_identical,
     "store_warm_equals_cold": store_warm_equals_cold,
     "spcf_tiers_agree": spcf_tiers_agree,
-    "rank_prune_never_worse": rank_prune_never_worse,
     "area_recovery_equiv": area_recovery_equiv,
     "flow_equivalence": flow_equivalence,
     "aiger_roundtrip": aiger_roundtrip,
@@ -440,7 +386,6 @@ INVARIANTS: Dict[str, Invariant] = {
 EXPENSIVE = {
     "serial_parallel_identical": 8,
     "flow_equivalence": 5,
-    "rank_prune_never_worse": 4,
     "spcf_tiers_agree": 3,
     "store_warm_equals_cold": 3,
     "cached_cold_identical": 2,

@@ -107,6 +107,16 @@ class TestQueries:
         bdd = BDD()
         assert bdd.sat_count(tt_to_bdd(bdd, t), t.nvars) == t.count_ones()
 
+    def test_sat_count_rejects_a_variable_beyond_nvars_at_any_depth(self):
+        bdd = BDD()
+        x0, x20 = bdd.var(0), bdd.var(20)
+        for f in (x20, bdd.and_(x0, x20), bdd.or_(x0, ref_not(x20))):
+            with pytest.raises(ValueError, match="beyond nvars"):
+                bdd.sat_count(f, 5)
+        # The raise cached nothing: the same manager still counts.
+        assert bdd.sat_count(x0, 5) == 16
+        assert bdd.sat_count(bdd.and_(x0, x20), 21) == 1 << 19
+
     @given(tt_strategy())
     def test_pick_one(self, t):
         bdd = BDD()

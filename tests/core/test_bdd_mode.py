@@ -14,7 +14,6 @@ from repro.core import LookaheadOptimizer, Spcf, spcf_exact_tt
 from repro.core.model import BddBlowup, BddModel, ExactModel
 from repro.core.spcf import spcf_exact_bdd
 from repro.netlist import renode
-from repro.rank import RankLogger
 from repro.tt import TruthTable
 
 from ..aig.test_aig import random_aig
@@ -132,17 +131,6 @@ class TestOptimizerBddMode:
         assert perf.counter("spcf.tier.signature") > 0
         assert perf.counter("replacements.accepted") > 0
         assert check_equivalence(aig, out)
-
-    def test_bdd_domain_rank_log_writes_rows(self):
-        aig = ripple_carry_adder(8)
-        logger = RankLogger()
-        with LookaheadOptimizer(
-            max_rounds=1, workers=1, walk_modes=("target",),
-            rank="log", rank_data=logger,
-        ) as opt:
-            opt.optimize(aig)
-        assert len(logger.rows) > 0
-        assert any(row["accept"] for row in logger.rows)
 
     def test_rca9_qor_above_truth_table_limit(self):
         # 19 PIs: past the truth-table limit (node_tts stops at 18), where

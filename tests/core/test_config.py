@@ -22,17 +22,13 @@ from repro.core import (
     lookahead_flow,
     normalize_job_config,
 )
-from repro.rank import passthrough_model
 from repro.store import runtime as store_runtime
-
-MODEL = passthrough_model().payload()
 
 ENTRY_POINTS = ("constructor", "flow", "job", "cli")
 NO_CLI = ("constructor", "flow", "job")
 
 # (kwargs, message, cli flags, entry points).  kwargs use the Python
-# field names; a job spells ``arrival_times`` as ``arrivals``.  "{model}"
-# in a flag is a rank-model file written by the test.
+# field names; a job spells ``arrival_times`` as ``arrivals``.
 BAD_VALUES = {
     "walk-bogus": (
         {"walk_modes": ("bogus",)},
@@ -115,37 +111,22 @@ BAD_VALUES = {
         "('low', 'medium', 'high')",
         ["--area-effort", "extreme"], ENTRY_POINTS,
     ),
-    # The deleted SAT-portfolio knob is an unknown option now.
+    # The deleted SAT-portfolio knob is an unknown option now, and so
+    # are the deleted candidate-ranking options.
     "sat-portfolio": (
         {"sat_portfolio": "sprint"},
         "unknown options: sat_portfolio",
         None, ("job",),
     ),
-    "rank-mode": (
-        {"rank": "bogus"},
-        "unknown rank mode 'bogus'; expected one of ('off', 'log', 'prune')",
-        ["--rank", "bogus"], ENTRY_POINTS,
+    "deleted-rank": (
+        {"rank": "off"},
+        "unknown options: rank",
+        None, ("job",),
     ),
-    "prune-without-model": (
-        {"rank": "prune"},
-        "rank='prune' requires a rank_model "
-        "(a model path, payload dict, or RankModel)",
-        ["--rank", "prune"], ENTRY_POINTS,
-    ),
-    "model-without-prune": (
-        {"rank_model": MODEL},
-        "rank_model is only meaningful with rank='prune'",
-        ["--rank-model", "{model}"], ENTRY_POINTS,
-    ),
-    "malformed-model": (
-        {"rank": "prune", "rank_model": {"format": "bogus"}},
-        "not a rank model payload: format 'bogus'",
-        None, NO_CLI,
-    ),
-    "rank-data-without-log": (
-        {"rank_data": "data.jsonl"},
-        "rank_data is only meaningful with rank='log'",
-        ["--rank-data", "data.jsonl"], ("constructor", "flow", "cli"),
+    "deleted-rank-model": (
+        {"rank_model": {"format": "repro-rank-model"}},
+        "unknown options: rank_model",
+        None, ("job",),
     ),
     "arrival-string": (
         {"arrival_times": {"a0": "3"}},
@@ -202,12 +183,10 @@ def test_bad_value_same_message_everywhere(name, entry, tmp_path, capsys):
         circuit = tmp_path / "rca2.aag"
         with open(circuit, "w") as fh:
             write_aag(ripple_carry_adder(2), fh)
-        model = tmp_path / "model.json"
-        passthrough_model().save(str(model))
-        flags = [flag.replace("{model}", str(model)) for flag in cli_flags]
         try:
             status = main(
-                ["optimize", str(circuit), "--flow", "lookahead-only"] + flags
+                ["optimize", str(circuit), "--flow", "lookahead-only"]
+                + cli_flags
             )
         except SystemExit as exc:  # argparse rejects typed flags itself
             status = exc.code
@@ -240,9 +219,8 @@ ALTERNATIVES = {
     "area_recovery": False,
     "area_effort": "high",
     "arrival_times": {"a0": 2},
-    "rank": "log",
 }
-"""A valid non-default value for every field (rank_model: below)."""
+"""A valid non-default value for every field."""
 
 
 def _configs():
@@ -251,18 +229,19 @@ def _configs():
     for name, value in ALTERNATIVES.items():
         yield dataclasses.replace(base, **{name: value})
     yield LookaheadConfig(**ALTERNATIVES)
-    yield dataclasses.replace(base, rank="prune", rank_model=MODEL)
-    yield LookaheadConfig(rank="prune", rank_model=MODEL, **{
-        k: v for k, v in ALTERNATIVES.items() if k != "rank"
-    })
+
+
+# Case ids are positional, and config11 belonged to a field that was
+# deleted since: skipping it keeps every surviving case's id stable.
+CONFIG_IDS = [f"config{i}" for i in range(11)] + ["config12"]
 
 
 def test_alternatives_cover_every_field():
     names = {f.name for f in dataclasses.fields(LookaheadConfig)}
-    assert names == set(ALTERNATIVES) | {"rank_model"}
+    assert names == set(ALTERNATIVES)
 
 
-@pytest.mark.parametrize("config", list(_configs()))
+@pytest.mark.parametrize("config", list(_configs()), ids=CONFIG_IDS)
 def test_payload_round_trip(config):
     payload = config.to_payload()
     assert LookaheadConfig.from_payload(payload) == config
@@ -272,22 +251,13 @@ def test_payload_round_trip(config):
 def test_every_single_field_change_changes_the_key():
     keys = [config.key() for config in _configs()]
     assert len(set(keys)) == len(keys)
-    m2 = passthrough_model(meta={"variant": 2}).payload()
-    a = LookaheadConfig(rank="prune", rank_model=MODEL)
-    b = LookaheadConfig(rank="prune", rank_model=m2)
-    assert a.key() != b.key() and a != b
 
 
-def test_key_ignores_arrival_order_and_model_spelling(tmp_path):
+def test_key_ignores_arrival_order_and_model_spelling():
+    # The delay model spelled as one arrival map in two key orders.
     a = LookaheadConfig(arrival_times={"a": 1, "b": 2})
     b = LookaheadConfig(arrival_times={"b": 2, "a": 1})
     assert a == b and a.key() == b.key() and hash(a) == hash(b)
-    path = tmp_path / "model.json"
-    passthrough_model().save(str(path))
-    by_path = LookaheadConfig(rank="prune", rank_model=str(path))
-    by_object = LookaheadConfig(rank="prune", rank_model=passthrough_model())
-    by_payload = LookaheadConfig(rank="prune", rank_model=MODEL)
-    assert by_path == by_object == by_payload
 
 
 def test_empty_arrivals_are_unit_delay():
@@ -310,10 +280,6 @@ def test_from_payload_rules():
         LookaheadConfig.from_payload({"spcf_prefilter": True})
     with pytest.raises(ValueError, match="unknown options: arrival_times"):
         LookaheadConfig.from_payload({"arrival_times": {"a0": 1}})
-    with pytest.raises(ValueError, match="embed the model payload"):
-        LookaheadConfig.from_payload(
-            {"rank": "prune", "rank_model": "model.json"}
-        )
     # null takes the default — the field's, or the supplied one.
     assert LookaheadConfig.from_payload({"sim_width": None}) \
         == LookaheadConfig()
@@ -360,10 +326,6 @@ BAD_ARGV = {
     "arrival-file-missing": [
         "optimize", "{aag}", "--arrival-file", "{tmp}/missing.json",
     ],
-    "rank-model-missing": [
-        "optimize", "{aag}", "--rank", "prune",
-        "--rank-model", "{tmp}/missing.json",
-    ],
     "stats-arrival-unparsable": ["stats", "{aag}", "--arrival", "a0=x"],
     "stats-arrival-file-missing": [
         "stats", "{aag}", "--arrival-file", "{tmp}/missing.json",
@@ -382,6 +344,28 @@ def test_cli_rejects_the_deleted_sat_portfolio_flag(tmp_path, capsys):
     assert raised.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: --sat-portfolio" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "{aag}", "--rank", "off"],
+     "unrecognized arguments: --rank off"),
+    (["optimize", "{aag}", "--rank-model", "model.json"],
+     "unrecognized arguments: --rank-model model.json"),
+    (["optimize", "{aag}", "--rank-data", "rows.jsonl"],
+     "unrecognized arguments: --rank-data rows.jsonl"),
+    (["rank", "fit", "--data", "rows.jsonl", "-o", "model.json"],
+     "invalid choice: 'rank'"),
+], ids=["rank", "rank-model", "rank-data", "rank-fit"])
+def test_cli_rejects_the_deleted_rank_options(argv, message, tmp_path, capsys):
+    from repro.cli import main
+
+    circuit = tmp_path / "rca2.aag"
+    with open(circuit, "w") as fh:
+        write_aag(ripple_carry_adder(2), fh)
+    with pytest.raises(SystemExit) as raised:
+        main([arg.replace("{aag}", str(circuit)) for arg in argv])
+    assert raised.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", list(BAD_ARGV.values()), ids=list(BAD_ARGV))

@@ -19,7 +19,7 @@ from repro.core import (
 from repro.core.flow import job_store_key
 from repro.store import runtime as store_runtime
 
-from .test_config import ALTERNATIVES, MODEL
+from .test_config import ALTERNATIVES
 
 
 @pytest.fixture(autouse=True)
@@ -139,7 +139,6 @@ def _variations():
         key = "arrivals" if name == "arrival_times" else name
         value = list(value) if isinstance(value, tuple) else value
         yield name, {**BASE, key: value}
-    yield "rank_model", {**BASE, "rank": "prune", "rank_model": MODEL}
     yield "flow", {**BASE, "flow": "lookahead"}
     yield "max_iterations", {**BASE, "flow": "lookahead", "max_iterations": 2}
 
@@ -211,10 +210,6 @@ class TestJobReplay:
             out, counts = _run_job(aig, options)
             assert counts["store.job.hit"] == 0, label
             assert _aag(out) != _aag(planted), label
-            if label == "rank":
-                # 'log' jobs always run: their rows are a side effect.
-                assert counts["store.job.miss"] == 0
-                continue
             assert counts["store.job.miss"] == 1, label
             again, counts = _run_job(aig, options)
             assert counts["store.job.hit"] == 1, label
@@ -260,21 +255,3 @@ class TestJobReplay:
         checked, counts = _run_job(aig, {**BASE, "verify": True})
         assert counts["store.job.hit"] == 1
         assert _aag(checked) == _aag(plain)
-
-    def test_logged_jobs_write_rows_every_time(self, tmp_path):
-        from repro.cli import main
-
-        circuit = tmp_path / "rca3.aag"
-        circuit.write_text(_aag(ripple_carry_adder(3)))
-        data = tmp_path / "rows.jsonl"
-        argv = [
-            "optimize", str(circuit), "--flow", "lookahead-only",
-            "--workers", "1", "--rank", "log", "--rank-data", str(data),
-            "--store", str(tmp_path / "results.db"),
-        ]
-        assert main(argv) == 0
-        rows = data.read_text().splitlines()
-        assert rows
-        assert main(argv) == 0
-        assert data.read_text().splitlines() == rows + rows
-        assert store_runtime.get_store().entries("job") == 0

@@ -238,6 +238,20 @@ class TestRejection:
             _client(daemon).request({"op": "frobnicate"}, timeout=10)
         assert exc.value.code == "bad-request"
 
+    @pytest.mark.parametrize("option", [
+        {"rank": "off"},
+        {"rank_model": {"format": "repro-rank-model"}},
+    ], ids=["rank", "rank_model"])
+    def test_deleted_rank_option_is_bad_request(self, daemon, option):
+        client = _client(daemon)
+        with pytest.raises(ServeError) as exc:
+            client.submit(_rca_text(), options=option, timeout=10)
+        assert exc.value.code == "bad-request"
+        assert str(exc.value) == f"unknown options: {next(iter(option))}"
+        # The rejection leaves the daemon serving.
+        result = client.submit(_rca_text(), timeout=120)
+        assert result["ands"] > 0
+
 
 class TestTimeout:
     def test_watchdog_answers_and_counts(self, daemon):
