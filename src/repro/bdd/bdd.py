@@ -11,7 +11,7 @@ small/medium cones, and as an independent oracle in the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 TRUE = 0
 FALSE = 1
@@ -28,6 +28,22 @@ def ref_node(ref: int) -> int:
 
 def ref_complemented(ref: int) -> bool:
     return bool(ref & 1)
+
+
+def _conj_operands(refs: Iterable[int]) -> Optional[Tuple[int, ...]]:
+    """The distinct non-constant operands of a conjunction, sorted.
+
+    ``None`` when the conjunction is FALSE on sight: a FALSE operand or
+    a complementary pair.
+    """
+    ops = set()
+    for r in refs:
+        if r == TRUE:
+            continue
+        if r == FALSE or r ^ 1 in ops:
+            return None
+        ops.add(r)
+    return tuple(sorted(ops))
 
 
 class BDD:
@@ -174,7 +190,50 @@ class BDD:
         return acc
 
     def implies(self, f: int, g: int) -> bool:
-        return self.and_(f, ref_not(g)) == FALSE
+        return self.conj_is_false([f, ref_not(g)])
+
+    def conj_is_false(self, refs: Iterable[int]) -> bool:
+        """Whether the conjunction of ``refs`` is FALSE, building nothing.
+
+        The many-operand form of CUDD's containment test
+        (``Cudd_bddLeq``): a depth-first search for one satisfying path
+        of the conjunction.  Each step cofactors every operand on the
+        top variable, takes the then-branch first and stops at the first
+        branch that is not empty.  It only reads the node arrays: no
+        ``_mk`` call, no unique-table or computed-table entry, so the
+        manager is the same after the call as before it.
+        """
+        ops = _conj_operands(refs)
+        if ops is None:
+            return True
+        if len(ops) < 2:
+            return False
+        return self._conj_empty(ops, set())
+
+    def _conj_empty(
+        self, ops: Tuple[int, ...], empty: Set[Tuple[int, ...]]
+    ) -> bool:
+        """:meth:`conj_is_false` of at least two :func:`_conj_operands`.
+
+        ``empty`` holds the operand tuples this call has proved empty.
+        Only those need remembering: a branch that is not empty ends the
+        whole search.
+        """
+        if ops in empty:
+            return True
+        var = self._var
+        top = min([var[r >> 1] for r in ops])
+        for branch in (self._high, self._low):
+            sub = _conj_operands([
+                branch[r >> 1] ^ (r & 1) if var[r >> 1] == top else r
+                for r in ops
+            ])
+            if sub is None:
+                continue
+            if len(sub) < 2 or not self._conj_empty(sub, empty):
+                return False
+        empty.add(ops)
+        return True
 
     def restrict(self, f: int, var: int, value: bool) -> int:
         """Cofactor ``f`` with respect to ``x_var = value``."""
@@ -196,7 +255,9 @@ class BDD:
             cache[r] = out
             return out
 
-        return rec(f)
+        out = rec(f)
+        del rec  # free the self-referencing closure now, not at GC
+        return out
 
     def exists(self, f: int, variables: Sequence[int]) -> int:
         out = f

@@ -44,7 +44,9 @@ def rebuild_with_order(
         cache[r] = out
         return out
 
-    return dest, rec(ref)
+    out = rec(ref)
+    del rec  # free the self-referencing closure now, not at GC
+    return dest, out
 
 
 def order_cost(src: BDD, ref: int, order: Sequence[int]) -> int:

@@ -7,8 +7,9 @@ models are provided:
 * :class:`ExactModel` — global truth tables over the PIs (small circuits);
 * :class:`SignatureModel` — packed random-simulation signatures (any size).
 
-All of them expose the same small algebra (literal/conj/complement/count/
-is_zero) so the core algorithms are mode-agnostic.
+All of them expose the same small algebra (literal/conj/complement/count)
+so the core algorithms are mode-agnostic; the exact ones also answer
+emptiness (``conj_is_zero``) for the care checks.
 """
 
 from __future__ import annotations
@@ -56,17 +57,21 @@ class ExactModel:
     def count(self, fn: TruthTable) -> int:
         return fn.count_ones()
 
-    def is_zero(self, fn: TruthTable) -> bool:
-        return fn.is_const0
+    def conj_is_zero(self, fns: Sequence[TruthTable]) -> bool:
+        """Whether the conjunction of ``fns`` is empty."""
+        return self.conj(fns).is_const0
+
+    def cube_literals(self, nid: int, cube: Cube) -> List[TruthTable]:
+        """Global literals of the fan-ins of ``nid`` that ``cube`` fixes."""
+        fanins = self.net.nodes[nid].fanins
+        return [
+            self.literal(self.fn(fanins[var]), pol)
+            for var, pol in cube.literals()
+        ]
 
     def cube_condition(self, nid: int, cube: Cube) -> TruthTable:
         """Global condition: node ``nid``'s fan-ins lie inside ``cube``."""
-        node = self.net.nodes[nid]
-        terms = [
-            self.literal(self.fn(node.fanins[var]), pol)
-            for var, pol in cube.literals()
-        ]
-        return self.conj(terms)
+        return self.conj(self.cube_literals(nid, cube))
 
     def spcf_fn(self, spcf: Spcf) -> TruthTable:
         if spcf.mode != "tt":
@@ -161,18 +166,19 @@ class BddModel:
     def count(self, fn: int) -> int:
         return self.bdd.sat_count(fn, self.num_pis)
 
-    def is_zero(self, fn: int) -> bool:
-        from ..bdd import FALSE
+    def conj_is_zero(self, fns: Sequence[int]) -> bool:
+        """Whether the conjunction of ``fns`` is empty, building no node."""
+        return self.bdd.conj_is_false(fns)
 
-        return fn == FALSE  # canonical: the empty function has one ref
-
-    def cube_condition(self, nid: int, cube: Cube) -> int:
-        node = self.net.nodes[nid]
-        terms = [
-            self.literal(self.fn(node.fanins[var]), pol)
+    def cube_literals(self, nid: int, cube: Cube) -> List[int]:
+        fanins = self.net.nodes[nid].fanins
+        return [
+            self.literal(self.fn(fanins[var]), pol)
             for var, pol in cube.literals()
         ]
-        return self.conj(terms)
+
+    def cube_condition(self, nid: int, cube: Cube) -> int:
+        return self.conj(self.cube_literals(nid, cube))
 
     def spcf_fn(self, spcf) -> int:
         if spcf.mode != "bdd":
@@ -250,9 +256,6 @@ class SignatureModel:
 
     def count(self, fn: int) -> int:
         return bin(fn).count("1")
-
-    def is_zero(self, fn: int) -> bool:
-        return fn == 0
 
     def cube_condition(self, nid: int, cube: Cube) -> int:
         node = self.net.nodes[nid]

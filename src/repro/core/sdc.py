@@ -40,7 +40,7 @@ def sdc_minimize(net: Network, model, max_nodes: Optional[int] = None) -> int:
         dc = TruthTable.const(False, k)
         for m in range(1 << k):
             cube = Cube.from_minterm(m, k)
-            if model.is_zero(model.cube_condition(nid, cube)):
+            if model.conj_is_zero(model.cube_literals(nid, cube)):
                 dc |= cube.to_tt()
         if dc.is_const0:
             continue

@@ -34,9 +34,10 @@ WITNESS_POOL_LIMIT = 1024
 class ExactCareChecker:
     """Unreachability by exact emptiness tests on global functions.
 
-    The model is an :class:`ExactModel` or a ``BddModel``: both are
-    canonical, so a care condition is empty iff it is the domain's zero,
-    and no minterm needs counting.
+    The model is an :class:`ExactModel` or a ``BddModel``.  A cube is
+    unreachable iff the conjunction of the care function and the fan-in
+    literals is empty; ``conj_is_zero`` decides that without counting a
+    minterm, and on BDDs without building the conjunction.
     """
 
     def __init__(self, model: ExactModel, care_fn):
@@ -52,8 +53,12 @@ class ExactCareChecker:
         self.model.recompute()
 
     def cube_unreachable(self, nid: int, cube: Cube) -> bool:
-        cond = self.model.cube_condition(nid, cube)
-        return self.model.is_zero(self.model.conj([self.care_fn, cond]))
+        perf.incr("secondary.exact.calls")
+        model = self.model
+        if model.conj_is_zero([self.care_fn, *model.cube_literals(nid, cube)]):
+            perf.incr("secondary.exact.unreachable")
+            return True
+        return False
 
 
 class WitnessPool:

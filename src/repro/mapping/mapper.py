@@ -277,5 +277,6 @@ def map_aig(
         if sig[0] == 0:
             continue  # constant outputs need no gates
         emit(sig)
+    del emit  # free the self-referencing closure now, not at GC
 
     return MappedNetlist(aig, gates, po_signals, arrival)

@@ -187,6 +187,8 @@ class PerfRegistry:
                 "secondary.refresh.nodes",
             ):
                 counters.setdefault(name, 0)
+        if "secondary.exact.calls" in counters:  # listed even at zero
+            counters.setdefault("secondary.exact.unreachable", 0)
         if counters.keys() & {"area.sweep.queries", "area.redundancy.queries"}:
             for name in ("area.sweep.unknown", "area.redundancy.unknown"):
                 counters.setdefault(name, 0)  # listed even at zero

@@ -255,4 +255,6 @@ def expr_to_cover(expr: Expr, nvars: int) -> Cover:
             acc = nxt
         return acc
 
-    return _from_acubes(rec(expr), nvars).single_cube_containment()
+    cubes = rec(expr)
+    del rec  # free the self-referencing closure now, not at GC
+    return _from_acubes(cubes, nvars).single_cube_containment()

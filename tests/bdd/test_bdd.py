@@ -289,3 +289,77 @@ class TestIteReference:
         fast, ref = managers
         assert (fast._var, fast._high, fast._low) == \
             (ref._var, ref._high, ref._low)
+
+
+def _manager_state(bdd):
+    """Copies of everything a BDD operation could add to the manager."""
+    return (
+        list(bdd._var), list(bdd._high), list(bdd._low),
+        dict(bdd._unique), dict(bdd._ite_cache),
+    )
+
+
+class TestConjIsFalse:
+    """``conj_is_false`` against the conjunction it never builds.
+
+    Every call must leave the manager as it found it; the reference
+    conjunction is built only after that is checked.
+    """
+
+    def _check(self, bdd, refs):
+        before = _manager_state(bdd)
+        got = bdd.conj_is_false(refs)
+        assert _manager_state(bdd) == before
+        assert got == (bdd.and_many(refs) == FALSE)
+        return got
+
+    def _check_implies(self, bdd, f, g):
+        before = _manager_state(bdd)
+        got = bdd.implies(f, g)
+        assert _manager_state(bdd) == before
+        assert got == (bdd.and_(f, ref_not(g)) == FALSE)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_the_built_conjunction(self, seed):
+        bdd = BDD()
+        pool = [TRUE, FALSE, *_random_formulas(bdd, seed)]
+        rng = random.Random(seed)
+        verdicts = set()
+        for _ in range(40):
+            refs = [
+                rng.choice(pool) ^ rng.getrandbits(1)
+                for _ in range(rng.randint(1, 6))
+            ]
+            verdicts.add(self._check(bdd, refs))
+            f = rng.choice(refs)
+            self._check(bdd, refs + [f])  # a duplicate operand
+            self._check(bdd, refs + [ref_not(f)])  # a complementary pair
+            self._check_implies(bdd, f, rng.choice(pool))
+        assert verdicts == {True, False}
+
+    @given(
+        st.integers(0, 10_000),
+        st.lists(
+            st.tuples(st.integers(0, 1 << 10), st.booleans()),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_operand_lists(self, seed, picks):
+        bdd = BDD()
+        pool = [TRUE, FALSE, *_random_formulas(bdd, seed, steps=40)]
+        refs = [pool[i % len(pool)] ^ neg for i, neg in picks]
+        self._check(bdd, refs)
+        self._check_implies(bdd, refs[0], refs[-1])
+
+    def test_constant_and_trivial_operands(self):
+        bdd = BDD()
+        x, y = bdd.var(0), bdd.var(1)
+        cases = [
+            ([], False), ([TRUE], False), ([FALSE], True),
+            ([x, TRUE], False), ([x, FALSE], True), ([x, x], False),
+            ([x, ref_not(x)], True), ([x, y, ref_not(x)], True),
+            ([x, ref_not(y)], False),
+        ]
+        for refs, empty in cases:
+            assert self._check(bdd, refs) is empty

@@ -99,16 +99,20 @@ class TestEmptiness:
     @given(st.integers(0, 40))
     @settings(deadline=None, max_examples=8)
     def test_is_zero_iff_nothing_counts(self, seed):
-        # Care checks ask only whether a condition is empty; each domain
-        # answers with its zero test, never a minterm count.
+        # Care checks ask only whether a conjunction is empty; both exact
+        # domains answer without counting a minterm, and BDDs without
+        # building the conjunction.  The care function is a node's
+        # complement, as !Σ1 is in the optimizer.
         aig, net = _setup(seed)
-        pi_words = random_patterns(len(net.pis), 64, seed)
-        models = (
-            ExactModel(net), BddModel(net), SignatureModel(net, pi_words, 64)
-        )
-        for model in models:
-            for nid in net.topo_order():
+        order = net.topo_order()
+        care_nid = order[seed % len(order)]
+        for model in (ExactModel(net), BddModel(net)):
+            care = model.complement(model.fn(care_nid))
+            for nid in order:
                 k = len(net.nodes[nid].fanins)
                 for m in range(1 << k):
-                    cond = model.cube_condition(nid, Cube.from_minterm(m, k))
-                    assert model.is_zero(cond) == (model.count(cond) == 0)
+                    lits = model.cube_literals(nid, Cube.from_minterm(m, k))
+                    for fns in (lits, [care, *lits]):
+                        assert model.conj_is_zero(fns) == (
+                            model.count(model.conj(fns)) == 0
+                        )

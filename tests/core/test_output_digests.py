@@ -33,6 +33,7 @@ from repro.core import (
     normalize_job_config,
     recover_area,
 )
+from repro.core.lookahead import spcf_domain
 from repro.opt import abc_resyn2rs, dc_map_effort_high, sis_best
 from repro.store import runtime as store_runtime
 
@@ -41,6 +42,10 @@ CIRCUITS = {
     "adder16": lambda: ripple_carry_adder(16),
     "C432": BENCHMARKS["C432"],
     "rot": BENCHMARKS["rot"],
+    **{
+        f"rca{n}": (lambda n=n: ripple_carry_adder(n))
+        for n in (6, 7, 9, 10, 11, 12)
+    },
 }
 
 
@@ -65,20 +70,37 @@ def _aag_digest(aig) -> str:
 
 ADDER16_ARRIVALS = {"a0": 3, "b0": 3}
 
+# adder8 and the rca cases (13-25 PIs) span the BDD domain, where every
+# cone's care checks run on BDDs under a 500,000-node manager budget.
 CTOR_CASES = [
     pytest.param("rot", {}, "fcc0826d48a9f8b5", id="rot",
                  marks=pytest.mark.slow),
     pytest.param("adder8", {}, "52cf6d4e81aed803", id="adder8"),
     pytest.param("C432", {"use_rules": False, "seed": 2},
                  "2221953ebbafb366", id="C432-norules-seed2"),
+    pytest.param("rca6", {}, "efd44f1c4a61ad67", id="rca6"),
+    pytest.param("rca7", {}, "3399244bd49eb049", id="rca7"),
+    pytest.param("rca9", {}, "6b4439e5583e714f", id="rca9"),
+    pytest.param("rca10", {}, "ee046a60e8914b49", id="rca10"),
+    pytest.param("rca11", {}, "915696d55a924276", id="rca11",
+                 marks=pytest.mark.slow),
+    pytest.param("rca12", {}, "f2b3a0d1af961193", id="rca12",
+                 marks=pytest.mark.slow),
 ]
 
 
 @pytest.mark.parametrize("circuit, extra, expected", CTOR_CASES)
 def test_constructor_output(circuit, extra, expected):
+    aig = CIRCUITS[circuit]()
+    fallbacks = perf.counter("spcf.tier.signature")
     with LookaheadOptimizer(workers=1, **GOLDEN_W1, **extra) as opt:
-        out = opt.optimize(CIRCUITS[circuit]())
+        out = opt.optimize(aig)
+        tier = opt.config.spcf_tier
     assert _aag_digest(out) == expected
+    if spcf_domain(aig.num_pis, tier) == "bdd":
+        # No BDD-domain cone outgrew its manager budget and was redone
+        # in the signature domain.
+        assert perf.counter("spcf.tier.signature") == fallbacks
 
 
 # The golden circuits with budget-exhausted (UNKNOWN) care verdicts at

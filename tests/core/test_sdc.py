@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import AIG, po_tts
-from repro.core import ExactModel
+from repro.core import BddModel, ExactModel
 from repro.core.sdc import sdc_minimize
 from repro.netlist import Network, renode
 from repro.tt import TruthTable
@@ -34,11 +34,11 @@ def test_correlated_fanins_simplify():
 @settings(deadline=None, max_examples=15)
 def test_preserves_po_functions(seed):
     aig = random_aig(seed, n_pis=5, n_nodes=30, n_pos=3)
-    net = renode(aig, k=4)
-    before = net.po_tts()
-    model = ExactModel(net)
-    sdc_minimize(net, model)
-    assert net.po_tts() == before
+    for model_cls in (ExactModel, BddModel):
+        net = renode(aig, k=4)
+        before = net.po_tts()
+        sdc_minimize(net, model_cls(net))
+        assert net.po_tts() == before
 
 
 def test_wide_nodes_skipped():

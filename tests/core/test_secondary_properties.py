@@ -14,12 +14,15 @@ from repro.aig import random_patterns
 from repro.bench import BENCHMARKS
 from repro.bench.table2 import golden_config
 from repro.core import (
+    BddModel,
     ExactCareChecker,
     ExactModel,
     LookaheadConfig,
     LookaheadOptimizer,
     SatCareChecker,
     SignatureModel,
+    execute_optimize_job,
+    normalize_job_config,
     primary_reduce,
     secondary_simplify,
 )
@@ -34,6 +37,7 @@ from repro.timing import AigTimingEngine, NetworkTimingEngine
 from repro.tt import TruthTable
 
 from ..aig.test_aig import random_aig
+from ..bdd.test_bdd import tt_to_bdd
 from .test_output_digests import _aag_digest
 
 
@@ -43,17 +47,21 @@ def _cone(seed):
 
 
 class TestCareSetExtremes:
+    # Each property holds in both exact domains; ``model.conj([])`` is
+    # the domain's constant 1.
+
     @given(st.integers(0, 40))
     @settings(deadline=None, max_examples=10)
     def test_full_care_set_changes_nothing_wrong(self, seed):
         # care == const1: only genuinely unreachable vectors (structural
         # SDCs) may be dropped, so the PO function must stay identical.
-        net = _cone(seed)
-        before = net.po_tts()[0]
-        model = ExactModel(net)
-        care = TruthTable.const(True, len(net.pis))
-        secondary_simplify(net, 0, ExactCareChecker(model, care))
-        assert net.po_tts()[0] == before
+        for model_cls in (ExactModel, BddModel):
+            net = _cone(seed)
+            before = net.po_tts()[0]
+            model = model_cls(net)
+            care = model.conj([])
+            secondary_simplify(net, 0, ExactCareChecker(model, care))
+            assert net.po_tts()[0] == before
 
     @given(st.integers(0, 40))
     @settings(deadline=None, max_examples=10)
@@ -61,31 +69,91 @@ class TestCareSetExtremes:
         # care == const0: every vector is a don't care; whatever the result
         # is, the invariant "y_neg == y on the care set" holds vacuously —
         # check it runs and the network stays well-formed.
-        net = _cone(seed)
-        model = ExactModel(net)
-        care = TruthTable.const(False, len(net.pis))
-        secondary_simplify(net, 0, ExactCareChecker(model, care))
-        net.po_tts()  # evaluable, no dangling references
+        for model_cls in (ExactModel, BddModel):
+            net = _cone(seed)
+            model = model_cls(net)
+            care = model.complement(model.conj([]))
+            secondary_simplify(net, 0, ExactCareChecker(model, care))
+            net.po_tts()  # evaluable, no dangling references
 
     @given(st.integers(0, 40))
     @settings(deadline=None, max_examples=10)
     def test_partial_care_preserves_on_care(self, seed):
-        net = _cone(seed)
-        before = net.po_tts()[0]
-        model = ExactModel(net)
-        care = TruthTable.var(0, len(net.pis))
-        secondary_simplify(net, 0, ExactCareChecker(model, care))
-        after = net.po_tts()[0]
-        assert (care & (after ^ before)).is_const0
+        for model_cls in (ExactModel, BddModel):
+            net = _cone(seed)
+            before = net.po_tts()[0]
+            model = model_cls(net)
+            care = model.fn(net.pis[0])
+            secondary_simplify(net, 0, ExactCareChecker(model, care))
+            after = net.po_tts()[0]
+            care_tt = TruthTable.var(0, len(net.pis))
+            assert (care_tt & (after ^ before)).is_const0
 
     def test_max_nodes_cap(self):
-        net = _cone(3)
-        model = ExactModel(net)
-        care = TruthTable.const(False, len(net.pis))
-        changed = secondary_simplify(
-            net, 0, ExactCareChecker(model, care), max_nodes=1
+        for model_cls in (ExactModel, BddModel):
+            net = _cone(3)
+            model = model_cls(net)
+            care = model.complement(model.conj([]))
+            changed = secondary_simplify(
+                net, 0, ExactCareChecker(model, care), max_nodes=1
+            )
+            assert changed <= 1
+
+
+class TestExactCareChecker:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, (1 << 64) - 1),
+        st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+                 min_size=1, max_size=3),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_bdd_verdicts_match_truth_tables(self, seed, care, mutations):
+        # One random renoded network, one random care function, a checker
+        # per exact domain: every minterm of every node gets the same
+        # verdict from both, before and after each mutation + refresh.
+        net = renode(random_aig(seed, n_pis=6, n_nodes=60, n_pos=8), k=3)
+        care = TruthTable(care, 6)
+        tt_model, bdd_model = ExactModel(net), BddModel(net)
+        checkers = (
+            ExactCareChecker(tt_model, care),
+            ExactCareChecker(bdd_model, tt_to_bdd(bdd_model.bdd, care)),
         )
-        assert changed <= 1
+        feeding = [
+            n for n in net.topo_order()
+            if any(n in net.nodes[o].fanins for o in net.nodes)
+        ]
+        assume(feeding)
+        for step in range(len(mutations) + 1):
+            if step:
+                pick, bits = mutations[step - 1]
+                nid = feeding[pick % len(feeding)]
+                nvars = len(net.nodes[nid].fanins)
+                mask = (1 << (1 << nvars)) - 1
+                net.set_function(nid, TruthTable(bits & mask, nvars))
+                for checker in checkers:
+                    checker.refresh(nid)
+            for nid, cube in _minterm_queries(net):
+                want = checkers[0].cube_unreachable(nid, cube)
+                assert checkers[1].cube_unreachable(nid, cube) == want
+
+    def test_adder8_job_counts_exact_queries(self):
+        # flow-mix's adder8 job (17 PIs) answers every care query in the
+        # BDD domain; the counts are the same serial and in parallel.
+        names = ("secondary.exact.calls", "secondary.exact.unreachable")
+        config = normalize_job_config({"flow": "lookahead"})
+        for workers in (1, 2):
+            store_runtime.reset()
+            before = [perf.counter(name) for name in names]
+            execute_optimize_job(
+                ripple_carry_adder(8), config, workers=workers
+            )
+            counts = [perf.counter(n) - b for n, b in zip(names, before)]
+            assert counts == [3572, 398], workers
+        store_runtime.reset()
+        report = perf.report()
+        for name in ("calls", "unreachable"):
+            assert re.search(rf"secondary\.exact\.{name} +\d+", report)
 
 
 def full_encoding_verdicts(primary, sigma_nid, secondary, queries):
