@@ -85,9 +85,11 @@ class AIG:
 
     def and_(self, a: int, b: int) -> int:
         """AND of two literals with constant folding and structural hashing."""
-        self._check_lit(a)
-        self._check_lit(b)
-        if a == CONST0 or b == CONST0 or a == lit_not(b):
+        bound = len(self._fanin0) << 1
+        if not (0 <= a < bound and 0 <= b < bound):
+            self._check_lit(a)
+            self._check_lit(b)
+        if a == CONST0 or b == CONST0 or a == b ^ 1:
             return CONST0
         if a == CONST1:
             return b
@@ -103,7 +105,7 @@ class AIG:
             self._fanin1.append(b)
             self._is_pi.append(False)
             self._strash[key] = var
-        return make_lit(var)
+        return var << 1
 
     # -- introspection --------------------------------------------------------
 
@@ -240,24 +242,27 @@ class AIG:
         return out
 
     def _copy_rec(self, dest: "AIG", mapping: Dict[int, int], lit: int) -> int:
-        stack = [lit_var(lit)]
+        fanin0, fanin1, is_pi = self._fanin0, self._fanin1, self._is_pi
+        stack = [lit >> 1]
         while stack:
             var = stack[-1]
             if var in mapping:
                 stack.pop()
                 continue
-            if self._is_pi[var]:
+            if is_pi[var]:
                 raise KeyError(f"PI variable {var} missing from mapping")
-            f0, f1 = self._fanin0[var], self._fanin1[var]
-            pending = [v for v in (lit_var(f0), lit_var(f1)) if v not in mapping]
-            if pending:
-                stack.extend(pending)
+            f0, f1 = fanin0[var], fanin1[var]
+            a = mapping.get(f0 >> 1)
+            b = mapping.get(f1 >> 1)
+            if a is None or b is None:
+                if a is None:
+                    stack.append(f0 >> 1)
+                if b is None:
+                    stack.append(f1 >> 1)
                 continue
             stack.pop()
-            a = lit_notif(mapping[lit_var(f0)], lit_neg(f0))
-            b = lit_notif(mapping[lit_var(f1)], lit_neg(f1))
-            mapping[var] = dest.and_(a, b)
-        return lit_notif(mapping[lit_var(lit)], lit_neg(lit))
+            mapping[var] = dest.and_(a ^ (f0 & 1), b ^ (f1 & 1))
+        return mapping[lit >> 1] ^ (lit & 1)
 
     def extract(self, po_lits: Optional[Sequence[int]] = None) -> "AIG":
         """Structurally rebuild keeping only logic reachable from the POs.

@@ -6,20 +6,14 @@ network, the cut-rewriting baseline, and the technology mapper.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..tt import TruthTable
-from .aig import AIG, lit_neg, lit_var
+from ..tt.truthtable import _var_bits
+from .aig import AIG, lit_var
 
 Cut = Tuple[int, ...]  # sorted tuple of leaf variables
-
-
-def _merge(c0: Cut, c1: Cut, k: int) -> Cut:
-    """Union of two cuts, or () sentinel if it exceeds k leaves."""
-    union = sorted(set(c0) | set(c1))
-    if len(union) > k:
-        return ()
-    return tuple(union)
 
 
 def enumerate_cuts(
@@ -31,37 +25,43 @@ def enumerate_cuts(
     non-trivial cuts, smallest first.  The constant variable has the empty
     cut.
     """
+    fanin0, fanin1, is_pi = aig._fanin0, aig._fanin1, aig._is_pi
     cuts: List[List[Cut]] = [[] for _ in range(aig.num_vars)]
     cuts[0] = [()]
     for var in aig.pis:
         cuts[var] = [(var,)]
-    for var in aig.and_vars():
-        f0, f1 = aig.fanins(var)
-        v0, v1 = lit_var(f0), lit_var(f1)
-        merged: List[Cut] = []
-        seen = set()
-        for c0 in cuts[v0]:
-            for c1 in cuts[v1]:
-                u = _merge(c0, c1, k)
-                if u == () and (c0 or c1):
-                    continue
-                if u in seen:
-                    continue
-                seen.add(u)
-                merged.append(u)
+    for var in range(1, len(fanin0)):
+        if is_pi[var]:
+            continue
+        # Leaf sets live only while their node is merged: one set per
+        # kept cut of every variable would outlast the pass in memory.
+        sets1 = [frozenset(c) for c in cuts[fanin1[var] >> 1]]
+        unique = set()
+        for c0 in cuts[fanin0[var] >> 1]:
+            s0 = frozenset(c0)
+            for s1 in sets1:
+                u = s0 | s1
+                if len(u) <= k:
+                    unique.add(u)
         # Small-first, keep the first ``max_cuts`` cuts that no other cut
         # is a proper subset of.  A dominating cut is smaller, and a chain
         # of them ends at a kept cut, so testing the kept ones suffices.
-        merged.sort(key=lambda c: (len(c), c))
+        # Leaf tuples order cuts within one size; they are built only for
+        # the sizes reached before the list is full.
         kept: List[Cut] = []
         kept_sets: List[FrozenSet[int]] = []
-        for cut in merged:
+        for _size, group in groupby(sorted(unique, key=len), key=len):
             if len(kept) == max_cuts:
                 break
-            cut_set = frozenset(cut)
-            if not any(o < cut_set for o in kept_sets):
-                kept.append(cut)
-                kept_sets.append(cut_set)
+            for cut, u in sorted([(tuple(sorted(u)), u) for u in group]):
+                if len(kept) == max_cuts:
+                    break
+                for o in kept_sets:
+                    if o < u:
+                        break
+                else:
+                    kept.append(cut)
+                    kept_sets.append(u)
         kept.append((var,))
         cuts[var] = kept
     return cuts
@@ -75,37 +75,40 @@ def cut_tt(aig: AIG, root_lit_or_var: int, leaves: Sequence[int],
     Every path from the root must be cut by ``leaves`` (or constants).
     """
     n = len(leaves)
-    values: Dict[int, TruthTable] = {0: TruthTable.const(False, n)}
+    full = (1 << (1 << n)) - 1
+    # Table bits per variable; one TruthTable is built at the end.
+    values: Dict[int, int] = {0: 0}
     for i, leaf in enumerate(leaves):
-        values[leaf] = TruthTable.var(i, n)
-    root_var = lit_var(root_lit_or_var) if is_lit else root_lit_or_var
+        values[leaf] = _var_bits(i, n)
+    root_var = root_lit_or_var >> 1 if is_lit else root_lit_or_var
+    fanin0, fanin1, is_pi = aig._fanin0, aig._fanin1, aig._is_pi
     stack = [root_var]
     while stack:
         var = stack[-1]
         if var in values:
             stack.pop()
             continue
-        if aig.is_pi(var):
+        if is_pi[var]:
             raise ValueError(f"PI {var} reached but not a cut leaf")
-        f0, f1 = aig.fanins(var)
-        pending = [
-            v for v in (lit_var(f0), lit_var(f1)) if v not in values
-        ]
-        if pending:
-            stack.extend(pending)
+        f0, f1 = fanin0[var], fanin1[var]
+        a = values.get(f0 >> 1)
+        b = values.get(f1 >> 1)
+        if a is None or b is None:
+            if a is None:
+                stack.append(f0 >> 1)
+            if b is None:
+                stack.append(f1 >> 1)
             continue
         stack.pop()
-        a = values[lit_var(f0)]
-        if lit_neg(f0):
-            a = ~a
-        b = values[lit_var(f1)]
-        if lit_neg(f1):
-            b = ~b
+        if f0 & 1:
+            a ^= full
+        if f1 & 1:
+            b ^= full
         values[var] = a & b
     result = values[root_var]
-    if is_lit and lit_neg(root_lit_or_var):
-        result = ~result
-    return result
+    if is_lit and root_lit_or_var & 1:
+        result ^= full
+    return TruthTable(result, n)
 
 
 def cut_volume(aig: AIG, root: int, leaves: Sequence[int]) -> int:

@@ -20,7 +20,16 @@ DEFAULT_MAX_CUTS = 8
 def renode(
     aig: AIG, k: int = DEFAULT_K, max_cuts: int = DEFAULT_MAX_CUTS
 ) -> Network:
-    """Cluster ``aig`` into a network of complex nodes (<=k inputs each)."""
+    """Cluster ``aig`` into a network of complex nodes (<=k inputs each).
+
+    Every AND node keeps a usable cut, its fan-in pair, exactly when
+    ``k >= 2`` and ``max_cuts >= 1``; other settings raise ``ValueError``.
+    """
+    if k < 2 or max_cuts < 1:
+        raise ValueError(
+            f"renode needs k >= 2 and max_cuts >= 1, got k={k}, "
+            f"max_cuts={max_cuts}"
+        )
     cuts = enumerate_cuts(aig, k, max_cuts)
     # Depth-oriented best-cut selection.
     arrival: List[int] = [0] * aig.num_vars
@@ -31,9 +40,7 @@ def renode(
         for cut in cuts[var]:
             if cut == (var,) or not cut:
                 continue
-            arr = 1 + max(
-                (arrival[leaf] for leaf in cut), default=0
-            )
+            arr = 1 + max([arrival[leaf] for leaf in cut])
             key = (arr, len(cut))
             if best_key is None or key < best_key:
                 best_key = key

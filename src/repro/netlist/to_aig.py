@@ -9,17 +9,19 @@ the optimal-depth trees assumed by the paper's level model.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..aig import AIG, CONST0, CONST1, lit_not, lit_var
+from ..aig import AIG, CONST0, CONST1, lit_not
 from ..sop import Cover, factor
 from ..sop.factor import Expr
 from ..tt import TruthTable
 from .levels import min_sops
 from .network import Network
 
-#: (on-set, off-set) minimum SOPs, each with its factored form.
-_SopForms = Tuple[Tuple[Cover, Expr], Tuple[Cover, Expr]]
+#: One phase of a local function: its minimum SOP as one ``(var,
+#: polarity)`` list per cube, the SOP's factored form, and whether
+#: building that form replays the flat SOP build.
+_Phase = Tuple[List[List[Tuple[int, bool]]], Expr, bool]
 
 
 class ArrivalAwareBuilder:
@@ -40,10 +42,10 @@ class ArrivalAwareBuilder:
         self.engine = AigTimingEngine(aig, model)
         # Factored min-SOP covers by local function: cut resynthesis meets
         # the same function at many cuts, and factoring is its costly step.
-        self._factored: Dict[Tuple[int, int], _SopForms] = {}
+        self._factored: Dict[Tuple[int, int], Tuple[_Phase, _Phase]] = {}
 
     def level(self, lit: int) -> int:
-        return self.engine.arrival(lit_var(lit))
+        return self.engine.arrival(lit >> 1)
 
     def and_(self, a: int, b: int) -> int:
         return self.aig.and_(a, b)
@@ -85,26 +87,34 @@ class ArrivalAwareBuilder:
         children = [self.build_expr(c, input_lits) for c in expr.children]
         return self.balanced(children, "and" if expr.kind == "and" else "or")
 
-    def build_cover_flat(self, cover: Cover, input_lits: Sequence[int]) -> int:
-        """Instantiate a cover as flat arrival-aware AND/OR trees.
+    def build_cover_flat(
+        self, cubes: Sequence[Sequence[Tuple[int, bool]]],
+        input_lits: Sequence[int],
+    ) -> int:
+        """Instantiate an SOP, one ``(var, polarity)`` list per cube, as
+        flat arrival-aware AND/OR trees.
 
         This realizes exactly the depth promised by the network level model
         (``cover_level``); the factored form below is usually smaller but
         can be deeper.
         """
-        if cover.is_empty():
+        if not cubes:
             return CONST0
-        terms = []
-        for cube in cover:
-            lits = [
-                input_lits[var] if pol else lit_not(input_lits[var])
-                for var, pol in cube.literals()
-            ]
-            terms.append(self.balanced(lits, "and"))
+        terms = [
+            self.balanced(
+                [
+                    input_lits[var] if pol else lit_not(input_lits[var])
+                    for var, pol in cube
+                ],
+                "and",
+            )
+            for cube in cubes
+        ]
         return self.balanced(terms, "or")
 
-    def factored_sops(self, tt: TruthTable) -> _SopForms:
-        """(on-set, off-set) min SOPs of ``tt``, each with its factored form.
+    def factored_sops(self, tt: TruthTable) -> Tuple[_Phase, _Phase]:
+        """(on-set, off-set) phases of ``tt``: each min SOP's cubes, its
+        factored form and whether that form replays the flat build.
 
         Memoized per builder, so the memo lives as long as one synthesis
         pass rather than the process.
@@ -113,22 +123,38 @@ class ArrivalAwareBuilder:
         forms = self._factored.get(key)
         if forms is None:
             on_cover, off_cover = min_sops(tt)
-            forms = (
-                (on_cover, factor(on_cover)),
-                (off_cover, factor(off_cover)),
-            )
+            forms = (_phase(on_cover), _phase(off_cover))
             self._factored[key] = forms
         return forms
 
-    def build_cover(
-        self, cover: Cover, expr: Expr, input_lits: Sequence[int]
-    ) -> int:
-        """Instantiate a cover: best of factored form ``expr`` and flat SOP."""
+    def build_cover(self, phase: _Phase, input_lits: Sequence[int]) -> int:
+        """Instantiate a cover: best of its factored form and flat SOP."""
+        cubes, expr, replays_flat = phase
         factored = self.build_expr(expr, input_lits)
-        flat = self.build_cover_flat(cover, input_lits)
+        if replays_flat and not self.engine.fanout_sensitive:
+            # The flat build would make the same ``and_`` calls on the
+            # same arrivals and return ``factored`` again.  Under a
+            # fanout-sensitive model the nodes just built have moved
+            # older arrivals, so the replay may build another tree.
+            return factored
+        flat = self.build_cover_flat(cubes, input_lits)
         if self.level(flat) < self.level(factored):
             return flat
         return factored
+
+
+def _phase(cover: Cover) -> _Phase:
+    """``cover``'s cubes and factored form, and whether that form is the
+    flat SOP itself: an OR of one AND per cube, cubes and literals in
+    cover order (as ``factor`` leaves a cover no kernel divides)."""
+    cubes = [list(cube.literals()) for cube in cover]
+    expr = factor(cover)
+    terms = expr.children if expr.kind == "or" else [expr]
+    replays_flat = len(terms) == len(cubes) and all(
+        [f.lit for f in (t.children if t.kind == "and" else [t])] == cube
+        for t, cube in zip(terms, cubes)
+    )
+    return cubes, expr, replays_flat
 
 
 def synthesize_node(
@@ -139,9 +165,9 @@ def synthesize_node(
         return CONST0
     if tt.is_const1:
         return CONST1
-    (on_cover, on_expr), (off_cover, off_expr) = builder.factored_sops(tt)
-    lit_on = builder.build_cover(on_cover, on_expr, input_lits)
-    lit_off = lit_not(builder.build_cover(off_cover, off_expr, input_lits))
+    on_phase, off_phase = builder.factored_sops(tt)
+    lit_on = builder.build_cover(on_phase, input_lits)
+    lit_off = lit_not(builder.build_cover(off_phase, input_lits))
     if builder.level(lit_off) < builder.level(lit_on):
         return lit_off
     return lit_on

@@ -75,7 +75,11 @@ class AigTimingEngine(TimingEngine):
         self.model = model if model is not None else UnitDelay()
         self._arr: List[Number] = []
         self._gate_delay: List[Number] = []
-        self._fanout_sensitive = self.model.gate_delay(1) != self.model.gate_delay(2)
+        #: Whether the model reads fanout counts, so that appending a
+        #: reader can move an arrival already computed.
+        self.fanout_sensitive = (
+            self.model.gate_delay(1) != self.model.gate_delay(2)
+        )
 
     # -- forward pass ------------------------------------------------------
 
@@ -102,48 +106,41 @@ class AigTimingEngine(TimingEngine):
         start = len(self._arr)
         if start == n:
             return
-        if start == 0 or self._fanout_sensitive:
+        fanouts = None
+        if start == 0 or self.fanout_sensitive:
             # Full pass: first use, or the model reads fanout counts that
             # appended readers may have changed for old variables.
             perf.incr("timing.recompute.full")
             start = 0
-            fanouts = self._fanouts() if self._fanout_sensitive else None
-            pi_arr = self._pi_arrivals()
-            self._arr = [0] * n
-            self._gate_delay = [0] * n
-            for var in range(n):
-                if self.aig.is_pi(var):
-                    self._arr[var] = pi_arr[var]
-                elif self.aig.is_and(var):
-                    f0, f1 = self.aig.fanins(var)
-                    d = self.model.gate_delay(
-                        fanouts[var] if fanouts else 1
-                    )
-                    self._gate_delay[var] = d
-                    self._arr[var] = d + max(
-                        self._arr[lit_var(f0)], self._arr[lit_var(f1)]
-                    )
-            perf.incr("timing.nodes.recomputed", n)
-            return
-        # Incremental extension over the appended suffix only.
-        perf.incr("timing.recompute.incremental")
+            if self.fanout_sensitive:
+                fanouts = self._fanouts()
+            self._arr = []
+            self._gate_delay = []
+        else:
+            # Incremental extension over the appended suffix only.
+            perf.incr("timing.recompute.incremental")
+        aig = self.aig
+        fanin0, fanin1, is_pi = aig._fanin0, aig._fanin1, aig._is_pi
+        arr, gate_delay = self._arr, self._gate_delay
+        unit = self.model.gate_delay(1)
         pi_arr = None
         for var in range(start, n):
-            if self.aig.is_pi(var):
+            if is_pi[var]:
                 if pi_arr is None:
                     pi_arr = self._pi_arrivals()
-                self._arr.append(pi_arr[var])
-                self._gate_delay.append(0)
-            elif self.aig.is_and(var):
-                f0, f1 = self.aig.fanins(var)
-                d = self.model.gate_delay(1)
-                self._gate_delay.append(d)
-                self._arr.append(
-                    d + max(self._arr[lit_var(f0)], self._arr[lit_var(f1)])
+                arr.append(pi_arr[var])
+                gate_delay.append(0)
+            elif var:
+                d = unit if fanouts is None else self.model.gate_delay(
+                    fanouts[var]
                 )
+                gate_delay.append(d)
+                a0 = arr[fanin0[var] >> 1]
+                a1 = arr[fanin1[var] >> 1]
+                arr.append(d + (a1 if a1 > a0 else a0))
             else:
-                self._arr.append(0)
-                self._gate_delay.append(0)
+                arr.append(0)
+                gate_delay.append(0)
         perf.incr("timing.nodes.recomputed", n - start)
 
     def invalidate(self) -> None:
@@ -161,7 +158,7 @@ class AigTimingEngine(TimingEngine):
     def arrival(self, var: int) -> Number:
         # Appending never changes a computed arrival unless the model
         # reads fanout counts, so a settled one needs no sync.
-        if var < len(self._arr) and not self._fanout_sensitive:
+        if var < len(self._arr) and not self.fanout_sensitive:
             return self._arr[var]
         self._sync()
         return self._arr[var]

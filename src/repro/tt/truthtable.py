@@ -198,7 +198,11 @@ class TruthTable:
 
     def depends_on(self, i: int) -> bool:
         """True iff the function actually depends on ``x_i``."""
-        return self.cofactor(i, False).bits != self.cofactor(i, True).bits
+        # The x_i=1 half, shifted onto the x_i=0 half, differs from it:
+        # the two cofactors compared without building either.
+        v = _var_bits(i, self.nvars)
+        bits = self.bits
+        return ((bits & v) >> (1 << i)) != (bits & ~v)
 
     def support(self) -> List[int]:
         """Indices of variables the function depends on."""

@@ -7,7 +7,7 @@ under any ``PYTHONHASHSEED``.  Two things are pinned:
   constructor, a normalized job (``execute_optimize_job``) and the
   ``repro optimize`` CLI — the three ways an option set reaches the
   optimizer — and the text area recovery alone and the conventional
-  flows produce;
+  flows produce, plus renode's network and the mapper's netlist;
 * the sorted ``(ns, key)`` rows a store-backed optimize writes to SQLite.
   Those keys are what a persistent store is looked up by, so a change to
   how any layer spells its options must leave them alone, or an existing
@@ -34,6 +34,8 @@ from repro.core import (
     recover_area,
 )
 from repro.core.lookahead import spcf_domain
+from repro.mapping import map_aig
+from repro.netlist import renode
 from repro.opt import abc_resyn2rs, dc_map_effort_high, sis_best
 from repro.store import runtime as store_runtime
 
@@ -42,6 +44,7 @@ CIRCUITS = {
     "adder16": lambda: ripple_carry_adder(16),
     "C432": BENCHMARKS["C432"],
     "rot": BENCHMARKS["rot"],
+    "sparc_tlu_intctl_flat": BENCHMARKS["sparc_tlu_intctl_flat"],
     **{
         f"rca{n}": (lambda n=n: ripple_carry_adder(n))
         for n in (6, 7, 9, 10, 11, 12)
@@ -182,6 +185,36 @@ FLOW_CASES = [
 )
 def test_conventional_flow_output(circuit, flow, expected):
     assert _aag_digest(flow(CIRCUITS[circuit]())) == expected
+
+
+# The cut layer on its own: renode at each production setting (the
+# lookahead rounds' RENODE_K=6 with 8 cuts, sis_minimize's 8/6,
+# speed_up's 10/6) and the mapper, which reads every kept cut's
+# function.  The flows above reach these kernels only through their
+# whole output.
+RENODE_CASES = [
+    ("rot", 6, 8, "e438720f83969510"),
+    ("sparc_tlu_intctl_flat", 6, 8, "4b93ddb883b2e7d5"),
+    ("C432", 8, 6, "b036ab152c2c2e19"),
+    ("adder8", 10, 6, "9b348b40c310f7a1"),
+]
+
+
+@pytest.mark.parametrize(
+    "circuit, k, max_cuts, expected", RENODE_CASES,
+    ids=[f"{c[0]}-k{c[1]}-m{c[2]}" for c in RENODE_CASES],
+)
+def test_renode_output(circuit, k, max_cuts, expected):
+    net = renode(CIRCUITS[circuit](), k, max_cuts)
+    assert _digest(repr(net.to_payload())) == expected
+
+
+def test_mapper_output():
+    net = map_aig(CIRCUITS["C432"]())
+    gates = [(g.cell.name, g.output, tuple(g.inputs)) for g in net.gates]
+    assert _digest(repr((gates, net.po_signals, net.delay()))) == (
+        "4dd92487a822b35a"
+    )
 
 
 JOB_CASES = [

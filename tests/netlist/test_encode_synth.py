@@ -273,6 +273,18 @@ SYNTH_MODELS = {
 }
 
 
+def _x(i, n):
+    return TruthTable.var(i, n)
+
+
+# Local functions whose on-set cover factors to the flat SOP itself.
+FLAT_COVERS = {
+    "single-cube": _x(0, 3) & ~_x(1, 3) & _x(2, 3),
+    "single-literal": ~_x(0, 1),
+    "unfactorable": (_x(0, 4) & _x(1, 4)) | (_x(2, 4) & _x(3, 4)),
+}
+
+
 def _synthesis_trace(seed, model_name, use_reference):
     """Synthesize random local functions over growing shared structure."""
     rng = random.Random(seed)
@@ -289,8 +301,9 @@ def _synthesis_trace(seed, model_name, use_reference):
 
     signals = [aig.add_pi(f"x{i}") for i in range(8)]
     # A small pool of local functions, so the same function recurs on
-    # different inputs (as at the many cuts of one resynthesis pass).
-    pool = []
+    # different inputs (as at the many cuts of one resynthesis pass),
+    # plus covers whose factored form is the flat SOP itself.
+    pool = list(FLAT_COVERS.values())
     for _ in range(6):
         n = rng.randint(1, 4)
         pool.append(TruthTable(rng.getrandbits(1 << n), n))
@@ -320,3 +333,40 @@ class TestSynthesisReference:
         want = _synthesis_trace(seed, model_name, use_reference=True)
         assert got == want
         assert len(got[1]) > 30  # the trace built real structure
+
+    @pytest.mark.parametrize("model_name", sorted(SYNTH_MODELS))
+    def test_flat_replay_skipped_only_under_fanout_blind_models(
+        self, model_name, monkeypatch
+    ):
+        # Each cover of FLAT_COVERS factors to its own flat SOP, so its
+        # flat build would only replay the factored one; the builder
+        # skips it unless old arrivals can move (the load model).
+        calls = {"cover": 0, "flat": 0}
+        cover, flat = (
+            ArrivalAwareBuilder.build_cover,
+            ArrivalAwareBuilder.build_cover_flat,
+        )
+
+        def counting(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            ArrivalAwareBuilder, "build_cover", counting("cover", cover)
+        )
+        monkeypatch.setattr(
+            ArrivalAwareBuilder, "build_cover_flat", counting("flat", flat)
+        )
+        for name, tt in FLAT_COVERS.items():
+            builder = ArrivalAwareBuilder(AIG(), SYNTH_MODELS[model_name]())
+            _cubes, _expr, replays_flat = builder.factored_sops(tt)[0]
+            assert replays_flat, name
+        for seed in range(4):
+            _synthesis_trace(seed, model_name, use_reference=False)
+        assert calls["cover"] > 0
+        if model_name == "load":
+            assert calls["flat"] == calls["cover"]
+        else:
+            assert calls["flat"] < calls["cover"]

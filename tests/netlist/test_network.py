@@ -17,6 +17,7 @@ from repro.netlist import (
 )
 from repro.sop import Cover
 from repro.tt import TruthTable
+from repro.adders import ripple_carry_adder
 from repro.aig import AIG, po_tts
 from repro.cec import check_equivalence
 
@@ -185,3 +186,15 @@ class TestRenode:
         aig.add_po(x ^ 1, "notx")
         net = renode(aig)
         assert net.po_tts()[0] == ~TruthTable.var(0, 1)
+
+    @pytest.mark.parametrize("k, max_cuts", [(1, 8), (0, 8), (6, 0)])
+    def test_degenerate_cut_settings_raise(self, k, max_cuts):
+        # With k < 2 or no kept cut an AND node has no usable cut.
+        with pytest.raises(ValueError, match="k >= 2 and max_cuts >= 1"):
+            renode(ripple_carry_adder(2), k=k, max_cuts=max_cuts)
+
+    def test_smallest_cut_settings_renode(self):
+        aig = ripple_carry_adder(2)
+        net = renode(aig, k=2, max_cuts=1)
+        assert net.po_tts() == po_tts(aig)
+        assert all(len(node.fanins) <= 2 for node in net.nodes.values())

@@ -28,6 +28,27 @@ def reference_levels(aig, pi_arrivals=None):
     return lvl
 
 
+def reference_arrivals(aig, model):
+    """Per-node forward pass under any model: fanout counts, PI arrivals
+    and gate delays asked of the model node by node."""
+    fanouts = [0] * aig.num_vars
+    for var in aig.and_vars():
+        for fi in aig.fanins(var):
+            fanouts[lit_var(fi)] += 1
+    for po in aig.pos:
+        fanouts[lit_var(po)] += 1
+    arr = [0] * aig.num_vars
+    for i, (pi, name) in enumerate(zip(aig.pis, aig.pi_names)):
+        arr[pi] = model.pi_arrival(i, name)
+    for var in aig.and_vars():
+        f0, f1 = aig.fanins(var)
+        fo = fanouts[var] if model.gate_delay(1) != model.gate_delay(2) else 1
+        arr[var] = model.gate_delay(fo) + max(
+            arr[lit_var(f0)], arr[lit_var(f1)]
+        )
+    return arr
+
+
 def reference_required(aig, lvl, target):
     req = [INF] * aig.num_vars
     for po in aig.pos:
@@ -80,23 +101,40 @@ class TestUnitEngineMatchesLegacy:
             assert engine.slack(var) == 0
 
 
+ENGINE_MODELS = {
+    "unit": UnitDelay,
+    "prescribed": lambda: PrescribedArrival({"pi0": 2, "pi3": 1, "late": 4}),
+    "load": lambda: LoadAwareDelay(arrivals={"pi1": 30.0, "late": 55.0}),
+}
+
+
 class TestIncrementalEqualsFull:
-    @given(st.integers(0, 40))
-    @settings(deadline=None, max_examples=15)
-    def test_appending_extends_incrementally(self, seed):
+    @given(st.sampled_from(sorted(ENGINE_MODELS)), st.integers(0, 40))
+    @settings(deadline=None, max_examples=30)
+    def test_appending_extends_incrementally(self, model_name, seed):
         import random
 
         rng = random.Random(seed)
+        model = ENGINE_MODELS[model_name]()
         aig = random_aig(seed)
-        engine = AigTimingEngine(aig)
+        engine = AigTimingEngine(aig, model)
         engine.arrivals()  # full pass over the prefix
         lits = [var * 2 for var in range(1, aig.num_vars)]
-        for _ in range(10):
-            a = rng.choice(lits) ^ rng.randint(0, 1)
-            b = rng.choice(lits) ^ rng.randint(0, 1)
-            lits.append(aig.and_(a, b))
-        fresh = AigTimingEngine(aig)
-        assert list(engine.arrivals()) == list(fresh.arrivals())
+        for step in range(4):
+            # Appended ANDs, with a PI among them, then a query.
+            if step == 2:
+                lits.append(aig.add_pi("late"))
+            for _ in range(5):
+                a = rng.choice(lits) ^ rng.randint(0, 1)
+                b = rng.choice(lits) ^ rng.randint(0, 1)
+                lits.append(aig.and_(a, b))
+            got = [engine.arrival(v) for v in range(aig.num_vars)]
+            # Equal values of equal types: an int arrival must not turn
+            # into a float or back.
+            assert repr(got) == repr(reference_arrivals(aig, model))
+        assert repr(engine.arrivals()) == repr(
+            AigTimingEngine(aig, model).arrivals()
+        )
 
     def test_arrival_queries_track_appends(self):
         # ``arrival(var)`` answers settled variables without a sync; under
@@ -111,7 +149,7 @@ class TestIncrementalEqualsFull:
             fresh = AigTimingEngine(aig, model)
             got = [engine.arrival(v) for v in range(aig.num_vars)]
             assert got == list(fresh.arrivals())
-            assert (got[: len(old)] != old) == engine._fanout_sensitive
+            assert (got[: len(old)] != old) == engine.fanout_sensitive
 
     def test_invalidate_recovers(self):
         aig = random_aig(3)

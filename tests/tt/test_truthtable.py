@@ -125,6 +125,44 @@ class TestCofactors:
         assert (a & c).support() == [0, 2]
 
 
+@st.composite
+def tt_with_dummies(draw, max_vars=8):
+    """A table over 0..max_vars variables, some of them made dummies."""
+    n = draw(st.integers(0, max_vars))
+    t = TruthTable(draw(st.integers(0, (1 << (1 << n)) - 1)), n)
+    for i in range(n):
+        if draw(st.booleans()):
+            t = t.cofactor(i, False)
+    return t
+
+
+class TestSupportAgainstCofactors:
+    """``depends_on``/``support``/``shrink`` against the definitions."""
+
+    @given(tt_with_dummies())
+    @settings(max_examples=200)
+    def test_depends_on_and_support(self, t):
+        differs = [
+            t.cofactor(i, False) != t.cofactor(i, True)
+            for i in range(t.nvars)
+        ]
+        assert [t.depends_on(i) for i in range(t.nvars)] == differs
+        assert t.support() == [i for i, d in enumerate(differs) if d]
+
+    @given(tt_with_dummies())
+    @settings(max_examples=200)
+    def test_shrink(self, t):
+        small, support = t.shrink()
+        assert support == [
+            i for i in range(t.nvars)
+            if t.cofactor(i, False) != t.cofactor(i, True)
+        ]
+        assert small.nvars == len(support)
+        for m in range(1 << t.nvars):
+            small_m = sum(1 << j for j, i in enumerate(support) if m >> i & 1)
+            assert small.value(small_m) == t.value(m)
+
+
 class TestTransforms:
     @given(tt_strategy(max_vars=4), st.permutations(list(range(4))))
     def test_permute_roundtrip(self, t, perm):
