@@ -44,6 +44,12 @@ SpcfPayload = Tuple
 ``('sim', signature)``."""
 
 
+_CARRIED = ("spcf", "rejected")
+"""The namespaces a walk worker starts from and hands back
+(:meth:`ConeCache.export`); ``tts`` stays put, the optimizer never
+reads it."""
+
+
 def _encode_tts(tts: List[TruthTable]) -> list:
     return [(tt.bits, tt.nvars) for tt in tts]
 
@@ -103,6 +109,33 @@ class ConeCache:
 
     def mark_rejected(self, key: Tuple) -> None:
         self._rejected.put(key, True)
+
+    # -- carrying entries to a pool worker ----------------------------------
+
+    def export(self) -> Optional[Dict[str, List[tuple]]]:
+        """Picklable copy of the SPCF and rejected-cone entries.
+
+        ``None`` unless the cache is a process-local :class:`MemoryStore`:
+        a worker reaches a persistent store itself, through the runtime
+        spec its task carries.
+        """
+        if not isinstance(self.store, MemoryStore):
+            return None
+        return self.store.export(_CARRIED)
+
+    def absorb(self, entries: Dict[str, List[tuple]]) -> None:
+        """Put the entries of an :meth:`export` (or :meth:`added_since`)."""
+        self.store.absorb(entries)
+
+    def added_since(
+        self, carried: Dict[str, List[tuple]]
+    ) -> Dict[str, List[tuple]]:
+        """The entries put since this cache absorbed ``carried``."""
+        added = {}
+        for ns, items in self.store.export(_CARRIED).items():
+            seen = {ekey for ekey, _entry in carried.get(ns, ())}
+            added[ns] = [item for item in items if item[0] not in seen]
+        return added
 
     # -- maintenance -------------------------------------------------------
 

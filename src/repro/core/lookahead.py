@@ -29,6 +29,12 @@ choice, and a BDD cone builds its own manager inside the task.  A
 cross-round :class:`~repro.core.cache.ConeCache` memoizes SPCFs and
 rejected-cone fingerprints by structural hash, skipping cones that did
 not change between rounds (or between ``optimize()`` calls).
+
+The walk strategies (``walk_modes``) are independent round sequences
+too.  When there are two or more of them and two or more workers, every
+walk but the first also runs whole in a pool worker — rounds, renode,
+rebuild, area recovery, its cones in-process — beside the first, whose
+cones fan out to the workers left free.
 """
 
 from __future__ import annotations
@@ -471,6 +477,42 @@ def _run_cone_task(task: Tuple) -> Tuple:
     return finish(ok, payload, pos_net, sigma_nid, neg_net)
 
 
+def _run_walk_task(task: Tuple) -> Tuple:
+    """Run one walk's whole round sequence on a serial optimizer.
+
+    Top-level so ``ProcessPoolExecutor`` can pickle it by reference, like
+    :func:`_run_cone_task`.  The task is ``(aig, walk_mode, config,
+    verify, carried)``; ``carried`` is the parent cache's
+    :meth:`~repro.core.cache.ConeCache.export`, or ``None`` for a
+    store-backed cache.  The worker adopts no store, so it neither reads
+    nor writes the persistent store the walk beside it in the parent
+    uses.  Returns ``(aig, quality, additions, perf_delta)``: the walk's
+    result, the cache entries it added to ``carried`` (``None`` when
+    nothing was carried) and what it bumped in this worker's registry,
+    with the inner serial rounds' worker accounting replaced by the
+    task's own seconds.
+    """
+    aig, walk_mode, config, verify, carried = task
+    store_runtime.adopt(None)
+    start = time.perf_counter()
+    before = perf.snapshot()
+    cache = ConeCache()
+    if carried is not None:
+        cache.absorb(carried)
+    optimizer = LookaheadOptimizer(
+        config=config, workers=1, verify=verify, cache=cache
+    )
+    out, quality = optimizer._optimize_with(aig, walk_mode)
+    additions = None if carried is None else cache.added_since(carried)
+    counters = perf.delta(before, perf.snapshot())
+    timers = counters["timers"]
+    timers.pop("workers.capacity", None)
+    timers["workers.busy"] = {
+        "seconds": time.perf_counter() - start, "calls": 1,
+    }
+    return out, quality, additions, counters
+
+
 class LookaheadOptimizer:
     """Timing-driven optimizer producing lookahead logic circuits."""
 
@@ -491,7 +533,8 @@ class LookaheadOptimizer:
         result) is ``config`` with the option keywords applied; the
         other arguments are runtime ones.
         ``verify``: equivalence-check every accepted round (slow; tests).
-        ``workers``: worker processes for the per-output fan-out; ``None``
+        ``workers``: worker processes for the walk and per-output fan-out
+        (:meth:`optimize`); ``None``
         defers to ``REPRO_WORKERS`` / ``os.cpu_count()`` and ``1`` forces
         the serial path (see :func:`repro.perf.get_workers`).  ``cache``:
         a :class:`ConeCache` to share across optimizers; by default each
@@ -546,7 +589,11 @@ class LookaheadOptimizer:
 
         Each walk strategy is run as its own full round sequence (greedy
         per-round mixing of strategies traps the search in local optima);
-        the best final result wins.
+        the best final result wins, the first walk on a tie.  With two
+        or more walks and two or more workers, the walks run side by
+        side, all but the first whole in pool workers
+        (:meth:`_parallel_walks`); otherwise they run here in turn.  A
+        round run here fans its cones out to the workers.
 
         The worker pool (like the cone cache) persists across ``optimize``
         calls so repeated invocations — e.g. the ``lookahead_flow``
@@ -556,12 +603,61 @@ class LookaheadOptimizer:
         # The rejection set is per call: verdict replay from earlier
         # calls flows through the cone cache, never through it.
         self._call_rejected = set()
+        walk_modes = self.config.walk_modes
         with perf.timer("optimize"):
-            results = [
-                self._optimize_with(aig, walk_mode)
-                for walk_mode in self.config.walk_modes
-            ]
+            nworkers = perf.get_workers(self.workers)
+            if nworkers >= 2 and len(walk_modes) >= 2:
+                results = self._parallel_walks(aig, nworkers)
+            else:
+                results = [
+                    self._optimize_with(aig, walk_mode)
+                    for walk_mode in walk_modes
+                ]
         return min(results, key=lambda result: result[1])[0]
+
+    def _parallel_walks(
+        self, aig: AIG, nworkers: int
+    ) -> List[Tuple[AIG, Tuple]]:
+        """Each walk's ``(AIG, quality)``, the walks run side by side.
+
+        Every walk but the first runs whole in a pool worker, with its
+        cones in-process (:func:`_run_walk_task`).  The first runs here
+        as in the serial loop, its cones fanned out to the workers the
+        other walks leave free, so this process holds no more than it
+        does for one walk.  A walk is a pure function of its input, walk
+        mode and config, whatever the cache holds, so the results equal
+        the serial loop's.  A memory-backed cache also travels to the
+        walk workers, and their additions are folded back in walk order,
+        so later calls still skip the cones every walk settled.  Walk
+        workers run storeless: a persistent store holds only the first
+        walk's entries, so what that walk reads never depends on timing.
+        """
+        first, *rest = self.config.walk_modes
+        carried = self.cache.export()
+        executor = self._ensure_executor(nworkers)
+        start = time.perf_counter()
+        futures = [
+            executor.submit(
+                _run_walk_task,
+                (aig, walk_mode, self.config, self.verify, carried),
+            )
+            for walk_mode in rest
+        ]
+        results = [self._optimize_with(aig, first)]
+        outcomes = [future.result() for future in futures]
+        # The first walk's rounds account for their own cone fan-out;
+        # the walk workers' lanes are counted once, over the whole wait.
+        perf.add_time(
+            "workers.capacity",
+            (time.perf_counter() - start) * min(nworkers, len(rest)),
+        )
+        perf.incr("walks.parallel")
+        for out, quality, additions, counters in outcomes:
+            perf.merge(counters)
+            if additions is not None:
+                self.cache.absorb(additions)
+            results.append((out, quality))
+        return results
 
     def _optimize_with(self, aig: AIG, walk_mode: str) -> Tuple[AIG, Tuple]:
         """Run the round sequence for one walk; returns (AIG, quality).

@@ -21,8 +21,10 @@ Anatomy:
 * **Optimizer pool** — one :class:`LookaheadOptimizer` per distinct job
   config (:func:`repro.core.flow.job_config_key`), kept alive across
   jobs.  Its ``ProcessPoolExecutor`` is the persistent worker pool that
-  shards per-output cone tasks; workers adopt the store through the
-  picklable spec shipped in task tuples, exactly as on the CLI path.
+  runs a job's second walk whole beside the first, and the per-output
+  cone tasks of the walk the daemon runs itself.  Cone workers adopt the
+  store through the picklable spec shipped in task tuples, exactly as on
+  the CLI path; walk workers run storeless.
 * **Timeouts with cancellation** — each job runs under a watchdog.  On
   expiry the client is answered immediately (``code="timeout"``) and the
   optimizer instance is *poisoned*: removed from the pool so no later

@@ -18,7 +18,7 @@ unrelated one — the regression tests in ``tests/store`` and
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .. import perf
 from .base import MISSING, ResultStore
@@ -63,19 +63,42 @@ class MemoryStore(ResultStore):
 
     def put(self, ns: str, key: Any, value: Any) -> None:
         ekey = encode_key(key)
-        fp = key_fingerprint(key)
+        entry = (key_fingerprint(key), value)
         with self._lock:
-            table = self._tables.setdefault(ns, {})
-            if ekey in table:
-                # Overwrite: refresh value and recency, never evict.
-                del table[ekey]
-            else:
-                limit = self.limit(ns)
-                while len(table) >= limit:
-                    table.pop(next(iter(table)))
-                    perf.incr("store.evict")
-                    perf.incr(f"store.{ns}.evict")
-            table[ekey] = (fp, value)
+            self._insert(ns, ekey, entry)
+
+    def _insert(self, ns: str, ekey: str, entry: tuple) -> None:
+        table = self._tables.setdefault(ns, {})
+        if ekey in table:
+            # Overwrite: refresh value and recency, never evict.
+            del table[ekey]
+        else:
+            limit = self.limit(ns)
+            while len(table) >= limit:
+                table.pop(next(iter(table)))
+                perf.incr("store.evict")
+                perf.incr(f"store.{ns}.evict")
+        table[ekey] = entry
+
+    def export(self, namespaces: Sequence[str]) -> Dict[str, List[tuple]]:
+        """Picklable copy of some namespaces' entries, least recent first.
+
+        :meth:`absorb` replays it into another store as the same
+        sequence of puts, so a pool worker can start from this store's
+        entries and hand back the ones it added.
+        """
+        with self._lock:
+            return {
+                ns: list(self._tables.get(ns, {}).items())
+                for ns in namespaces
+            }
+
+    def absorb(self, entries: Dict[str, List[tuple]]) -> None:
+        """Put every entry of an :meth:`export`, in order."""
+        with self._lock:
+            for ns, items in entries.items():
+                for ekey, entry in items:
+                    self._insert(ns, ekey, entry)
 
     def invalidate(
         self, ns: Optional[str] = None, fingerprint: Optional[int] = None

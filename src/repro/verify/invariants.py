@@ -89,18 +89,69 @@ def optimizer_equivalence(case: Case) -> Optional[str]:
     return None
 
 
+def _run_job(case: Case, store, workers: int = 1, **overrides) -> AIG:
+    """The case as a ``lookahead-only`` job on a freshly reset runtime.
+
+    ``store`` is a database path for a store-backed run, or ``None``;
+    ``overrides`` replace config fields.  The caller resets the runtime
+    afterwards.
+    """
+    from ..store import runtime as store_runtime
+
+    store_runtime.reset()
+    if store is not None:
+        store_runtime.configure(store)
+    config = LookaheadConfig(
+        arrival_times=case.arrival_times, **{**case.config, **overrides}
+    )
+    job = normalize_job_config(
+        {"flow": "lookahead-only", **config.to_payload()}
+    )
+    return execute_optimize_job(case.aig, job, workers=workers)
+
+
 def serial_parallel_identical(case: Case) -> Optional[str]:
-    """workers=2 must be a pure scheduling change vs. workers=1."""
+    """workers=2 must be a pure scheduling change vs. workers=1.
+
+    That holds for ``optimize()``.  With two walks it also holds for the
+    case served the way a daemon serves it: a store-backed
+    ``lookahead-only`` job at workers=2 on a fresh database, where the
+    first walk uses the store and the second runs beside it in a
+    storeless worker, must give the storeless serial answer too.
+    """
+    import os
+    import shutil
+    import tempfile
+
+    from ..store import runtime as store_runtime
+
     # Lift any per-round output cap so the round actually fans out more
     # than one cone — a single task takes the serial path either way.
     with case.optimizer(workers=1, max_outputs_per_round=None) as opt:
         serial = opt.optimize(case.aig)
+        walks = len(opt.config.walk_modes)
     with case.optimizer(workers=2, max_outputs_per_round=None) as opt:
         parallel = opt.optimize(case.aig)
     if _dump(serial) != _dump(parallel):
         return (
             "serial and parallel outputs differ: "
             f"serial={serial!r} parallel={parallel!r}"
+        )
+    if walks < 2:
+        return None  # no walk worker runs beside the store's walk
+    tmpdir = tempfile.mkdtemp(prefix="repro-pool-fuzz-")
+    try:
+        served = _run_job(
+            case, os.path.join(tmpdir, "results.db"), workers=2,
+            max_outputs_per_round=None,
+        )
+    finally:
+        store_runtime.reset()  # restore the ambient no-store state
+        shutil.rmtree(tmpdir, ignore_errors=True)
+    if _dump(served) != _dump(serial):
+        return (
+            "store-backed workers=2 job differs from the storeless "
+            f"serial optimize(): job={served!r} serial={serial!r}"
         )
     return None
 
@@ -143,18 +194,6 @@ def store_warm_equals_cold(case: Case) -> Optional[str]:
     tmpdir = tempfile.mkdtemp(prefix="repro-store-fuzz-")
     path = os.path.join(tmpdir, "results.db")
 
-    def run_job(store):
-        store_runtime.reset()
-        if store is not None:
-            store_runtime.configure(store)
-        job = normalize_job_config({
-            "flow": "lookahead-only",
-            **LookaheadConfig(
-                arrival_times=case.arrival_times, **case.config
-            ).to_payload(),
-        })
-        return execute_optimize_job(case.aig, job, workers=1)
-
     try:
         with case.optimizer(workers=1) as opt:
             baseline = opt.optimize(case.aig)
@@ -165,10 +204,10 @@ def store_warm_equals_cold(case: Case) -> Optional[str]:
         with case.optimizer(workers=1, store=path) as opt:
             warm = opt.optimize(case.aig)
         job_path = os.path.join(tmpdir, "jobs.db")
-        jobs = [("storeless job", run_job(None)),
-                ("store-backed cold job", run_job(job_path))]
+        jobs = [("storeless job", _run_job(case, None)),
+                ("store-backed cold job", _run_job(case, job_path))]
         replays = perf.counter("store.job.hit")
-        jobs.append(("disk-warm job", run_job(job_path)))
+        jobs.append(("disk-warm job", _run_job(case, job_path)))
         if perf.counter("store.job.hit") != replays + 1:
             return "the disk-warm job did not replay its stored answer"
         if _dump(cold) != _dump(baseline):

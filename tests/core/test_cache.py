@@ -98,6 +98,37 @@ class TestConeCacheUnit:
         }
 
 
+class TestCacheCarry:
+    def test_added_since_returns_only_new_entries(self):
+        parent = ConeCache()
+        parent.put_spcf(("a",), ("tt", 1, 1))
+        parent.mark_rejected(("r",))
+        parent.put_node_tts(7, [])
+        carried = parent.export()
+        assert sorted(carried) == ["rejected", "spcf"]  # no tts
+        worker = ConeCache()
+        worker.absorb(carried)
+        assert worker.get_spcf(("a",)) == ("tt", 1, 1)
+        worker.put_spcf(("b",), ("sim", 3))
+        worker.mark_rejected(("s",))
+        added = worker.added_since(carried)
+        assert [len(added["spcf"]), len(added["rejected"])] == [1, 1]
+        parent.absorb(added)
+        assert parent.get_spcf(("b",)) == ("sim", 3)
+        assert parent.is_rejected(("s",))
+        assert parent.stats()["spcf_entries"] == 2
+
+    def test_store_backed_cache_carries_nothing(self, tmp_path):
+        from repro.store import runtime as store_runtime
+
+        store_runtime.reset()
+        try:
+            store = store_runtime.configure(str(tmp_path / "r.db"))
+            assert ConeCache(store=store).export() is None
+        finally:
+            store_runtime.reset()
+
+
 class TestCacheAcrossOptimizeCalls:
     def test_second_optimize_reports_cache_hits(self):
         aig = ripple_carry_adder(4)

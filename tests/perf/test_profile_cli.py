@@ -51,20 +51,59 @@ def test_profile_spcf_tier_knob_switches_counter(capsys, rca4_path):
 def test_worker_counters_merge_into_parent():
     """Parallel rounds must report the same spcf.* tiers as serial."""
     aig = ripple_carry_adder(6)
+    # One walk: the cone fan-out (two walks fan out whole walks instead).
+    kw = dict(max_rounds=1, spcf_tier="signature", walk_modes=("target",))
     perf.reset()
-    with LookaheadOptimizer(
-        max_rounds=1, spcf_tier="signature", workers=1
-    ) as opt:
+    with LookaheadOptimizer(workers=1, **kw) as opt:
         opt.optimize(aig)
     serial = perf.counter("spcf.tier.signature")
     perf.reset()
-    with LookaheadOptimizer(
-        max_rounds=1, spcf_tier="signature", workers=2
-    ) as opt:
+    with LookaheadOptimizer(workers=2, **kw) as opt:
         opt.optimize(aig)
     parallel = perf.counter("spcf.tier.signature")
+    assert perf.counter("rounds.parallel") > 0
     assert serial > 0
     assert parallel == serial
+
+
+def test_walk_worker_counters_merge_into_parent():
+    """The walk worker reports its walk's spcf.* tiers to the parent.
+
+    Each walk computes its own round-1 SPCFs, so two walks side by side
+    count what the two walks count alone, each from a cold cache; run in
+    turn, the second walk reads the first one's SPCFs.
+    """
+    aig = ripple_carry_adder(6)
+    kw = dict(max_rounds=1, spcf_tier="signature")
+
+    def worker_calls():
+        timers = perf.snapshot()["timers"]
+        return [timers[name]["calls"]
+                for name in ("workers.busy", "workers.capacity")]
+
+    alone = 0
+    for walk_mode in ("full", "target"):
+        perf.reset()
+        with LookaheadOptimizer(
+            workers=1, walk_modes=(walk_mode,), **kw
+        ) as opt:
+            opt.optimize(aig)
+        alone += perf.counter("spcf.tier.signature")
+    target_calls = worker_calls()
+    perf.reset()
+    with LookaheadOptimizer(
+        workers=2, walk_modes=("target", "full"), **kw
+    ) as opt:
+        opt.optimize(aig)
+    assert perf.counter("walks.parallel") == 1
+    assert perf.counter("spcf.tier.signature") == alone == 4
+    # The walk run here keeps the serial rounds' accounting; the worker's
+    # walk adds one busy span and the fan-out one capacity span, in place
+    # of its inner rounds' own, so utilisation stays <= 1.
+    assert worker_calls() == [n + 1 for n in target_calls]
+    timers = perf.snapshot()["timers"]
+    busy, capacity = timers["workers.busy"], timers["workers.capacity"]
+    assert 0 < busy["seconds"] <= capacity["seconds"]
 
 
 def test_fuzz_profile_flag(capsys, tmp_path):

@@ -112,3 +112,19 @@ def test_namespace_codec_hooks():
     # The store holds the encoded form; the view decodes on hit.
     assert store.get("codec", (9,)) == [4, 5]
     assert ns.get((9,)) == (3, 4)
+
+
+def test_export_absorb_replays_puts_in_recency_order():
+    store = MemoryStore()
+    store.put("spcf", (1,), ("tt", 5, 2))
+    store.put("spcf", (2,), ("sim", 9))
+    store.put("other", (3,), "x")
+    store.get("spcf", (1,))  # (1,) is now the most recent entry
+    entries = store.export(["spcf", "missing"])
+    assert [len(entries["spcf"]), entries["missing"]] == [2, []]
+    copy = MemoryStore(default_limit=1)
+    copy.absorb(entries)
+    # Absorbed as puts, in recency order: the bound keeps the last one.
+    assert copy.get("spcf", (1,)) == ("tt", 5, 2)
+    assert copy.get("spcf", (2,)) is MISSING
+    assert copy.get("other", (3,)) is MISSING
