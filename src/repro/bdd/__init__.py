@@ -2,7 +2,6 @@
 
 from .bdd import BDD, FALSE, TRUE, ref_complemented, ref_node, ref_not
 from .from_aig import aig_to_bdd
-from .reorder import order_cost, rebuild_with_order, sift
 
 __all__ = [
     "BDD",
@@ -12,7 +11,4 @@ __all__ = [
     "ref_node",
     "ref_not",
     "aig_to_bdd",
-    "order_cost",
-    "rebuild_with_order",
-    "sift",
 ]

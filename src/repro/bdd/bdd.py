@@ -86,10 +86,6 @@ class BDD:
         """Reference to the projection function ``x_i``."""
         return self._mk(i, TRUE, FALSE)
 
-    def nvar(self, i: int) -> int:
-        """Reference to ``!x_i``."""
-        return ref_not(self.var(i))
-
     def level_of(self, ref: int) -> int:
         return self._var[ref_node(ref)]
 
@@ -181,17 +177,6 @@ class BDD:
                 break
         return acc
 
-    def or_many(self, refs: Iterable[int]) -> int:
-        acc = FALSE
-        for r in refs:
-            acc = self.or_(acc, r)
-            if acc == TRUE:
-                break
-        return acc
-
-    def implies(self, f: int, g: int) -> bool:
-        return self.conj_is_false([f, ref_not(g)])
-
     def conj_is_false(self, refs: Iterable[int]) -> bool:
         """Whether the conjunction of ``refs`` is FALSE, building nothing.
 
@@ -267,9 +252,6 @@ class BDD:
             out = self.or_(hi, lo)
         return out
 
-    def forall(self, f: int, variables: Sequence[int]) -> int:
-        return ref_not(self.exists(ref_not(f), variables))
-
     def compose(self, f: int, var: int, g: int) -> int:
         """Substitute function ``g`` for variable ``var`` in ``f``."""
         hi = self.restrict(f, var, True)
@@ -277,20 +259,6 @@ class BDD:
         return self.ite(g, hi, lo)
 
     # -- queries --------------------------------------------------------------------
-
-    def support(self, f: int) -> List[int]:
-        seen = set()
-        sup = set()
-        stack = [ref_node(f)]
-        while stack:
-            node = stack.pop()
-            if node in seen or node == 0:
-                continue
-            seen.add(node)
-            sup.add(self._var[node])
-            stack.append(ref_node(self._high[node]))
-            stack.append(ref_node(self._low[node]))
-        return sorted(sup)
 
     def eval(self, f: int, assignment: Dict[int, bool]) -> bool:
         ref = f
@@ -336,35 +304,3 @@ class BDD:
             return count(f)
         finally:
             del count  # free the self-referencing closure now, not at GC
-
-    def pick_one(self, f: int) -> Optional[Dict[int, bool]]:
-        """One satisfying assignment over the support, or None if UNSAT."""
-        if f == FALSE:
-            return None
-        out: Dict[int, bool] = {}
-        ref = f
-        while ref_node(ref) != 0:
-            node = ref_node(ref)
-            hi = self._high[node] ^ (ref & 1)
-            lo = self._low[node] ^ (ref & 1)
-            if hi != FALSE:
-                out[self._var[node]] = True
-                ref = hi
-            else:
-                out[self._var[node]] = False
-                ref = lo
-        return out
-
-    def node_count(self, f: int) -> int:
-        """Number of distinct nodes in the DAG of ``f`` (terminal included)."""
-        seen = set()
-        stack = [ref_node(f)]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node != 0:
-                stack.append(ref_node(self._high[node]))
-                stack.append(ref_node(self._low[node]))
-        return len(seen)

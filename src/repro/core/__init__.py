@@ -23,7 +23,6 @@ from .area_recovery import (
     remove_redundant_edges,
     sat_sweep,
 )
-from .sdc import sdc_minimize
 from .analysis import OutputReport, RoundReport, analyze_round, print_round_report
 from .config import (
     FLOW_DEFAULTS,
@@ -91,7 +90,6 @@ __all__ = [
     "lookahead_flow",
     "make_job_optimizer",
     "normalize_job_config",
-    "sdc_minimize",
     "OutputReport",
     "RoundReport",
     "analyze_round",

@@ -222,11 +222,39 @@ def _aag_text(aig: AIG) -> str:
     return buf.getvalue()
 
 
+def _job_answers():
+    from ..store import runtime as store_runtime
+
+    return store_runtime.get_store().namespace(
+        "job", encode=_aag_text,
+        decode=lambda text: read_aag(io.StringIO(text)),
+    )
+
+
+def stored_job_answer(
+    aig: AIG, config: Dict[str, Any], key: Optional[Tuple] = None
+) -> Tuple[Optional[Tuple], Optional[AIG]]:
+    """``(key, answer)`` of a job in the persistent ``job`` namespace.
+
+    ``key`` is the job's :func:`job_store_key`, computed unless given;
+    ``answer`` is the stored answer, or ``None`` on a miss.  Without a
+    persistent runtime store nothing is looked up and both are ``None``.
+    """
+    from ..store import runtime as store_runtime
+
+    if not store_runtime.is_persistent():
+        return None, None
+    if key is None:
+        key = job_store_key(aig, config)
+    return key, _job_answers().get(key)
+
+
 def execute_optimize_job(
     aig: AIG,
     config: Dict[str, Any],
     optimizer: Optional[LookaheadOptimizer] = None,
     workers: Optional[int] = None,
+    key: Optional[Tuple] = None,
 ) -> AIG:
     """Run one optimize job (a normalized config) against a circuit.
 
@@ -236,20 +264,12 @@ def execute_optimize_job(
 
     With a persistent runtime store, a job whose input and config key
     were answered before replays that answer whole, without running the
-    optimizer.
+    optimizer (:func:`stored_job_answer`; ``key`` spares hashing the
+    input again).
     """
-    from ..store import runtime as store_runtime
-
-    answers = key = None
-    if store_runtime.is_persistent():
-        answers = store_runtime.get_store().namespace(
-            "job", encode=_aag_text,
-            decode=lambda text: read_aag(io.StringIO(text)),
-        )
-        key = job_store_key(aig, config)
-        stored = answers.get(key)
-        if stored is not None:
-            return stored
+    key, stored = stored_job_answer(aig, config, key)
+    if stored is not None:
+        return stored
     owned = optimizer is None
     if owned:
         optimizer = make_job_optimizer(config, workers=workers)
@@ -264,6 +284,6 @@ def execute_optimize_job(
     finally:
         if owned:
             optimizer.close()
-    if answers is not None:
-        answers.put(key, answer)
+    if key is not None:
+        _job_answers().put(key, answer)
     return answer

@@ -592,8 +592,9 @@ class LookaheadOptimizer:
         the best final result wins, the first walk on a tie.  With two
         or more walks and two or more workers, the walks run side by
         side, all but the first whole in pool workers
-        (:meth:`_parallel_walks`); otherwise they run here in turn.  A
-        round run here fans its cones out to the workers.
+        (:meth:`_parallel_walks`); otherwise they run here in turn, and
+        their first rounds share one renode of the input.  A round run
+        here fans its cones out to the workers.
 
         The worker pool (like the cone cache) persists across ``optimize``
         calls so repeated invocations — e.g. the ``lookahead_flow``
@@ -609,8 +610,9 @@ class LookaheadOptimizer:
             if nworkers >= 2 and len(walk_modes) >= 2:
                 results = self._parallel_walks(aig, nworkers)
             else:
+                first_net: List[Network] = []
                 results = [
-                    self._optimize_with(aig, walk_mode)
+                    self._optimize_with(aig, walk_mode, first_net)
                     for walk_mode in walk_modes
                 ]
         return min(results, key=lambda result: result[1])[0]
@@ -659,7 +661,12 @@ class LookaheadOptimizer:
             results.append((out, quality))
         return results
 
-    def _optimize_with(self, aig: AIG, walk_mode: str) -> Tuple[AIG, Tuple]:
+    def _optimize_with(
+        self,
+        aig: AIG,
+        walk_mode: str,
+        first_net: Optional[List[Network]] = None,
+    ) -> Tuple[AIG, Tuple]:
         """Run the round sequence for one walk; returns (AIG, quality).
 
         The incumbent's quality is computed once and cached across
@@ -667,12 +674,16 @@ class LookaheadOptimizer:
         sequence of rejected rounds costs one timing analysis per fresh
         candidate instead of two.  Config-key verdicts in
         ``_call_rejected`` need no per-walk scoping: ``cfg_key`` embeds
-        the walk mode.
+        the walk mode.  ``first_net`` holds the renoded input once a
+        first round has built it (see :meth:`_one_round`); walks that
+        share it renode their common input once.
         """
         current = aig.extract()
         current_q = self._quality(current)
+        net_box = [] if first_net is None else first_net
         for _round in range(self.config.max_rounds):
-            candidate = self._one_round(current, walk_mode)
+            candidate = self._one_round(current, walk_mode, net_box)
+            net_box = []
             if candidate is None:
                 break
             candidate_q = self._quality(candidate)
@@ -729,7 +740,18 @@ class LookaheadOptimizer:
     def _resolve_mode(self, aig: AIG) -> str:
         return spcf_domain(aig.num_pis, self.config.spcf_tier)
 
-    def _one_round(self, aig: AIG, walk_mode: str = "target") -> Optional[AIG]:
+    def _one_round(
+        self,
+        aig: AIG,
+        walk_mode: str = "target",
+        net_box: Optional[List[Network]] = None,
+    ) -> Optional[AIG]:
+        """One decomposition round; the new AIG, or ``None`` if none won.
+
+        ``net_box`` holds ``aig``'s renoded network once built, so rounds
+        on one AIG can share it: cones are copied out of it
+        (:meth:`Network.extract_po_cone`), never changed in place.
+        """
         engine = AigTimingEngine(aig, self._delay_model())
         d = engine.depth()
         if d <= 1:
@@ -745,7 +767,8 @@ class LookaheadOptimizer:
         # Renoding is only needed once a cone actually dispatches, so the
         # windowed path takes it lazily: a round whose whole window the
         # cache replays never pays for it.
-        net_box: List[Network] = []
+        if net_box is None:
+            net_box = []
 
         def net_thunk() -> Network:
             if not net_box:

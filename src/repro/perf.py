@@ -250,6 +250,15 @@ class PerfRegistry:
 PERF = PerfRegistry()
 """The process-global registry used by the optimizer and the CLI."""
 
+# Pool workers fork while daemon threads bump counters.  A child forked
+# with the registry's lock held would hang at its first counter, so fork
+# waits for the lock.
+os.register_at_fork(
+    before=PERF._lock.acquire,
+    after_in_parent=PERF._lock.release,
+    after_in_child=PERF._lock.release,
+)
+
 
 def delta(before: Dict[str, Dict], after: Dict[str, Dict]) -> Dict[str, Dict]:
     """Difference of two :meth:`PerfRegistry.snapshot` dicts.

@@ -10,9 +10,11 @@ warm store turns the disk-warm replay win (rot 38s → ~5s) into an
 Anatomy:
 
 * **Listener** — a threading TCP server on loopback; each connection
-  carries one JSON request (:mod:`repro.serve.protocol`).  Submit
-  handlers enqueue a job and block until it finishes, so clients get
-  synchronous answers over an asynchronous queue.
+  carries one JSON request (:mod:`repro.serve.protocol`).  A submit
+  whose answer the persistent store already holds is answered by its
+  handler at once (the *door*), ahead of every queued job; any other
+  submit is enqueued and its handler blocks until the job finishes, so
+  clients get synchronous answers over an asynchronous queue.
 * **Job queue + batching** — jobs wait in a bounded FIFO.  A runner
   pops the head job and *drains every queued job with the same config
   key* (up to ``max_batch``) into one batch: batched jobs share a warm
@@ -40,13 +42,16 @@ Anatomy:
   expires are failed with ``code="shutdown"`` rather than left hanging.
 
 Telemetry: ``serve.jobs.{submitted,completed,failed,timeout,rejected}``
-counters, ``serve.batches``/``serve.batch.jobs``, per-job store-delta
-counters ``serve.store.{hit,miss}`` (the aggregate serve hit rate line
-in ``perf.report()``), and ``serve.job.{latency,queue_wait}``
-histograms; the live view (queue depth, jobs in flight, p50/p95) is the
-``status`` op, surfaced by ``repro serve --status``.  Per-job store
-hit-rates are exact with one runner (the default) and approximate when
-several runners interleave on the shared registry.
+counters, ``serve.jobs.door`` (jobs answered at the door),
+``serve.batches``/``serve.batch.jobs``, per-job store-delta counters
+``serve.store.{hit,miss}`` (the aggregate serve hit rate line in
+``perf.report()``), and ``serve.job.{latency,queue_wait}`` histograms
+(``queue_wait`` covers queued jobs only); the live view (queue depth,
+jobs in flight, p50/p95) is the ``status`` op, surfaced by ``repro
+serve --status``.  Per-job store hit-rates are exact with one runner
+(the default): a door answer counts its one hit, a queued job the
+runner's lookups, less any door lookup made meanwhile.  They are
+approximate when several runners interleave on the shared registry.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from ..core.flow import (
     job_config_key,
     make_job_optimizer,
     normalize_job_config,
+    stored_job_answer,
 )
 from ..store import runtime as store_runtime
 from .protocol import (
@@ -89,11 +95,11 @@ declaring the job lost (runners always answer first in practice)."""
 
 
 class Job:
-    """One queued optimize request and its eventual response."""
+    """One optimize request and its eventual response."""
 
     __slots__ = (
         "id", "config", "key", "aig", "timeout", "submitted", "deadline",
-        "return_circuit", "done", "response", "_lock",
+        "return_circuit", "store_key", "done", "response", "_lock",
     )
 
     def __init__(
@@ -112,6 +118,9 @@ class Job:
         self.submitted = time.monotonic()
         self.deadline = self.submitted + timeout
         self.return_circuit = return_circuit
+        # The job's key in the store's ``job`` namespace, set at the door
+        # (None without a persistent store).
+        self.store_key: Optional[Tuple] = None
         self.done = threading.Event()
         self.response: Optional[Dict[str, Any]] = None
         self._lock = threading.Lock()
@@ -279,6 +288,11 @@ class ReproDaemon:
         self._pool_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._running: Set[int] = set()  # ids of started, unanswered jobs
+        # Store hits and misses of door lookups, which the runner's
+        # per-job counts leave out; the lock makes a lookup and its tally
+        # one step.
+        self._door_lock = threading.Lock()
+        self._door_store = [0, 0]
         self._next_job_id = 1
         self._draining = False
         self._started = 0.0
@@ -447,16 +461,28 @@ class ReproDaemon:
             job_id, config, aig, timeout,
             bool(request.get("return_circuit", True)),
         )
-        try:
-            self._queue.put(job)
-        except ServeError:
-            perf.incr("serve.jobs.rejected")
-            raise
-        perf.incr("serve.jobs.submitted")
-        if not job.done.wait(timeout + RESPONSE_GRACE_S):
-            # Runners always answer (the watchdog guarantees it); this is
-            # pure belt-and-braces against a wedged runner thread.
-            job.finish(error_response("job lost by daemon", "internal"))
+        start = time.perf_counter()
+        with self._door_lock:
+            job.store_key, stored = stored_job_answer(aig, config)
+            if job.store_key is not None:
+                self._door_store[stored is None] += 1
+        if stored is not None:
+            # The door: a stored answer needs no runner, so it overtakes
+            # every queued job.
+            perf.incr("serve.jobs.submitted")
+            perf.incr("serve.jobs.door")
+            self._answer(job, start, lambda: (stored, 1, 0))
+        else:
+            try:
+                self._queue.put(job)
+            except ServeError:
+                perf.incr("serve.jobs.rejected")
+                raise
+            perf.incr("serve.jobs.submitted")
+            if not job.done.wait(timeout + RESPONSE_GRACE_S):
+                # Runners always answer (the watchdog guarantees it); this
+                # is pure belt-and-braces against a wedged runner thread.
+                job.finish(error_response("job lost by daemon", "internal"))
         response = dict(job.response or error_response("job lost", "internal"))
         response.setdefault("job", job.id)
         return response
@@ -468,7 +494,7 @@ class ReproDaemon:
         counters = {
             name: perf.counter(f"serve.jobs.{name}")
             for name in ("submitted", "completed", "failed", "timeout",
-                         "rejected")
+                         "rejected", "door")
         }
         hits = perf.counter("serve.store.hit")
         misses = perf.counter("serve.store.miss")
@@ -601,21 +627,54 @@ class ReproDaemon:
             self._release(job)
 
     def _execute(self, job: Job, entry: _OptimizerEntry) -> None:
-        hits0 = perf.counter("store.hit")
-        misses0 = perf.counter("store.miss")
+        hits0, misses0 = self._store_counts()
         start = time.perf_counter()
+
+        def run() -> Tuple[AIG, int, int]:
+            # The runner looks the job up again: a twin may have been
+            # answered since the door missed.
+            optimized = execute_optimize_job(
+                job.aig, job.config, optimizer=entry.optimizer,
+                key=job.store_key,
+            )
+            hits, misses = self._store_counts()
+            return optimized, hits - hits0, misses - misses0
+
+        self._answer(job, start, run)
+        if entry.poisoned:
+            # We are the abandoned post-timeout thread: the pool no
+            # longer references this optimizer, so reap it here.
+            entry.optimizer.close()
+
+    def _store_counts(self) -> Tuple[int, int]:
+        """Store hits and misses so far, less those of door lookups."""
+        with self._door_lock:
+            return (
+                perf.counter("store.hit") - self._door_store[0],
+                perf.counter("store.miss") - self._door_store[1],
+            )
+
+    def _answer(
+        self,
+        job: Job,
+        start: float,
+        run: Callable[[], Tuple[AIG, int, int]],
+    ) -> None:
+        """Answer ``job`` with what ``run`` returns: the one response path.
+
+        ``run`` gives the optimized circuit and the store hits and misses
+        it took: a stored answer at the door, the optimizer in a runner's
+        job thread.  ``elapsed_s`` counts from ``start`` through the
+        ``verify`` check.
+        """
         response: Dict[str, Any]
         try:
-            optimized = execute_optimize_job(
-                job.aig, job.config, optimizer=entry.optimizer
-            )
+            optimized, hits, misses = run()
             if job.config["verify"] and not check_equivalence(
                 job.aig, optimized
             ):
                 raise AssertionError("optimized circuit is not equivalent")
             elapsed = time.perf_counter() - start
-            hits = perf.counter("store.hit") - hits0
-            misses = perf.counter("store.miss") - misses0
             perf.incr("serve.store.hit", hits)
             perf.incr("serve.store.miss", misses)
             result = {
@@ -648,10 +707,6 @@ class ReproDaemon:
             "serve.jobs.completed" if response.get("ok")
             else "serve.jobs.failed",
         )
-        if entry.poisoned:
-            # We are the abandoned post-timeout thread: the pool no
-            # longer references this optimizer, so reap it here.
-            entry.optimizer.close()
 
     def _finish_job(
         self, job: Job, response: Dict[str, Any], outcome: str

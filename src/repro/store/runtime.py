@@ -103,6 +103,12 @@ def configure(spec: StoreSpec) -> ResultStore:
     ``None`` reverts to the default in-memory store.  A previous store
     built by this process is closed once the new one is in place.
 
+    Pool workers rebuild the store from the recorded spec
+    (:func:`current_spec`).  For a ready :class:`ResultStore` that is
+    the standard config over its disk path (``TieredStore.path``), so
+    workers share its database; a memory-only store has no path, and
+    its workers run storeless.
+
     The new spec is resolved *before* anything is torn down: if
     ``resolve_store`` raises (e.g. an unwritable database path), the
     exception propagates with the previous store still installed and
@@ -115,7 +121,10 @@ def configure(spec: StoreSpec) -> ResultStore:
     new_store = resolve_store(spec) if spec is not None else None
     pid = os.getpid()
     old_store = _state["store"] if _state["pid"] == pid else None
-    _state["spec"] = spec if not isinstance(spec, ResultStore) else None
+    if isinstance(spec, ResultStore):
+        path = getattr(spec, "path", None)
+        spec = make_config(path) if path is not None else None
+    _state["spec"] = spec
     _state["store"] = new_store
     _state["pid"] = pid
     if old_store is not None and old_store is not new_store:

@@ -13,7 +13,7 @@ payload.  Design points:
   one writer per namespace.
 * **Thread safety** — the connection is opened with
   ``check_same_thread=False`` so daemon handler/runner threads can share
-  one store, and a per-store :class:`threading.RLock` serializes every
+  one store, and a :class:`threading.RLock` serializes every
   use of the connection (``sqlite3`` serializes individual statements,
   but our execute/fetch and error/rebuild sequences span several calls
   and would otherwise interleave cursor state between threads).
@@ -37,7 +37,11 @@ payload.  Design points:
 * **Fork safety** — SQLite connections must not cross ``fork()``.  Every
   operation checks the owning PID and transparently reopens in a child
   process (the parent's connection is dropped unclosed there; closing it
-  from the child would corrupt the parent's file descriptors).
+  from the child would corrupt the parent's file descriptors).  Nor may
+  a fork land while another thread is inside SQLite: the child would
+  inherit SQLite's internal mutexes held and hang on its first
+  connection.  So one lock serializes every store's use of SQLite, and
+  ``fork()`` takes it too (:data:`_LOCK`).
 
 Latency of disk hits is observed in the ``store.load`` histogram so
 ``--profile`` answers "is the warm path actually fast".
@@ -72,6 +76,19 @@ MAX_REBUILD_ATTEMPTS = 3
 """Consecutive failed cold rebuilds before the store degrades to a
 read-as-miss / drop-writes stub (see the module docstring)."""
 
+_LOCK = threading.RLock()
+"""Held by every store around its use of SQLite, and by ``fork()``.
+
+An RLock: the op -> error -> ``_rebuild`` path re-enters with it held.
+Pool workers fork while daemon threads read the store; the at-fork hooks
+make the fork wait until no thread is inside SQLite."""
+
+os.register_at_fork(
+    before=_LOCK.acquire,
+    after_in_parent=_LOCK.release,
+    after_in_child=_LOCK.release,
+)
+
 
 class SqliteStore(ResultStore):
     """Durable result store over one SQLite file."""
@@ -82,9 +99,7 @@ class SqliteStore(ResultStore):
         self.path = path
         self._conn: Optional[sqlite3.Connection] = None
         self._pid = -1
-        # RLock: the op -> error -> _rebuild path re-enters with the lock
-        # already held.
-        self._lock = threading.RLock()
+        self._lock = _LOCK
         self._rebuild_failures = 0
         self._degraded = False
         self._connect(initial=True)

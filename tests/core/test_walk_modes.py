@@ -75,3 +75,27 @@ def test_unknown_walk_mode_behaves_like_full():
         walk_mode="everything",
     )
     assert result.windows  # walk ran
+
+
+def test_serial_walks_renode_their_common_input_once():
+    # Both walks' first rounds read the same input: one renode serves
+    # both, and each walk still answers as it does alone.
+    from repro import perf
+    from repro.core import LookaheadOptimizer
+
+    aig = ripple_carry_adder(6)
+    calls, outs = {}, {}
+    for modes in (("target",), ("full",), ("target", "full")):
+        perf.reset()
+        with LookaheadOptimizer(
+            workers=1, max_rounds=2, walk_modes=modes
+        ) as opt:
+            outs[modes] = opt.optimize(aig)
+        calls[modes] = perf.snapshot()["timers"]["phase.renode"]["calls"]
+    assert calls[("target", "full")] == (
+        calls[("target",)] + calls[("full",)] - 1
+    )
+    both = outs[("target", "full")]
+    assert (both.structure_digest() in
+            {outs[("target",)].structure_digest(),
+             outs[("full",)].structure_digest()})

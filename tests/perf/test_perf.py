@@ -62,6 +62,47 @@ class TestPerfRegistry:
         assert "75.0%" in text
 
 
+def test_fork_beside_a_counting_thread():
+    """A child forked while another thread bumps counters can count.
+
+    The daemon's pool forks its workers while submit handlers bump the
+    process registry; a child forked with its lock held would hang.
+    """
+    import os
+    import threading
+
+    from repro import perf
+
+    from ..store.test_sqlite import _exit_code
+
+    stop = threading.Event()
+
+    def count():
+        while not stop.is_set():
+            perf.incr("fork.test")
+
+    thread = threading.Thread(target=count)
+    thread.start()
+    codes = []
+    try:
+        for _ in range(40):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    perf.incr("fork.test.child")
+                    code = 0
+                finally:
+                    os._exit(code)
+            codes.append(_exit_code(pid, 10))
+            if codes[-1] != 0:
+                break  # None: the child hung
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert codes == [0] * 40
+
+
 class TestGetWorkers:
     def test_override_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")

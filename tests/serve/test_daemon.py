@@ -204,6 +204,114 @@ class TestSubmit:
         assert status["jobs"]["completed"] == 1
 
 
+class TestDoor:
+    """A stored answer is given at submit, whatever the runner is doing."""
+
+    def test_repeat_overtakes_a_held_runner(self, daemon, monkeypatch):
+        client = _client(daemon)
+        text = _rca_text()
+        first = client.submit(text, timeout=120)
+        # Hold the single runner on another circuit's job.
+        held_text = _rca_text(3)
+        held_digest = read_aag(io.StringIO(held_text)).structure_digest()
+        entered, release = threading.Event(), threading.Event()
+        real_execute = daemon_module.execute_optimize_job
+
+        def held_execute(aig, config, **kwargs):
+            if aig.structure_digest() == held_digest:
+                entered.set()
+                release.wait(60)
+            return real_execute(aig, config, **kwargs)
+
+        monkeypatch.setattr(
+            daemon_module, "execute_optimize_job", held_execute
+        )
+        held = []
+        holder = threading.Thread(
+            target=lambda: held.append(client.submit(held_text, timeout=120))
+        )
+        holder.start()
+        try:
+            assert entered.wait(60)
+            # Without the door this repeat would wait out the held job.
+            impatient = ServeClient(daemon.host, daemon.port, timeout=20)
+            second = impatient.submit(text)
+            assert not release.is_set()
+            during = client.status()
+        finally:
+            release.set()
+            holder.join(120)
+        assert second["circuit"] == first["circuit"]
+        assert (second["depth"], second["ands"], second["input"]) == (
+            first["depth"], first["ands"], first["input"]
+        )
+        assert second["store"] == {"hits": 1, "misses": 0, "hit_rate": 1.0}
+        assert during["jobs"]["submitted"] == 3
+        assert during["jobs"]["completed"] == 2
+        assert during["jobs"]["door"] == 1
+        assert during["in_flight"] == 1
+        # Per-job store counts stay exact: the held job's leave out the
+        # door's hit, and only the two door misses are in no job's.
+        answers = (first, held[0], second)
+        assert perf.counter("store.hit") == sum(
+            answer["store"]["hits"] for answer in answers
+        )
+        assert perf.counter("store.miss") == 2 + sum(
+            answer["store"]["misses"] for answer in answers
+        )
+        assert client.status()["store_hits"] == perf.counter("store.hit")
+
+    def test_verify_runs_at_the_door(self, daemon, monkeypatch):
+        client = _client(daemon)
+        text = _rca_text()
+        first = client.submit(text, options={"verify": True}, timeout=120)
+        checked = []
+        real_check = daemon_module.check_equivalence
+
+        def counting_check(before, after):
+            checked.append(threading.current_thread().name)
+            return real_check(before, after)
+
+        monkeypatch.setattr(
+            daemon_module, "check_equivalence", counting_check
+        )
+        second = client.submit(text, options={"verify": True}, timeout=120)
+        assert second["circuit"] == first["circuit"]
+        assert len(checked) == 1
+        assert not checked[0].startswith("repro-serve-job")
+        # A failing check fails a door answer as it fails a runner's.
+        monkeypatch.setattr(
+            daemon_module, "check_equivalence", lambda before, after: False
+        )
+        with pytest.raises(ServeError) as exc:
+            client.submit(text, options={"verify": True}, timeout=120)
+        assert exc.value.code == "failed"
+        status = client.status()
+        assert status["jobs"]["door"] == 2
+        assert status["jobs"]["completed"] == 2
+        assert status["jobs"]["failed"] == 1
+
+    def test_storeless_daemon_queues_every_job(self, tmp_path):
+        d = ReproDaemon(
+            workers=1,
+            job_timeout=120.0,
+            endpoint_file=str(tmp_path / "memory.serve.json"),
+        )
+        d.start()
+        try:
+            client = _client(d)
+            first = client.submit(_rca_text(), timeout=120)
+            second = client.submit(_rca_text(), timeout=120)
+            status = client.status()
+        finally:
+            d.stop()
+        assert second["circuit"] == first["circuit"]
+        assert status["persistent"] is False
+        assert status["jobs"]["door"] == 0
+        assert status["jobs"]["completed"] == 2
+        assert perf.counter("store.job.miss") == 0
+
+
 class TestRejection:
     def test_unknown_flow_is_bad_request(self, daemon):
         with pytest.raises(ServeError) as exc:

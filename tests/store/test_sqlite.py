@@ -8,9 +8,11 @@ costs a miscompile.
 from __future__ import annotations
 
 import os
+import signal
 import sqlite3
 import subprocess
 import sys
+import time
 
 from repro import perf
 from repro.store import (
@@ -29,6 +31,20 @@ SRC = os.path.join(
 
 def _store(tmp_path, name="results.db"):
     return SqliteStore(str(tmp_path / name))
+
+
+def _exit_code(pid, seconds):
+    """A forked child's exit code; ``None``, once killed, if it hangs."""
+    deadline = time.monotonic() + seconds
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            return None
+        time.sleep(0.005)
 
 
 class TestRoundtrip:
@@ -314,6 +330,48 @@ class TestThreadSafety:
         assert not errors, errors
         store.stats()  # still a usable database
         store.close()
+
+    def test_fork_beside_a_reading_thread(self, tmp_path):
+        """A child forked while another thread reads can open a store.
+
+        The daemon's pool forks its workers while submit handlers read
+        the store.  A fork inside one of SQLite's calls would hand the
+        child SQLite's internal mutexes held, and the child's first
+        connection would hang on them.
+        """
+        import threading
+
+        store = _store(tmp_path)
+        store.put("fork", ("k",), "v")
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                store.get("fork", ("k",))
+                store.get("fork", ("absent",))
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        codes = []
+        try:
+            for i in range(40):
+                pid = os.fork()
+                if pid == 0:  # the child: open its own store and read
+                    code = 1
+                    try:
+                        child = SqliteStore(str(tmp_path / f"child{i}.db"))
+                        child.get("fork", ("k",))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                codes.append(_exit_code(pid, 20))
+                if codes[-1] != 0:
+                    break  # None: the child hung
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            store.close()
+        assert codes == [0] * 40
 
 
 class TestDegradedMode:

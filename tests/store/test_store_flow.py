@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import os
 import pickle
+import sqlite3
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.adders import ripple_carry_adder
 from repro.aig import read_aag, write_aag
 from repro.cec import check_equivalence
 from repro.core import LookaheadOptimizer
-from repro.store import MemoryStore, StoreConfig, TieredStore
+from repro.store import MemoryStore, StoreConfig, TieredStore, resolve_store
 from repro.store import runtime as store_runtime
 
 
@@ -79,6 +80,35 @@ class TestRuntime:
         assert store_runtime.get_store() is first  # no reopen per task
         store_runtime.adopt(None)
         assert store_runtime.get_store() is not first
+
+    def test_ready_store_reaches_pool_workers(self, tmp_path):
+        # Pool workers rebuild a ready store from its disk path, so the
+        # cone results they compute land in its database, as with a path.
+        rows = {}
+        for kind in ("path", "object"):
+            store_runtime.reset()
+            path = str(tmp_path / f"{kind}.db")
+            spec = path
+            if kind == "object":
+                spec = resolve_store(store_runtime.make_config(path))
+            with LookaheadOptimizer(
+                store=spec, workers=2, max_rounds=2, walk_modes=("target",)
+            ) as opt:
+                assert store_runtime.current_spec().path == path
+                opt.optimize(ripple_carry_adder(6))
+            store_runtime.reset()
+            conn = sqlite3.connect(path)
+            try:
+                rows[kind] = dict(conn.execute(
+                    "SELECT ns, COUNT(*) FROM entries GROUP BY ns"
+                ).fetchall())
+            finally:
+                conn.close()
+        assert rows["object"] == rows["path"]
+        assert rows["path"]["cone"] > 1
+        # A memory-only store has no path: its workers run storeless.
+        store_runtime.configure(MemoryStore())
+        assert store_runtime.current_spec() is None
 
     def test_default_store_path_resolution(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.db"))
