@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Set
 
 from .aig import AIG, lit_neg, lit_var
 
@@ -156,36 +156,6 @@ def cone_fingerprint(aig: AIG, lits: Iterable[int]) -> int:
 def aig_fingerprint(aig: AIG) -> int:
     """Structural hash of a whole AIG: all PO cones in PO order."""
     return cone_fingerprint(aig, aig.pos)
-
-
-def var_fingerprints(aig: AIG) -> List[int]:
-    """Per-variable structural hashes over positional PIs, for all vars.
-
-    ``result[v]`` equals the ``var_hash`` :func:`cone_fingerprint`
-    computes internally: a deterministic 64-bit digest of ``v``'s fan-in
-    cone, equal across processes and across isomorphic cones in
-    different AIGs.  One topological pass tabulates every variable, so
-    callers that key many per-literal cache entries (e.g. redundancy
-    verdicts) pay for the whole table once.
-    """
-    pi_pos = {var: i for i, var in enumerate(aig.pis)}
-    fps = [0] * aig.num_vars
-    fps[0] = _mix(_AND_SEED, 0)
-    for var in aig.pis:
-        fps[var] = _mix(_PI_SEED, pi_pos[var])
-    for var in aig.and_vars():
-        f0, f1 = aig.fanins(var)
-        h0 = _mix(fps[lit_var(f0)], int(lit_neg(f0)))
-        h1 = _mix(fps[lit_var(f1)], int(lit_neg(f1)))
-        if h0 > h1:
-            h0, h1 = h1, h0
-        fps[var] = _mix(_mix(_AND_SEED, h0), h1)
-    return fps
-
-
-def lit_fingerprint(fps: Sequence[int], lit: int) -> int:
-    """Digest of a literal given a :func:`var_fingerprints` table."""
-    return _mix(fps[lit_var(lit)], int(lit_neg(lit)))
 
 
 def mffc_vars(aig: AIG, root: int) -> Set[int]:

@@ -181,10 +181,12 @@ def run_flow_row(
 # -- golden QoR configs -------------------------------------------------------
 
 GOLDEN_W1 = {"max_rounds": 2, "max_outputs_per_round": 8, "sim_width": 512}
-"""The serial bench_speed optimizer configuration (``lookahead-w1``).
+"""The bounded-effort ``w1`` optimizer configuration.
 
-Must stay in lockstep with ``benchmarks/bench_speed.py::_optimizer`` —
-the goldens double as a check that BENCH_speed.json stays reproducible.
+The golden QoR suite runs it on the small circuits and rot, the output
+digests pin it, ``tests/core/test_parallel.py`` holds it serial against
+parallel, and perfbench's rot-cold and serve-fabric workloads time it;
+a change here moves all of them at once.
 """
 
 GOLDEN_QUICK = {
@@ -199,8 +201,8 @@ tier-1 wall-clock budget while still pinning depth per circuit."""
 
 _GOLDEN_W1_PINNED = frozenset({"rot"})
 """Circuits above the size threshold that keep the w1 config anyway
-(rot is the BENCH_speed reference circuit; its goldens predate the
-quick tier and must not silently change)."""
+(rot is the speed reference circuit, timed by perfbench's rot-cold; its
+goldens predate the quick tier and must not silently change)."""
 
 
 def golden_config(name: str, num_ands: int) -> Dict[str, Any]:

@@ -622,12 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument(
         "--store", nargs="?", const="", default=None, metavar="PATH",
-        help="persist whole-job answers and memo-layer results (SPCFs, "
-             "rejected cones, whole cone results, redundancy proofs) in "
-             "an on-disk store, so a repeated job replays its answer "
-             "and later runs start warm; with no PATH uses "
+        help="keep whole-job answers in an on-disk store, so a "
+             "repeated job (same circuit and options) replays its "
+             "answer instead of running; with no PATH uses "
              "$REPRO_STORE or ~/.cache/repro/results.db (lookahead "
-             "flows only; warm runs are bit-identical in QoR)",
+             "flows only; a replayed answer is bit-identical)",
     )
     p_opt.add_argument(
         "--no-store", action="store_true",
@@ -652,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument(
         "--namespace", metavar="NS",
-        help="restrict 'clear' to one namespace (e.g. spcf, cone)",
+        help="restrict 'clear' to one namespace (e.g. job)",
     )
     p_cache.set_defaults(func=cmd_cache)
 

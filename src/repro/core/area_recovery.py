@@ -42,9 +42,7 @@ from ..aig import (
     random_patterns,
     simulate,
 )
-from ..aig.cone import lit_fingerprint, var_fingerprints
 from ..sat.cnf import AigCnf
-from ..store import runtime as store_runtime
 from .signatures import random_pi_bits, value_signatures
 
 #: Valid effort levels for :func:`recover_area`.
@@ -319,14 +317,6 @@ class RedundancyEngine:
         # Created by the first query, so circuits fully resolved by
         # simulation never allocate a solver.
         self._session: Optional[_ConeSession] = None
-        # Accepted-drop verdicts, keyed by the (keep, drop) literals'
-        # structural fingerprints, live in the result store's
-        # ``redundant`` namespace when the process has a persistent
-        # store.  Only UNSAT verdicts are stored (an accepted drop is a
-        # proved implication — true regardless of the budget that proved
-        # it), so a warm hit replays exactly the decision the cold run
-        # made; SAT/unknown outcomes are never cached.
-        self._lit_fps: Optional[List[int]] = None
 
     # -- resolution through accepted equivalences ----------------------------
 
@@ -368,25 +358,9 @@ class RedundancyEngine:
 
     # -- the SAT oracle ------------------------------------------------------
 
-    def _verdict_key(self, keep: int, drop: int):
-        if self._lit_fps is None:
-            self._lit_fps = var_fingerprints(self.aig)
-        return (
-            lit_fingerprint(self._lit_fps, keep),
-            lit_fingerprint(self._lit_fps, drop),
-            self.aig.num_pis,
-        )
-
     def _sat_redundant(self, keep: int, drop: int) -> bool:
         """Bounded proof of ``keep -> drop``; unknown keeps the edge."""
         self.checks += 1
-        persistent = store_runtime.is_persistent()
-        if persistent:
-            key = self._verdict_key(keep, drop)
-            ns = store_runtime.get_store().namespace("redundant")
-            if ns.contains(key):
-                perf.incr("area.redundancy.store_hits")
-                return True
         perf.incr("area.redundancy.queries")
         if self._session is None:
             self._session = _ConeSession(self.aig)
@@ -399,8 +373,6 @@ class RedundancyEngine:
             self._harvest_witness()
         elif result is None:
             perf.incr("area.redundancy.unknown")
-        if result is False and persistent:
-            ns.put(key, True)
         return result is False
 
     # -- the topological pass ------------------------------------------------

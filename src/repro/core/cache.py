@@ -1,32 +1,29 @@
-"""Cross-round cone cache as namespace views over :mod:`repro.store`.
+"""Cross-round cone cache and the worker-side memo pools.
 
 Every per-output computation in a lookahead round — the SPCF, the global
 node truth tables feeding it, and the reduce/simplify/reconstruct verdict —
 is a pure function of the output's fan-in cone plus a handful of optimizer
 parameters.  Rounds and `lookahead_flow` iterations revisit mostly-unchanged
-circuits, so identical cones recur constantly.  :class:`ConeCache` memoizes
-three things across rounds (and, with a persistent store, across
-*invocations*):
+circuits, so identical cones recur constantly.  :class:`ConeCache`
+memoizes two things across rounds and across one optimizer's
+``optimize()`` calls:
 
 * **SPCF payloads** per ``(cone fingerprint, domain, sim params, tier)``
   — the chosen Δ's truth table or signature (or, in the BDD domain, just
-  Δ), serialized to plain ints so the entry is process-independent;
-* **node truth tables** per cone fingerprint (tt mode), shared by the
-  Δ-relaxation loop and later rounds;
+  Δ), serialized to plain ints so the entry can travel to a worker;
 * **rejected-cone fingerprints**: cones whose decomposition produced no
   accepted replacement under a given configuration are skipped outright in
   later rounds.
 
-:class:`ConeCache` owns no tables of its own anymore: it is three
-:class:`repro.store.Namespace` views (``spcf``/``tts``/``rejected``) over
-a :class:`repro.store.ResultStore` — a private bounded
-:class:`~repro.store.MemoryStore` by default, or any store the optimizer
-hands it (e.g. the tiered disk store behind ``--store``), in which case
-entries survive the process.  Invalidation is automatic either way: any
-structural change to a cone changes its fingerprint (see
-``aig.cone_fingerprint``), so stale entries are simply never looked up
-again.  Hit and miss counts are reported through :mod:`repro.perf` under
-both the legacy ``cache.*`` names and the per-namespace ``store.*`` names.
+:class:`ConeCache` is two :class:`repro.store.Namespace` views
+(``spcf``/``rejected``) over a private bounded
+:class:`~repro.store.MemoryStore`; its entries die with the optimizer,
+and a persistent store never sees them (it keeps whole job answers
+only, DESIGN 3.20).  Invalidation is automatic: any structural change to
+a cone changes its fingerprint (see ``aig.cone_fingerprint``), so stale
+entries are simply never looked up again.  Hit and miss counts are
+reported through :mod:`repro.perf` under both the ``cache.*`` names and
+the per-namespace ``store.*`` names.
 """
 
 from __future__ import annotations
@@ -35,8 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import perf
 from ..aig import AIG, cone_fingerprint, node_tts
-from ..store import MemoryStore, Namespace, ResultStore
-from ..store import runtime as store_runtime
+from ..store import MemoryStore, Namespace
 from ..tt import TruthTable
 
 SpcfPayload = Tuple
@@ -46,38 +42,17 @@ SpcfPayload = Tuple
 
 _CARRIED = ("spcf", "rejected")
 """The namespaces a walk worker starts from and hands back
-(:meth:`ConeCache.export`); ``tts`` stays put, the optimizer never
-reads it."""
-
-
-def _encode_tts(tts: List[TruthTable]) -> list:
-    return [(tt.bits, tt.nvars) for tt in tts]
-
-
-def _decode_tts(payload: list) -> List[TruthTable]:
-    return [TruthTable(bits, nvars) for bits, nvars in payload]
+(:meth:`ConeCache.export`)."""
 
 
 class ConeCache:
-    """Memo of per-cone lookahead results; a view over a result store."""
+    """Memo of per-cone lookahead results; a view over a memory store."""
 
-    def __init__(
-        self, max_entries: int = 4096, store: Optional[ResultStore] = None
-    ):
+    def __init__(self, max_entries: int = 4096):
         self.max_entries = max_entries
-        if store is None:
-            store = MemoryStore(
-                default_limit=max_entries,
-                limits={
-                    "spcf": max_entries,
-                    "tts": max_entries,
-                    "rejected": max_entries,
-                },
-            )
-        self.store = store
-        self._spcf = Namespace(store, "spcf")
-        self._tts = Namespace(store, "tts", encode=_encode_tts, decode=_decode_tts)
-        self._rejected = Namespace(store, "rejected")
+        self.store = MemoryStore(default_limit=max_entries)
+        self._spcf = Namespace(self.store, "spcf")
+        self._rejected = Namespace(self.store, "rejected")
 
     # -- SPCF payloads -----------------------------------------------------
 
@@ -88,16 +63,6 @@ class ConeCache:
 
     def put_spcf(self, key: Tuple, payload: SpcfPayload) -> None:
         self._spcf.put(key, payload)
-
-    # -- node truth tables -------------------------------------------------
-
-    def get_node_tts(self, fp: int) -> Optional[List[TruthTable]]:
-        tts = self._tts.get(fp)
-        perf.incr("cache.tts.hit" if tts is not None else "cache.tts.miss")
-        return tts
-
-    def put_node_tts(self, fp: int, tts: List[TruthTable]) -> None:
-        self._tts.put(fp, tts)
 
     # -- rejected cones ----------------------------------------------------
 
@@ -112,15 +77,8 @@ class ConeCache:
 
     # -- carrying entries to a pool worker ----------------------------------
 
-    def export(self) -> Optional[Dict[str, List[tuple]]]:
-        """Picklable copy of the SPCF and rejected-cone entries.
-
-        ``None`` unless the cache is a process-local :class:`MemoryStore`:
-        a worker reaches a persistent store itself, through the runtime
-        spec its task carries.
-        """
-        if not isinstance(self.store, MemoryStore):
-            return None
+    def export(self) -> Dict[str, List[tuple]]:
+        """Picklable copy of the SPCF and rejected-cone entries."""
         return self.store.export(_CARRIED)
 
     def absorb(self, entries: Dict[str, List[tuple]]) -> None:
@@ -133,7 +91,7 @@ class ConeCache:
         """The entries put since this cache absorbed ``carried``."""
         added = {}
         for ns, items in self.store.export(_CARRIED).items():
-            seen = {ekey for ekey, _entry in carried.get(ns, ())}
+            seen = {ekey for ekey, _value in carried.get(ns, ())}
             added[ns] = [item for item in items if item[0] not in seen]
         return added
 
@@ -141,20 +99,18 @@ class ConeCache:
 
     def clear(self) -> None:
         self._spcf.clear()
-        self._tts.clear()
         self._rejected.clear()
 
     def stats(self) -> Dict[str, int]:
         return {
             "spcf_entries": self._spcf.entries(),
-            "tts_entries": self._tts.entries(),
             "rejected_entries": self._rejected.entries(),
         }
 
     def __repr__(self) -> str:
         s = self.stats()
         return (
-            f"ConeCache(spcf={s['spcf_entries']}, tts={s['tts_entries']}, "
+            f"ConeCache(spcf={s['spcf_entries']}, "
             f"rejected={s['rejected_entries']})"
         )
 
@@ -164,15 +120,9 @@ class ConeCache:
 # Workers cannot see the parent's ConeCache, so each worker process keeps
 # a small identity-preserving pool of tabulated cones.  The pool is a
 # plain MemoryStore holding the lists by reference — no codec on the hot
-# path.  When the process has a persistent runtime store, misses also
-# read through (and tabulations write through) the shared ``tts``
-# namespace, the same keyspace ConeCache.put_node_tts populates, so a
-# disk-warm run skips tabulation even in fresh worker processes.
+# path.
 
-_WORKER_POOL = MemoryStore(
-    default_limit=store_runtime.MEMORY_LIMITS["worker_tts"],
-    limits={"dp": store_runtime.MEMORY_LIMITS["dp"]},
-)
+_WORKER_POOL = MemoryStore(default_limit=256, limits={"dp": 64})
 _WORKER_TTS = Namespace(_WORKER_POOL, "worker_tts")
 _WORKER_DP = Namespace(_WORKER_POOL, "dp")
 
@@ -190,19 +140,8 @@ def node_tts_cached(aig: AIG, fp: Optional[int] = None) -> List[TruthTable]:
         fp = cone_fingerprint(aig, aig.pos)
     tts = _WORKER_TTS.get(fp, _MISSING)
     if tts is _MISSING:
-        tts = None
-        if store_runtime.is_persistent():
-            shared = store_runtime.get_store().namespace(
-                "tts", encode=_encode_tts, decode=_decode_tts
-            )
-            tts = shared.get(fp)
-        if tts is None:
-            perf.incr("cache.tts.miss")
-            tts = node_tts(aig)
-            if store_runtime.is_persistent():
-                shared.put(fp, tts)
-        else:
-            perf.incr("cache.tts.hit")
+        perf.incr("cache.tts.miss")
+        tts = node_tts(aig)
         _WORKER_TTS.put(fp, tts)
     else:
         perf.incr("cache.tts.hit")
@@ -217,10 +156,8 @@ def node_tts_cached(aig: AIG, fp: Optional[int] = None) -> List[TruthTable]:
 # sharing the cone, and later rounds/flow iterations that revisit an
 # unchanged cone.  Keyed alongside the ConeCache fingerprints; the memo
 # dicts are mutated in place by the DP, so a pool hit resumes exactly
-# where the previous query stopped tabulating.  That in-place mutation is
-# also why this pool is never persisted: the store hands the exact same
-# dict object back on every hit, which only a by-reference memory tier
-# can promise.
+# where the previous query stopped tabulating, which only a
+# by-reference memory store can promise.
 
 
 def dp_memo_cached(

@@ -14,7 +14,6 @@ import io
 from typing import Any, Dict, Optional, Tuple
 
 from ..aig import AIG, aig_fingerprint, read_aag, write_aag
-from .cache import ConeCache
 from .config import FLOW_DEFAULTS, LookaheadConfig, positive_int
 from .lookahead import LookaheadOptimizer
 
@@ -53,7 +52,6 @@ def lookahead_flow(
     optimizer: Optional[LookaheadOptimizer] = None,
     max_iterations: int = MAX_ITERATIONS,
     verify: bool = False,
-    store=None,
     **options,
 ) -> AIG:
     """Conventional high-effort optimization alternated with decomposition.
@@ -67,10 +65,9 @@ def lookahead_flow(
 
     Without an explicit ``optimizer`` the flow builds one from
     ``options`` — :class:`~repro.core.config.LookaheadConfig` fields over
-    the flow's defaults (:data:`~repro.core.config.FLOW_DEFAULTS`) —
-    plus the runtime ``store``; all are ignored when an ``optimizer`` is
-    passed.  The quality gate follows the
-    optimizer's ``arrival_times``.
+    the flow's defaults (:data:`~repro.core.config.FLOW_DEFAULTS`); they
+    are ignored when an ``optimizer`` is passed.  The quality gate
+    follows the optimizer's ``arrival_times``.
 
     ``verify=True`` equivalence-checks every accepted candidate against
     the circuit it replaces (and therefore, transitively, against the
@@ -83,7 +80,7 @@ def lookahead_flow(
     from ..opt import dc_map_effort_high
 
     opt = optimizer or LookaheadOptimizer(
-        store=store, **{**FLOW_DEFAULTS["lookahead"], **options}
+        **{**FLOW_DEFAULTS["lookahead"], **options}
     )
     _quality = _make_quality(opt.config.arrival_times)
     current = aig.extract()
@@ -128,9 +125,10 @@ def lookahead_flow(
 # payload plus three job-level fields — ``flow``, ``max_iterations`` and
 # ``verify``.  A daemon validates them *before* queueing (a bad job is
 # rejected at submit, not in a runner mid-drain) and runs jobs with equal
-# keys on one warm optimizer (persistent worker pool, hot in-memory store
-# tier); ``repro optimize`` runs its lookahead flows through the same
-# helpers, so a local answer and a served one are one code path.
+# keys on one warm optimizer (persistent worker pool, warm cone cache);
+# ``repro optimize`` runs its lookahead flows through the same helpers, so
+# a local answer and a served one are one code path.  A persistent
+# runtime store keeps each job's whole answer and nothing else.
 
 JOB_FLOWS = tuple(FLOW_DEFAULTS)
 """Flows a job may request.  Conventional baselines (sis/abc/dc) are
@@ -186,30 +184,20 @@ def make_job_optimizer(
 ) -> LookaheadOptimizer:
     """A reusable optimizer for every job sharing ``job_config_key``.
 
-    The cone cache is wired to the *already configured* process runtime
-    store and never reconfigures it: a daemon shares one store across
-    every handler and runner thread, and reconfiguring would close it
-    out from under every other job.  Worker task tuples still ship
-    ``store_runtime.current_spec()``, so pool workers adopt the same
-    backend.
+    A plain optimizer, with its own cone cache: a served or store-backed
+    job runs the same code as ``optimize()``, so its answer is the
+    storeless one by construction.
     """
-    from ..store import runtime as store_runtime
-
-    return LookaheadOptimizer(
-        config=config["lookahead"],
-        workers=workers,
-        cache=ConeCache(store=store_runtime.get_store()),
-    )
+    return LookaheadOptimizer(config=config["lookahead"], workers=workers)
 
 
 def job_store_key(aig: AIG, config: Dict[str, Any]) -> Tuple:
     """Store key of a job's answer (the ``job`` namespace, DESIGN 3.20).
 
-    The structural fingerprint leads, by the store's convention; the
-    SHA-256 of the exact graph pins what the optimizer reads (numbering
-    and names included, which neither the fingerprint nor an AIGER dump
-    does); :func:`job_config_key` pins every option that can change the
-    answer.
+    The structural fingerprint leads; the SHA-256 of the exact graph
+    pins what the optimizer reads (numbering and names included, which
+    neither the fingerprint nor an AIGER dump does); :func:`job_config_key`
+    pins every option that can change the answer.
     """
     return (
         aig_fingerprint(aig), aig.structure_digest(), job_config_key(config)

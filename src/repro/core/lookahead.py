@@ -28,7 +28,10 @@ serial path.  Every circuit takes this one pipeline: the SPCF domain
 choice, and a BDD cone builds its own manager inside the task.  A
 cross-round :class:`~repro.core.cache.ConeCache` memoizes SPCFs and
 rejected-cone fingerprints by structural hash, skipping cones that did
-not change between rounds (or between ``optimize()`` calls).
+not change between rounds (or between ``optimize()`` calls).  The
+optimizer reads and writes no persistent store: whole job answers are
+kept one level up, by :func:`repro.core.flow.execute_optimize_job`
+(DESIGN 3.20).
 
 The walk strategies (``walk_modes``) are independent round sequences
 too.  When there are two or more of them and two or more workers, every
@@ -59,8 +62,6 @@ from ..netlist import (
     renode,
     synthesize_into,
 )
-from ..store import MISSING, StoreSpec
-from ..store import runtime as store_runtime
 from .area_recovery import recover_area
 from .cache import ConeCache, dp_memo_cached, node_tts_cached
 from .config import LookaheadConfig
@@ -88,10 +89,6 @@ BDD_MODE_PI_LIMIT = 26
 RENODE_K = 6
 """Cut size of the renoding that clusters the AIG into a network."""
 
-SAT_MODE_KEY = "off"
-"""Held in the memo keys' slot for the deleted SAT-portfolio mode, so
-stores written while the mode existed stay warm."""
-
 BUDGET_WINDOWS = 2
 """Budget windows a round may try before giving up: when every
 replacement in the first window is rejected, the round slides once to
@@ -105,7 +102,7 @@ budget."""
 # A cone task is a plain picklable tuple:
 #
 #   (po_index, cone_aig | None, cone_net, config, walk_mode,
-#    spcf_payload | None, store_spec)
+#    spcf_payload | None)
 #
 # ``config`` is the optimizer's :class:`LookaheadConfig`; its raw PI-name
 # -> arrival-time map (delay-model objects stay out of the tuple so
@@ -214,67 +211,6 @@ def _deserialize_spcf(
             raise BddBlowup("BDD SPCF exceeded the manager budget")
         return spcf
     return Spcf("sim", signature=payload[1])
-
-
-# -- whole-result replay ------------------------------------------------------
-#
-# A cone task is a pure function of its tuple (that is exactly what the
-# serial==parallel fuzz invariant enforces), so on a persistent store the
-# *entire* task result can be memoized and replayed bit-identically.  The
-# key is built after the SPCF stage so the "SPCF cached" and "SPCF
-# computed" code paths agree on it: given the serialized SPCF payload
-# (whose tag names the domain), the downstream pipeline depends only on
-# (cone_net, walk_mode, payload) and the config's sim_width, seed and
-# arrivals — plus, for a BDD payload, the cone AIG it recomputes the SPCF
-# from.  This is what makes a disk-warm run skip the dominant
-# primary/secondary (SAT) work instead of merely skipping SPCF
-# recomputation.
-
-
-def _cone_result_key(
-    cone_net: Network,
-    cone_aig: Optional[AIG],
-    config: LookaheadConfig,
-    walk_mode: str,
-    payload: Tuple,
-) -> Tuple:
-    root, _neg = cone_net.pos[0]
-    arrival_map = config.arrival_times
-    arrivals = tuple(sorted(arrival_map.items())) if arrival_map else None
-    if payload[0] == "bdd":
-        payload = payload + (cone_fingerprint(cone_aig, cone_aig.pos),)
-    return (
-        cone_net.node_fingerprints()[root],
-        cone_net.to_payload(),
-        config.sim_width,
-        config.seed,
-        walk_mode,
-        payload,
-        arrivals,
-        SAT_MODE_KEY,
-    )
-
-
-def _encode_cone_result(value: Tuple) -> Tuple:
-    ok, pos_net, sigma_nid, neg_net, payload = value
-    return (
-        bool(ok),
-        None if pos_net is None else pos_net.to_payload(),
-        sigma_nid,
-        None if neg_net is None else neg_net.to_payload(),
-        payload,
-    )
-
-
-def _decode_cone_result(value: Tuple) -> Tuple:
-    ok, pos, sigma_nid, neg, payload = value
-    return (
-        bool(ok),
-        None if pos is None else Network.from_payload(pos),
-        sigma_nid,
-        None if neg is None else Network.from_payload(neg),
-        payload,
-    )
 
 
 def _pi_arrival_ints(model, pi_names: Sequence[str]) -> Optional[List[int]]:
@@ -414,14 +350,7 @@ def _run_cone_task(task: Tuple) -> Tuple:
     called in-process on the serial (workers=1) path, which makes the two
     paths identical by construction.
     """
-    po_index, cone_aig, cone_net, config, walk_mode, payload, store_spec = (
-        task
-    )
-    # Workers rebuild their runtime store from the shipped spec (no-op
-    # when it is already active); a persistent backend is then shared
-    # with the parent through SQLite's WAL, never through a forked
-    # connection.
-    store_runtime.adopt(store_spec)
+    po_index, cone_aig, cone_net, config, walk_mode, payload = task
     start = time.perf_counter()
     before = perf.snapshot()
     phases: Dict[str, float] = {}
@@ -445,16 +374,6 @@ def _run_cone_task(task: Tuple) -> Tuple:
             return finish(False, None)
         spcf = found[1]
         payload = _serialize_spcf(*found)
-    cone_ns = key = None
-    if store_runtime.is_persistent():
-        cone_ns = store_runtime.get_store().namespace(
-            "cone", encode=_encode_cone_result, decode=_decode_cone_result
-        )
-        key = _cone_result_key(cone_net, cone_aig, config, walk_mode, payload)
-        stored = cone_ns.get(key, MISSING)
-        if stored is not MISSING:
-            ok, pos_net, sigma_nid, neg_net, payload = stored
-            return finish(ok, payload, pos_net, sigma_nid, neg_net)
     pristine = cone_net.clone() if payload[0] == "bdd" else None
     try:
         if spcf is None:
@@ -470,10 +389,6 @@ def _run_cone_task(task: Tuple) -> Tuple:
             result = _process_cone(pristine, found[1], config, walk_mode, phases)
     ok = result is not None
     pos_net, sigma_nid, neg_net = result if ok else (None, None, None)
-    if cone_ns is not None:
-        # Encoding snapshots the nets before the parent splices/mutates
-        # anything downstream.
-        cone_ns.put(key, (ok, pos_net, sigma_nid, neg_net, payload))
     return finish(ok, payload, pos_net, sigma_nid, neg_net)
 
 
@@ -483,27 +398,22 @@ def _run_walk_task(task: Tuple) -> Tuple:
     Top-level so ``ProcessPoolExecutor`` can pickle it by reference, like
     :func:`_run_cone_task`.  The task is ``(aig, walk_mode, config,
     verify, carried)``; ``carried`` is the parent cache's
-    :meth:`~repro.core.cache.ConeCache.export`, or ``None`` for a
-    store-backed cache.  The worker adopts no store, so it neither reads
-    nor writes the persistent store the walk beside it in the parent
-    uses.  Returns ``(aig, quality, additions, perf_delta)``: the walk's
-    result, the cache entries it added to ``carried`` (``None`` when
-    nothing was carried) and what it bumped in this worker's registry,
+    :meth:`~repro.core.cache.ConeCache.export`.  Returns ``(aig, quality,
+    additions, perf_delta)``: the walk's result, the cache entries it
+    added to ``carried`` and what it bumped in this worker's registry,
     with the inner serial rounds' worker accounting replaced by the
     task's own seconds.
     """
     aig, walk_mode, config, verify, carried = task
-    store_runtime.adopt(None)
     start = time.perf_counter()
     before = perf.snapshot()
     cache = ConeCache()
-    if carried is not None:
-        cache.absorb(carried)
+    cache.absorb(carried)
     optimizer = LookaheadOptimizer(
         config=config, workers=1, verify=verify, cache=cache
     )
     out, quality = optimizer._optimize_with(aig, walk_mode)
-    additions = None if carried is None else cache.added_since(carried)
+    additions = cache.added_since(carried)
     counters = perf.delta(before, perf.snapshot())
     timers = counters["timers"]
     timers.pop("workers.capacity", None)
@@ -522,7 +432,6 @@ class LookaheadOptimizer:
         config: Optional[LookaheadConfig] = None,
         workers: Optional[int] = None,
         cache: Optional[ConeCache] = None,
-        store: StoreSpec = None,
         verify: bool = False,
         **options,
     ):
@@ -539,29 +448,13 @@ class LookaheadOptimizer:
         the serial path (see :func:`repro.perf.get_workers`).  ``cache``:
         a :class:`ConeCache` to share across optimizers; by default each
         optimizer owns one, which persists across its ``optimize()`` calls.
-        ``store`` plugs a :mod:`repro.store` result store under every
-        memo layer: a database path (or :class:`repro.store.StoreConfig`
-        / ready store) installs it as the process runtime store, backs
-        the optimizer's :class:`ConeCache` with it, and ships the spec to
-        pool workers, so SPCF payloads, rejected-cone verdicts, whole
-        cone results and redundancy proofs survive across invocations.
-        ``None`` (default) keeps every memo process-local —
-        bit-identical to the historical behaviour; disk-warm runs are
-        bit-identical in QoR to cold ones, just faster (DESIGN 3.20).
         """
         self.config = dataclasses.replace(config or LookaheadConfig(), **options)
         self.verify = verify
         self.workers = workers
         # Config keys whose rejection this optimize call has confirmed.
         self._call_rejected: Set[Tuple] = set()
-        if store is not None:
-            store_runtime.configure(store)
-        if cache is not None:
-            self.cache = cache
-        elif store is not None:
-            self.cache = ConeCache(store=store_runtime.get_store())
-        else:
-            self.cache = ConeCache()
+        self.cache = cache if cache is not None else ConeCache()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_workers = 0
 
@@ -628,11 +521,9 @@ class LookaheadOptimizer:
         other walks leave free, so this process holds no more than it
         does for one walk.  A walk is a pure function of its input, walk
         mode and config, whatever the cache holds, so the results equal
-        the serial loop's.  A memory-backed cache also travels to the
-        walk workers, and their additions are folded back in walk order,
-        so later calls still skip the cones every walk settled.  Walk
-        workers run storeless: a persistent store holds only the first
-        walk's entries, so what that walk reads never depends on timing.
+        the serial loop's.  The cache also travels to the walk workers,
+        and their additions are folded back in walk order, so later calls
+        still skip the cones every walk settled.
         """
         first, *rest = self.config.walk_modes
         carried = self.cache.export()
@@ -656,8 +547,7 @@ class LookaheadOptimizer:
         perf.incr("walks.parallel")
         for out, quality, additions, counters in outcomes:
             perf.merge(counters)
-            if additions is not None:
-                self.cache.absorb(additions)
+            self.cache.absorb(additions)
             results.append((out, quality))
         return results
 
@@ -801,9 +691,7 @@ class LookaheadOptimizer:
         config = self.config
         spcf_key = (fp, mode, config.sim_width, config.seed,
                     self._model_key(), config.spcf_tier)
-        cfg_key = spcf_key + (
-            walk_mode, RENODE_K, config.use_rules, SAT_MODE_KEY,
-        )
+        cfg_key = spcf_key + (walk_mode, RENODE_K, config.use_rules)
         return fp, spcf_key, cfg_key
 
     def _select_window(
@@ -817,8 +705,8 @@ class LookaheadOptimizer:
         cross-call cache state: a warm run replays inherited verdicts
         into ``_call_rejected`` at dispatch, exactly where a cold run
         records the same verdicts after evaluating — so warm and cold
-        runs build identical windows (the cached_cold_identical /
-        store_warm_equals_cold invariants).
+        runs build identical windows (the cached_cold_identical
+        invariant).
         """
         budget = self.config.max_outputs_per_round
         window: List[Tuple[int, int, Tuple, Tuple]] = []
@@ -1001,7 +889,7 @@ class LookaheadOptimizer:
                 reject_keys[po_index] = cfg_key
                 tasks.append((
                     po_index, cone_aig, cone_net, self.config, walk_mode,
-                    payload, store_runtime.current_spec(),
+                    payload,
                 ))
 
         start = time.perf_counter()

@@ -241,51 +241,6 @@ class Network:
         out.add_po(id_map[root], neg, self.po_names[po_index])
         return out
 
-    def to_payload(self) -> tuple:
-        """Codec-safe exact encoding (ints/strs/tuples only).
-
-        Inverse of :meth:`from_payload`; preserves node ids, insertion
-        order, names, and ``_next_id`` exactly, so a round-tripped
-        network is indistinguishable from the original to every
-        consumer (including id-based splicing).  Used by the result
-        store to persist per-cone pipeline results.
-        """
-        return (
-            tuple(
-                (
-                    n.nid,
-                    n.kind,
-                    tuple(n.fanins),
-                    None if n.tt is None else (n.tt.bits, n.tt.nvars),
-                    n.name,
-                )
-                for n in self.nodes.values()
-            ),
-            tuple(self.pis),
-            tuple((nid, bool(neg)) for nid, neg in self.pos),
-            tuple(self.po_names),
-            self._next_id,
-        )
-
-    @classmethod
-    def from_payload(cls, payload: tuple) -> "Network":
-        """Rebuild a network from :meth:`to_payload` output."""
-        nodes, pis, pos, po_names, next_id = payload
-        net = cls()
-        for nid, kind, fanins, tt, name in nodes:
-            net.nodes[nid] = NetNode(
-                nid,
-                kind,
-                list(fanins),
-                None if tt is None else TruthTable(tt[0], tt[1]),
-                name,
-            )
-        net.pis = list(pis)
-        net.pos = [(nid, bool(neg)) for nid, neg in pos]
-        net.po_names = list(po_names)
-        net._next_id = next_id
-        return net
-
     def clone(self) -> "Network":
         """Deep copy (node functions are immutable and shared)."""
         dup = Network()

@@ -1,11 +1,9 @@
 """The long-lived optimization daemon behind ``repro serve``.
 
 One process owns the runtime result store and absorbs a stream of
-optimize jobs from local clients (:mod:`repro.serve.client`): the
-architectural shape the store was built for — most real traffic is
-repeated sub-structures, and a daemon answering every client from one
-warm store turns the disk-warm replay win (rot 38s → ~5s) into an
-*every-request* win across users.
+optimize jobs from local clients (:mod:`repro.serve.client`).  The
+store keeps each job's whole answer (DESIGN 3.20), so a repeated
+circuit is answered in milliseconds for every client, across restarts.
 
 Anatomy:
 
@@ -18,15 +16,14 @@ Anatomy:
 * **Job queue + batching** — jobs wait in a bounded FIFO.  A runner
   pops the head job and *drains every queued job with the same config
   key* (up to ``max_batch``) into one batch: batched jobs share a warm
-  optimizer back-to-back, so the persistent worker pool and the hot
-  in-memory store tier never cool between them.
+  optimizer back-to-back, so the persistent worker pool and its cone
+  cache never cool between them.
 * **Optimizer pool** — one :class:`LookaheadOptimizer` per distinct job
   config (:func:`repro.core.flow.job_config_key`), kept alive across
   jobs.  Its ``ProcessPoolExecutor`` is the persistent worker pool that
   runs a job's second walk whole beside the first, and the per-output
-  cone tasks of the walk the daemon runs itself.  Cone workers adopt the
-  store through the picklable spec shipped in task tuples, exactly as on
-  the CLI path; walk workers run storeless.
+  cone tasks of the walk the daemon runs itself.  Only the daemon
+  process reads and writes the store: the optimizer never touches it.
 * **Timeouts with cancellation** — each job runs under a watchdog.  On
   expiry the client is answered immediately (``code="timeout"``) and the
   optimizer instance is *poisoned*: removed from the pool so no later
@@ -48,9 +45,9 @@ counters, ``serve.jobs.door`` (jobs answered at the door),
 ``perf.report()``), and ``serve.job.{latency,queue_wait}`` histograms
 (``queue_wait`` covers queued jobs only); the live view (queue depth,
 jobs in flight, p50/p95) is the ``status`` op, surfaced by ``repro
-serve --status``.  Per-job store hit-rates are exact with one runner
-(the default): a door answer counts its one hit, a queued job the
-runner's lookups, less any door lookup made meanwhile.  They are
+serve --status``.  Per-job store counts are ``job`` lookups, exact
+with one runner (the default): a door answer counts its one hit, a
+queued job the runner's lookup, less any door lookup made meanwhile.  They are
 approximate when several runners interleave on the shared registry.
 """
 
@@ -61,6 +58,7 @@ import os
 import signal
 import socket
 import socketserver
+import sys
 import threading
 import time
 from collections import deque
@@ -92,6 +90,16 @@ from .protocol import (
 RESPONSE_GRACE_S = 30.0
 """Extra slack a submit handler waits past the job deadline before
 declaring the job lost (runners always answer first in practice)."""
+
+SWITCH_INTERVAL_S = 0.0005
+"""The interpreter's thread switch interval while a daemon runs.
+
+A door answer blocks on its socket and its store read several times, and
+each time it waits for the GIL until the thread computing a cold job
+yields it, which CPython asks for only after the switch interval (5 ms
+by default).  In perfbench's serve-fabric (seed 1, six runs a side),
+0.5 ms took ``job_p50_s`` from 0.096 to 0.067 s and ``wall_s`` from
+1.63 to 1.59 s."""
 
 
 class Job:
@@ -302,15 +310,14 @@ class ReproDaemon:
         self._stop_event = threading.Event()
         self._stopped = False
         self._torn_down = threading.Event()
+        self._switch_interval: Optional[float] = None  # restored on stop
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Bind, configure the store, spin up runners, advertise."""
         if self.store_path is not None:
-            store_runtime.configure(
-                store_runtime.make_config(self.store_path)
-            )
+            store_runtime.configure(self.store_path)
         self._server = _Server((self.host, self.port), self)
         self.port = self._server.server_address[1]
         self._server_thread = threading.Thread(
@@ -330,6 +337,8 @@ class ReproDaemon:
         self._started = time.monotonic()
         write_endpoint(self.endpoint_file, self.host, self.port,
                        self.store_path)
+        self._switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(min(self._switch_interval, SWITCH_INTERVAL_S))
 
     def request_stop(self) -> None:
         """Ask the daemon to drain and exit (signal-handler safe)."""
@@ -371,6 +380,8 @@ class ReproDaemon:
             entries, self._pool = list(self._pool.values()), {}
         for entry in entries:
             entry.optimizer.close()
+        if self._switch_interval is not None:
+            sys.setswitchinterval(self._switch_interval)
         self._stop_event.set()
 
     def wait(self) -> None:
@@ -647,11 +658,15 @@ class ReproDaemon:
             entry.optimizer.close()
 
     def _store_counts(self) -> Tuple[int, int]:
-        """Store hits and misses so far, less those of door lookups."""
+        """``job`` lookup hits and misses so far, less the door's.
+
+        Only the ``job`` namespace counts: the store holds nothing else,
+        and the optimizer's private cone cache is no store lookup.
+        """
         with self._door_lock:
             return (
-                perf.counter("store.hit") - self._door_store[0],
-                perf.counter("store.miss") - self._door_store[1],
+                perf.counter("store.job.hit") - self._door_store[0],
+                perf.counter("store.job.miss") - self._door_store[1],
             )
 
     def _answer(

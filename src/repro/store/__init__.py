@@ -1,35 +1,29 @@
-"""Unified result store: every memo layer behind one pluggable backend.
+"""Result stores: namespaced memos behind one pluggable backend.
 
-The subsystem that makes "re-run the flow, skip the work already done"
-a property of the whole system instead of five ad-hoc dicts:
+A persistent store keeps whole job answers, so a repeated job (same
+circuit, same options) replays its answer instead of running again; the
+optimizer's own memos are namespaces of process-local
+:class:`MemoryStore` instances:
 
-* :mod:`repro.store.base` — the :class:`ResultStore` protocol, the
-  per-layer :class:`Namespace` view, and :class:`StoreConfig`;
+* :mod:`repro.store.base` — the :class:`ResultStore` protocol and the
+  per-layer :class:`Namespace` view;
 * :mod:`repro.store.memory` — bounded LRU :class:`MemoryStore`;
 * :mod:`repro.store.sqlite` — persistent WAL-mode :class:`SqliteStore`;
 * :mod:`repro.store.tiered` — write-through :class:`TieredStore`;
-* :mod:`repro.store.runtime` — the per-process runtime store the memo
-  layers consult (fork-aware, spec-shippable to pool workers);
+* :mod:`repro.store.runtime` — the per-process runtime store the job
+  entry points consult (fork-aware);
 * :mod:`repro.store.serialize` — versioned key/payload codec.
 
-See DESIGN.md §3.20 for keying conventions and the warm==cold guarantee.
+See DESIGN.md §3.20 for the job keys and the warm==cold guarantee.
 """
 
-from .base import (
-    MISSING,
-    Namespace,
-    ResultStore,
-    StoreConfig,
-    StoreSpec,
-    resolve_store,
-)
+from .base import MISSING, Namespace, ResultStore
 from .memory import MemoryStore
 from .serialize import (
     PAYLOAD_VERSION,
     StoreDecodeError,
     dumps,
     encode_key,
-    key_fingerprint,
     loads,
 )
 from .sqlite import SCHEMA_VERSION, SqliteStore
@@ -39,9 +33,6 @@ __all__ = [
     "MISSING",
     "Namespace",
     "ResultStore",
-    "StoreConfig",
-    "StoreSpec",
-    "resolve_store",
     "MemoryStore",
     "SqliteStore",
     "TieredStore",
@@ -51,5 +42,4 @@ __all__ = [
     "dumps",
     "loads",
     "encode_key",
-    "key_fingerprint",
 ]

@@ -1,16 +1,18 @@
 """The :class:`ResultStore` protocol and the consumer-facing namespace view.
 
-A result store is a namespaced key/value memo shared by every cache layer
-in the system (SPCF payloads, rejected cones, whole cone results,
-redundancy proofs).  The contract every backend implements:
+A result store is a namespaced key/value memo.  The persistent store
+behind ``--store`` and ``repro serve`` holds whole job answers only (the
+``job`` namespace, DESIGN 3.20); the optimizer's cross-round cone cache
+and the worker-side pools are process-local :class:`MemoryStore`
+namespaces.  The contract every backend implements:
 
 * **namespaced** ``get``/``put``/``stats`` — namespaces isolate layers
   with different key schemas and lifetimes inside one store;
-* **fingerprint keying** — by convention a key's leading element is the
-  structural fingerprint the entry's validity depends on, which makes
-  invalidation explicit (:meth:`ResultStore.invalidate`) and staleness
-  impossible by construction (a mutated cone has a new fingerprint, so
-  stale entries are simply never looked up again);
+* **structural keys** — an entry's key names everything its value
+  depends on (a job key leads with the input's structural fingerprint),
+  so a changed input or option is a new key and stale entries are
+  simply never looked up again; :meth:`ResultStore.invalidate` drops a
+  namespace or the whole store;
 * **versioned serialization** — persistent backends store payloads
   through :mod:`repro.store.serialize`; a format bump or a corrupt row
   reads back as a miss, never as a wrong payload and never as a crash.
@@ -23,7 +25,7 @@ a handful of one-line delegations (see ``repro.core.cache.ConeCache``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 from .. import perf
 
@@ -44,14 +46,10 @@ class ResultStore:
     def put(self, ns: str, key: Any, value: Any) -> None:
         raise NotImplementedError
 
-    def invalidate(
-        self, ns: Optional[str] = None, fingerprint: Optional[int] = None
-    ) -> int:
-        """Drop entries; returns how many were removed.
+    def invalidate(self, ns: Optional[str] = None) -> int:
+        """Drop one namespace's entries (``None``: every namespace).
 
-        ``ns=None`` clears every namespace; ``fingerprint`` restricts the
-        delete to keys whose leading structural fingerprint matches (the
-        explicit invalidation-by-fingerprint path).
+        Returns how many were removed.
         """
         raise NotImplementedError
 
@@ -81,10 +79,11 @@ class ResultStore:
 class Namespace:
     """One memo layer's view of a store: counters plus value codec hooks.
 
-    ``encode``/``decode`` adapt rich in-memory values (e.g. lists of
-    ``TruthTable``) to the codec-safe tuples the backends persist; both
-    the memory and disk tiers hold the encoded form, so a view with hooks
-    pays one decode per hit and nothing else.
+    ``encode``/``decode`` adapt rich in-memory values (e.g. a job's
+    answer :class:`~repro.aig.AIG`) to the codec-safe values the backends
+    persist (its AIGER text); both the memory and disk tiers hold the
+    encoded form, so a view with hooks pays one decode per hit and
+    nothing else.
     """
 
     __slots__ = ("store", "name", "_encode", "_decode", "_hit", "_miss")
@@ -124,68 +123,5 @@ class Namespace:
     def clear(self) -> int:
         return self.store.invalidate(self.name)
 
-    def invalidate(self, fingerprint: int) -> int:
-        return self.store.invalidate(self.name, fingerprint=fingerprint)
-
     def entries(self) -> int:
         return self.store.entries(self.name)
-
-
-class StoreConfig:
-    """How a run's result store is built (the ``--store`` surface).
-
-    ``path=None`` is a pure in-memory store (results die with the
-    process); a path selects the tiered memory-over-SQLite arrangement.
-    ``memory_entries`` bounds each in-memory namespace; ``limits`` gives
-    specific namespaces their own bound (e.g. the redundancy verdict set
-    runs larger than the SPCF payload table).
-    """
-
-    __slots__ = ("path", "memory_entries", "limits")
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        memory_entries: int = 4096,
-        limits: Optional[Dict[str, int]] = None,
-    ) -> None:
-        if memory_entries < 1:
-            raise ValueError("memory_entries must be >= 1")
-        self.path = path
-        self.memory_entries = memory_entries
-        self.limits = dict(limits) if limits else {}
-
-    def build(self) -> ResultStore:
-        from .memory import MemoryStore
-        from .sqlite import SqliteStore
-        from .tiered import TieredStore
-
-        memory = MemoryStore(
-            default_limit=self.memory_entries, limits=self.limits
-        )
-        if self.path is None:
-            return memory
-        return TieredStore(memory, SqliteStore(self.path))
-
-    def __repr__(self) -> str:
-        return f"StoreConfig(path={self.path!r})"
-
-
-StoreSpec = Union[None, str, StoreConfig, ResultStore]
-"""What callers may pass as a store: nothing, a DB path, a config, or a
-ready-made store object."""
-
-
-def resolve_store(spec: StoreSpec) -> Optional[ResultStore]:
-    """Normalize a user-facing store spec to a store (or None = no store)."""
-    if spec is None:
-        return None
-    if isinstance(spec, ResultStore):
-        return spec
-    if isinstance(spec, StoreConfig):
-        return spec.build()
-    if isinstance(spec, str):
-        return StoreConfig(path=spec).build()
-    raise TypeError(
-        f"expected a path, StoreConfig, or ResultStore, got {spec!r}"
-    )

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .. import perf
 from .base import MISSING, ResultStore
-from .serialize import encode_key, key_fingerprint
+from .serialize import encode_key
 
 
 class MemoryStore(ResultStore):
@@ -40,9 +40,9 @@ class MemoryStore(ResultStore):
         self.default_limit = default_limit
         self.limits = dict(limits) if limits else {}
         self._lock = threading.Lock()
-        # ns -> encoded key -> (fingerprint, value); dicts preserve
-        # insertion order, and move-to-end on hit makes them LRUs.
-        self._tables: Dict[str, Dict[str, tuple]] = {}
+        # ns -> encoded key -> value; dicts preserve insertion order, and
+        # move-to-end on hit makes them LRUs.
+        self._tables: Dict[str, Dict[str, Any]] = {}
 
     def limit(self, ns: str) -> int:
         return self.limits.get(ns, self.default_limit)
@@ -53,21 +53,18 @@ class MemoryStore(ResultStore):
             table = self._tables.get(ns)
             if table is None:
                 return MISSING
-            entry = table.get(ekey)
-            if entry is None:
-                return MISSING
             # Refresh recency: re-insert at the MRU end.
-            del table[ekey]
-            table[ekey] = entry
-            return entry[1]
+            value = table.pop(ekey, MISSING)
+            if value is not MISSING:
+                table[ekey] = value
+            return value
 
     def put(self, ns: str, key: Any, value: Any) -> None:
         ekey = encode_key(key)
-        entry = (key_fingerprint(key), value)
         with self._lock:
-            self._insert(ns, ekey, entry)
+            self._insert(ns, ekey, value)
 
-    def _insert(self, ns: str, ekey: str, entry: tuple) -> None:
+    def _insert(self, ns: str, ekey: str, value: Any) -> None:
         table = self._tables.setdefault(ns, {})
         if ekey in table:
             # Overwrite: refresh value and recency, never evict.
@@ -78,7 +75,7 @@ class MemoryStore(ResultStore):
                 table.pop(next(iter(table)))
                 perf.incr("store.evict")
                 perf.incr(f"store.{ns}.evict")
-        table[ekey] = entry
+        table[ekey] = value
 
     def export(self, namespaces: Sequence[str]) -> Dict[str, List[tuple]]:
         """Picklable copy of some namespaces' entries, least recent first.
@@ -97,31 +94,18 @@ class MemoryStore(ResultStore):
         """Put every entry of an :meth:`export`, in order."""
         with self._lock:
             for ns, items in entries.items():
-                for ekey, entry in items:
-                    self._insert(ns, ekey, entry)
+                for ekey, value in items:
+                    self._insert(ns, ekey, value)
 
-    def invalidate(
-        self, ns: Optional[str] = None, fingerprint: Optional[int] = None
-    ) -> int:
+    def invalidate(self, ns: Optional[str] = None) -> int:
         with self._lock:
             spaces = [ns] if ns is not None else list(self._tables)
             removed = 0
             for name in spaces:
                 table = self._tables.get(name)
-                if table is None:
-                    continue
-                if fingerprint is None:
+                if table is not None:
                     removed += len(table)
                     table.clear()
-                    continue
-                stale = [
-                    ekey
-                    for ekey, (fp, _v) in table.items()
-                    if fp == fingerprint
-                ]
-                for ekey in stale:
-                    del table[ekey]
-                removed += len(stale)
             return removed
 
     def stats(self) -> Dict[str, Dict[str, Any]]:

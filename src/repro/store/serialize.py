@@ -79,23 +79,6 @@ def _encode_key(key: Any, parts: list) -> None:
         )
 
 
-def key_fingerprint(key: Any) -> int:
-    """The leading structural fingerprint of a key, if it has one.
-
-    By convention every memo layer keys its entries with the relevant
-    structural fingerprint first; backends index this value so
-    *invalidation by fingerprint* is one indexed delete instead of a
-    full-namespace scan.  Returns ``-1`` for keys without a leading int.
-    """
-    if isinstance(key, int) and not isinstance(key, bool):
-        return key
-    if isinstance(key, (tuple, list)) and key:
-        head = key[0]
-        if isinstance(head, int) and not isinstance(head, bool):
-            return head
-    return -1
-
-
 # -- payloads -----------------------------------------------------------------
 
 _TUPLE_TAG = "\x00t"  # illegal as a first element of any payload we emit

@@ -18,9 +18,9 @@ payload.  Design points:
   but our execute/fetch and error/rebuild sequences span several calls
   and would otherwise interleave cursor state between threads).
 * **Schema versioning** — ``meta`` records the schema and payload-codec
-  versions this file was written with.  A mismatch on open wipes the
-  tables and starts cold: a stale format is self-invalidating, never
-  misread.
+  versions this file was written with.  A mismatch on open drops and
+  recreates ``entries`` in the current layout and starts cold: a stale
+  format is self-invalidating, never misread.
 * **Corruption = cold start, never a crash** — a file that does not
   parse as a database (truncated, garbage, wrong format) is deleted and
   rebuilt; a row that fails payload decoding reads as a miss.  If the
@@ -62,12 +62,15 @@ from .serialize import (
     StoreDecodeError,
     dumps,
     encode_key,
-    key_fingerprint,
     loads,
 )
 
-SCHEMA_VERSION = 1
-"""Bump on any table-layout change; old files then rebuild cold."""
+SCHEMA_VERSION = 2
+"""Bump on any table-layout change; old files then start cold.
+
+Version 2 dropped version 1's per-row fingerprint column (``fp``) and
+its index, and with them the rows of the cone-level namespaces only
+version 1 wrote."""
 
 BUSY_TIMEOUT_MS = 10_000
 """How long a writer waits on the database lock before erroring."""
@@ -135,38 +138,35 @@ class SqliteStore(ResultStore):
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+            # One write transaction: a second process opening the same
+            # old file waits, then finds it already migrated.
+            conn.execute("BEGIN IMMEDIATE")
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta ("
                 " key TEXT PRIMARY KEY, value TEXT)"
-            )
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                " ns TEXT NOT NULL,"
-                " key TEXT NOT NULL,"
-                " fp TEXT NOT NULL,"
-                " value BLOB NOT NULL,"
-                " PRIMARY KEY (ns, key))"
-            )
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS entries_fp ON entries (ns, fp)"
             )
             row = conn.execute(
                 "SELECT value FROM meta WHERE key = 'version'"
             ).fetchone()
             version = f"{SCHEMA_VERSION}.{PAYLOAD_VERSION}"
-            if row is None:
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta VALUES ('version', ?)",
-                    (version,),
-                )
-            elif row[0] != version:
-                # Foreign schema or payload format: self-invalidate.
+            if row is not None and row[0] != version:
+                # Foreign schema or payload format: self-invalidate.  The
+                # table goes whole, since its layout may be foreign too.
                 perf.incr("store.schema_invalidations")
-                conn.execute("DELETE FROM entries")
+                conn.execute("DROP TABLE IF EXISTS entries")
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS entries ("
+                " ns TEXT NOT NULL,"
+                " key TEXT NOT NULL,"
+                " value BLOB NOT NULL,"
+                " PRIMARY KEY (ns, key))"
+            )
+            if row is None or row[0] != version:
                 conn.execute(
                     "INSERT OR REPLACE INTO meta VALUES ('version', ?)",
                     (version,),
                 )
+            conn.execute("COMMIT")
         except sqlite3.Error:
             conn.close()
             raise
@@ -267,26 +267,17 @@ class SqliteStore(ResultStore):
                     perf.incr("store.degraded.drops")
                     return
                 conn.execute(
-                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)",
-                    (ns, encode_key(key), str(key_fingerprint(key)), payload),
+                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?)",
+                    (ns, encode_key(key), payload),
                 )
             except (sqlite3.Error, OSError):
                 # A failed write loses one memo entry, nothing else.
                 self._rebuild()
 
-    def invalidate(
-        self, ns: Optional[str] = None, fingerprint: Optional[int] = None
-    ) -> int:
-        clauses, params = [], []
+    def invalidate(self, ns: Optional[str] = None) -> int:
+        sql, params = "DELETE FROM entries", ()
         if ns is not None:
-            clauses.append("ns = ?")
-            params.append(ns)
-        if fingerprint is not None:
-            clauses.append("fp = ?")
-            params.append(str(fingerprint))
-        sql = "DELETE FROM entries"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
+            sql, params = sql + " WHERE ns = ?", (ns,)
         with self._lock:
             try:
                 conn = self._db()

@@ -52,11 +52,9 @@ class TieredStore(ResultStore):
         self.memory.put(ns, key, value)
         self.disk.put(ns, key, value)
 
-    def invalidate(
-        self, ns: Optional[str] = None, fingerprint: Optional[int] = None
-    ) -> int:
-        removed = self.disk.invalidate(ns, fingerprint)
-        self.memory.invalidate(ns, fingerprint)
+    def invalidate(self, ns: Optional[str] = None) -> int:
+        removed = self.disk.invalidate(ns)
+        self.memory.invalidate(ns)
         return removed
 
     def stats(self) -> Dict[str, Dict[str, Any]]:

@@ -89,69 +89,40 @@ def optimizer_equivalence(case: Case) -> Optional[str]:
     return None
 
 
-def _run_job(case: Case, store, workers: int = 1, **overrides) -> AIG:
-    """The case as a ``lookahead-only`` job on a freshly reset runtime.
+def _run_job(case: Case, store: Optional[str]) -> AIG:
+    """The case as a serial ``lookahead-only`` job on a fresh runtime.
 
-    ``store`` is a database path for a store-backed run, or ``None``;
-    ``overrides`` replace config fields.  The caller resets the runtime
-    afterwards.
+    ``store`` is a database path for a store-backed run, or ``None``.
+    The caller resets the runtime afterwards.
     """
     from ..store import runtime as store_runtime
 
     store_runtime.reset()
     if store is not None:
         store_runtime.configure(store)
-    config = LookaheadConfig(
-        arrival_times=case.arrival_times, **{**case.config, **overrides}
-    )
+    config = LookaheadConfig(arrival_times=case.arrival_times, **case.config)
     job = normalize_job_config(
         {"flow": "lookahead-only", **config.to_payload()}
     )
-    return execute_optimize_job(case.aig, job, workers=workers)
+    return execute_optimize_job(case.aig, job, workers=1)
 
 
 def serial_parallel_identical(case: Case) -> Optional[str]:
     """workers=2 must be a pure scheduling change vs. workers=1.
 
-    That holds for ``optimize()``.  With two walks it also holds for the
-    case served the way a daemon serves it: a store-backed
-    ``lookahead-only`` job at workers=2 on a fresh database, where the
-    first walk uses the store and the second runs beside it in a
-    storeless worker, must give the storeless serial answer too.
+    With two walks, workers=2 runs the second walk whole in a pool
+    worker beside the first; with one, it fans the round's cones out.
     """
-    import os
-    import shutil
-    import tempfile
-
-    from ..store import runtime as store_runtime
-
     # Lift any per-round output cap so the round actually fans out more
     # than one cone — a single task takes the serial path either way.
     with case.optimizer(workers=1, max_outputs_per_round=None) as opt:
         serial = opt.optimize(case.aig)
-        walks = len(opt.config.walk_modes)
     with case.optimizer(workers=2, max_outputs_per_round=None) as opt:
         parallel = opt.optimize(case.aig)
     if _dump(serial) != _dump(parallel):
         return (
             "serial and parallel outputs differ: "
             f"serial={serial!r} parallel={parallel!r}"
-        )
-    if walks < 2:
-        return None  # no walk worker runs beside the store's walk
-    tmpdir = tempfile.mkdtemp(prefix="repro-pool-fuzz-")
-    try:
-        served = _run_job(
-            case, os.path.join(tmpdir, "results.db"), workers=2,
-            max_outputs_per_round=None,
-        )
-    finally:
-        store_runtime.reset()  # restore the ambient no-store state
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    if _dump(served) != _dump(serial):
-        return (
-            "store-backed workers=2 job differs from the storeless "
-            f"serial optimize(): job={served!r} serial={serial!r}"
         )
     return None
 
@@ -176,14 +147,13 @@ def cached_cold_identical(case: Case) -> Optional[str]:
 def store_warm_equals_cold(case: Case) -> Optional[str]:
     """A disk-warm persistent store is a pure memoization (DESIGN 3.20).
 
-    Three runs of the same configuration — storeless, store-backed cold,
-    and store-backed against the database the cold run left behind (with
-    the process runtime reset in between, so hits come from disk, not the
-    memory tier) — must be bit-identical: the store may only ever replay
-    results the cold computation would have produced.  The same three
-    runs of the case as a ``lookahead-only`` job, on a second database,
-    must give that answer too, the warm one replayed whole from the
-    ``job`` namespace.
+    Three runs of the case as a ``lookahead-only`` job — storeless,
+    store-backed cold, and store-backed against the database the cold
+    run left behind (with the process runtime reset in between, so the
+    hit comes from disk, not the memory tier) — must each give the
+    storeless ``optimize()`` answer: the store may only ever replay the
+    answer the cold computation produced, and the warm job must replay
+    it whole from the ``job`` namespace.
     """
     import os
     import shutil
@@ -192,34 +162,18 @@ def store_warm_equals_cold(case: Case) -> Optional[str]:
     from ..store import runtime as store_runtime
 
     tmpdir = tempfile.mkdtemp(prefix="repro-store-fuzz-")
-    path = os.path.join(tmpdir, "results.db")
+    path = os.path.join(tmpdir, "jobs.db")
 
     try:
         with case.optimizer(workers=1) as opt:
             baseline = opt.optimize(case.aig)
-        store_runtime.reset()
-        with case.optimizer(workers=1, store=path) as opt:
-            cold = opt.optimize(case.aig)
-        store_runtime.reset()  # drop the memory tier: warm = disk only
-        with case.optimizer(workers=1, store=path) as opt:
-            warm = opt.optimize(case.aig)
-        job_path = os.path.join(tmpdir, "jobs.db")
         jobs = [("storeless job", _run_job(case, None)),
-                ("store-backed cold job", _run_job(case, job_path))]
+                ("store-backed cold job", _run_job(case, path))]
         replays = perf.counter("store.job.hit")
-        jobs.append(("disk-warm job", _run_job(case, job_path)))
+        warm = _run_job(case, path)  # _run_job resets: warm = disk only
+        jobs.append(("disk-warm job", warm))
         if perf.counter("store.job.hit") != replays + 1:
             return "the disk-warm job did not replay its stored answer"
-        if _dump(cold) != _dump(baseline):
-            return (
-                "store-backed optimize() differs from the storeless run: "
-                f"store={cold!r} baseline={baseline!r}"
-            )
-        if _dump(warm) != _dump(cold):
-            return (
-                "disk-warm optimize() differs from cold: "
-                f"warm={warm!r} cold={cold!r}"
-            )
         for label, out in jobs:
             if _dump(out) != _dump(baseline):
                 return (
@@ -228,7 +182,7 @@ def store_warm_equals_cold(case: Case) -> Optional[str]:
                 )
         detail = _cec_detail(case.aig, warm)
         if detail:
-            return f"store-warm optimize() broke equivalence — {detail}"
+            return f"disk-warm job broke equivalence — {detail}"
         return None
     finally:
         store_runtime.reset()  # restore the ambient no-store state

@@ -12,11 +12,10 @@ are blessed with ``pytest tests/bench/test_golden_qor.py
 
 Two configurations are in play (``repro.bench.table2.golden_config``):
 
-* the serial bench_speed ``lookahead-w1`` config for the small circuits
-  and for ``rot`` (whose goldens double as a reproducibility check on
-  ``BENCH_speed.json``; the config must stay in lockstep with
-  ``benchmarks/bench_speed.py::_optimizer``), paired with full-effort
-  area recovery;
+* the serial ``GOLDEN_W1`` config for the small circuits and for
+  ``rot`` (the config perfbench's rot-cold workload times, so its
+  goldens double as that workload's QoR reference), paired with
+  full-effort area recovery;
 * a quick one-round config for the big Table 2 fabrics, paired with
   medium-effort recovery, so covering all 15 paper circuits stays
   inside the tier-1 wall-clock budget while still failing on any

@@ -51,7 +51,7 @@ def test_effort_options_tiers():
 def test_golden_config_selection():
     assert golden_config("C432", 223) == GOLDEN_W1
     assert golden_config("i10", 5300) == GOLDEN_QUICK
-    # rot is pinned to the BENCH_speed w1 config despite its size.
+    # rot is pinned to the w1 config (perfbench's rot-cold) despite its size.
     assert golden_config("rot", 2350) == GOLDEN_W1
     assert golden_area_effort(GOLDEN_W1) == "high"
     assert golden_area_effort(GOLDEN_QUICK) == "medium"

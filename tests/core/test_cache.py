@@ -88,14 +88,9 @@ class TestConeCacheUnit:
     def test_clear(self):
         cache = ConeCache()
         cache.put_spcf((1,), ("sim", 3))
-        cache.put_node_tts(2, [])
         cache.mark_rejected((3,))
         cache.clear()
-        assert cache.stats() == {
-            "spcf_entries": 0,
-            "tts_entries": 0,
-            "rejected_entries": 0,
-        }
+        assert cache.stats() == {"spcf_entries": 0, "rejected_entries": 0}
 
 
 class TestCacheCarry:
@@ -103,9 +98,8 @@ class TestCacheCarry:
         parent = ConeCache()
         parent.put_spcf(("a",), ("tt", 1, 1))
         parent.mark_rejected(("r",))
-        parent.put_node_tts(7, [])
         carried = parent.export()
-        assert sorted(carried) == ["rejected", "spcf"]  # no tts
+        assert sorted(carried) == ["rejected", "spcf"]
         worker = ConeCache()
         worker.absorb(carried)
         assert worker.get_spcf(("a",)) == ("tt", 1, 1)
@@ -117,16 +111,6 @@ class TestCacheCarry:
         assert parent.get_spcf(("b",)) == ("sim", 3)
         assert parent.is_rejected(("s",))
         assert parent.stats()["spcf_entries"] == 2
-
-    def test_store_backed_cache_carries_nothing(self, tmp_path):
-        from repro.store import runtime as store_runtime
-
-        store_runtime.reset()
-        try:
-            store = store_runtime.configure(str(tmp_path / "r.db"))
-            assert ConeCache(store=store).export() is None
-        finally:
-            store_runtime.reset()
 
 
 class TestCacheAcrossOptimizeCalls:

@@ -211,18 +211,18 @@ class TestWalkFanOut:
 
     def test_walk_task_runs_storeless(self, tmp_path):
         # A walk worker must not read or write the persistent store the
-        # walk beside it in the parent uses.
+        # daemon beside it holds: its cone entries go back to the parent
+        # cache instead.
         path = str(tmp_path / "results.db")
         store_runtime.reset()
         try:
             store_runtime.configure(path)
             task = (
                 ripple_carry_adder(6), "target",
-                LookaheadOptimizer(max_rounds=2).config, False, None,
+                LookaheadOptimizer(max_rounds=2).config, False, {},
             )
             _out, _quality, additions, _delta = _run_walk_task(task)
-            assert not store_runtime.is_persistent()
-            assert additions is None
+            assert additions["spcf"]
         finally:
             store_runtime.reset()
         conn = sqlite3.connect(path)
@@ -247,6 +247,24 @@ class TestWalkFanOut:
         finally:
             store_runtime.reset()
         assert _dump(pooled) == _dump(serial)
+
+
+GOLDEN_W1_CIRCUITS = {
+    "adder16": lambda: ripple_carry_adder(16),
+    "adder32": lambda: ripple_carry_adder(32),
+    "C432": BENCHMARKS["C432"],
+}
+
+
+@pytest.mark.parametrize("circuit", list(GOLDEN_W1_CIRCUITS))
+def test_golden_w1_bit_identical(circuit):
+    # The golden w1 settings at one and two workers, two walks side by
+    # side; adder8 and rot at these settings are checked above and below.
+    aig = GOLDEN_W1_CIRCUITS[circuit]()
+    serial = _optimize(aig, 1, **GOLDEN_W1)
+    parallel = _optimize(aig, 2, **GOLDEN_W1)
+    assert _dump(serial) == _dump(parallel)
+    assert check_equivalence(aig, serial)
 
 
 ROT_DIGEST = next(p.values[2] for p in CTOR_CASES if p.id == "rot")

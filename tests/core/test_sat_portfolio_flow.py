@@ -10,16 +10,19 @@ import sqlite3
 
 from repro import perf
 from repro.bench import BENCHMARKS
-from repro.core import LookaheadOptimizer
+from repro.core import (
+    LookaheadOptimizer,
+    execute_optimize_job,
+    normalize_job_config,
+)
 from repro.sat.portfolio import GLOBAL_UNSAT_CACHE
 from repro.store import runtime as store_runtime
 
+OPTIONS = dict(max_rounds=2, max_outputs_per_round=4, sim_width=256)
 
-def _optimize(aig, **kwargs):
-    with LookaheadOptimizer(
-        max_rounds=2, max_outputs_per_round=4, sim_width=256, workers=1,
-        **kwargs,
-    ) as opt:
+
+def _optimize(aig):
+    with LookaheadOptimizer(workers=1, **OPTIONS) as opt:
         return opt.optimize(aig)
 
 
@@ -37,7 +40,9 @@ class TestOffScope:
         path = str(tmp_path / "scope.db")
         store_runtime.reset()
         try:
-            _optimize(BENCHMARKS["C432"](), store=path)
+            store_runtime.configure(path)
+            job = normalize_job_config({"flow": "lookahead-only", **OPTIONS})
+            execute_optimize_job(BENCHMARKS["C432"](), job, workers=1)
         finally:
             store_runtime.reset()  # closes the store, flushing the WAL
         conn = sqlite3.connect(path)
@@ -47,5 +52,4 @@ class TestOffScope:
             }
         finally:
             conn.close()
-        assert "cone" in namespaces
-        assert not namespaces & {"unsat", "witness"}
+        assert namespaces == {"job"}

@@ -8,6 +8,7 @@ loopback port, real runner threads) — the subprocess lifecycle
 from __future__ import annotations
 
 import io
+import sys
 import threading
 import time
 
@@ -49,8 +50,6 @@ def _client(daemon: ReproDaemon) -> ServeClient:
 
 
 def _rca_text(width: int = 4) -> str:
-    # rca4 routes cones through the SPCF/cone store path (larger adders
-    # fall to the BDD tier, which never touches the store).
     buf = io.StringIO()
     write_aag(ripple_carry_adder(width), buf)
     return buf.getvalue()
@@ -75,6 +74,19 @@ class TestLifecycle:
         daemon.stop()
         daemon.stop()
         assert not _client(daemon).ping()
+
+    def test_switch_interval_lowered_while_running(self, tmp_path):
+        # Door answers take the GIL back sooner from a computing job.
+        before = sys.getswitchinterval()
+        d = ReproDaemon(endpoint_file=str(tmp_path / "d.serve.json"))
+        d.start()
+        try:
+            assert sys.getswitchinterval() == min(
+                before, daemon_module.SWITCH_INTERVAL_S
+            )
+        finally:
+            d.stop()
+        assert sys.getswitchinterval() == before
 
     def test_second_stop_waits_for_teardown(self, daemon, monkeypatch):
         # The first stop() stalls inside its teardown, before the
@@ -116,21 +128,19 @@ class TestSubmit:
         client = _client(daemon)
         text = _rca_text()
         first = client.submit(text, timeout=120)
-        cone = [perf.counter(f"store.cone.{kind}") for kind in ("hit", "miss")]
         second = client.submit(text, timeout=120)
         # Identical QoR, identical circuit: the store only replays what
         # the cold run would have computed.
         assert second["depth"] == first["depth"]
         assert second["ands"] == first["ands"]
         assert second["circuit"] == first["circuit"]
-        # The second job is one lookup in the job namespace, replayed
-        # whole: no cone-level lookup, no optimizer run.
-        assert first["store"]["misses"] > 0
+        # The first job misses once in the job namespace (the runner's
+        # lookup; the door's is in no job's counts), however many cone
+        # cache lookups its optimizer makes.  The second job is one
+        # lookup in the job namespace, replayed whole: no optimizer run.
+        assert first["store"] == {"hits": 0, "misses": 1, "hit_rate": 0.0}
         assert second["store"] == {"hits": 1, "misses": 0, "hit_rate": 1.0}
         assert perf.counter("store.job.hit") == 1
-        assert [
-            perf.counter(f"store.cone.{kind}") for kind in ("hit", "miss")
-        ] == cone
         status = client.status()
         assert status["jobs"]["submitted"] == 2
         assert status["jobs"]["completed"] == 2
@@ -253,13 +263,13 @@ class TestDoor:
         # Per-job store counts stay exact: the held job's leave out the
         # door's hit, and only the two door misses are in no job's.
         answers = (first, held[0], second)
-        assert perf.counter("store.hit") == sum(
+        assert perf.counter("store.job.hit") == sum(
             answer["store"]["hits"] for answer in answers
         )
-        assert perf.counter("store.miss") == 2 + sum(
+        assert perf.counter("store.job.miss") == 2 + sum(
             answer["store"]["misses"] for answer in answers
         )
-        assert client.status()["store_hits"] == perf.counter("store.hit")
+        assert client.status()["store_hits"] == perf.counter("store.job.hit")
 
     def test_verify_runs_at_the_door(self, daemon, monkeypatch):
         client = _client(daemon)

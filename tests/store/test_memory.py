@@ -59,16 +59,6 @@ def test_per_namespace_limits():
     assert store.entries("big") == 8
 
 
-def test_invalidate_by_fingerprint():
-    store = MemoryStore()
-    store.put("ns", (100, "x"), 1)
-    store.put("ns", (100, "y"), 2)
-    store.put("ns", (200, "x"), 3)
-    assert store.invalidate("ns", fingerprint=100) == 2
-    assert store.get("ns", (100, "x")) is MISSING
-    assert store.get("ns", (200, "x")) == 3
-
-
 def test_invalidate_all_and_per_namespace():
     store = MemoryStore()
     store.put("a", (1,), 1)

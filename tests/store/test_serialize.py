@@ -11,7 +11,6 @@ from repro.store import (
     StoreDecodeError,
     dumps,
     encode_key,
-    key_fingerprint,
     loads,
 )
 
@@ -37,13 +36,6 @@ class TestKeys:
     def test_rejects_unsupported(self):
         with pytest.raises(TypeError):
             encode_key({1: 2})
-
-    def test_fingerprint_of_leading_int(self):
-        assert key_fingerprint((123, "tt")) == 123
-        assert key_fingerprint(456) == 456
-        assert key_fingerprint(("tt", 123)) == -1
-        assert key_fingerprint((True, 1)) == -1
-        assert key_fingerprint(()) == -1
 
 
 class TestPayloads:

@@ -88,18 +88,6 @@ class TestRoundtrip:
 
 
 class TestInvalidation:
-    def test_by_fingerprint_is_namespaced(self, tmp_path):
-        store = _store(tmp_path)
-        store.put("ns", (100, "a"), 1)
-        store.put("ns", (100, "b"), 2)
-        store.put("ns", (200, "a"), 3)
-        store.put("other", (100, "a"), 4)
-        assert store.invalidate("ns", fingerprint=100) == 2
-        assert store.get("ns", (100, "a")) is MISSING
-        assert store.get("ns", (200, "a")) == 3
-        assert store.get("other", (100, "a")) == 4
-        store.close()
-
     def test_clear_namespace_and_all(self, tmp_path):
         store = _store(tmp_path)
         store.put("a", (1,), 1)
@@ -132,6 +120,50 @@ class TestSelfInvalidation:
         assert again.get("ns", (1,)) == "fresh"
         again.close()
 
+    def test_version_one_file_migrates_in_place(self, tmp_path):
+        # Schema version 1 kept a fingerprint column and index beside
+        # each row.  Opening such a file must replace the table, not
+        # only empty it: a put into the old four-column table would fail
+        # and cost a whole-file rebuild.
+        path = str(tmp_path / "results.db")
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute(
+            "INSERT INTO meta VALUES ('version', ?)",
+            (f"1.{PAYLOAD_VERSION}",),
+        )
+        conn.execute(
+            "CREATE TABLE entries (ns TEXT NOT NULL, key TEXT NOT NULL,"
+            " fp TEXT NOT NULL, value BLOB NOT NULL, PRIMARY KEY (ns, key))"
+        )
+        conn.execute("CREATE INDEX entries_fp ON entries (ns, fp)")
+        conn.execute(
+            "INSERT INTO entries VALUES ('cone', ?, '7', ?)",
+            (encode_key((7,)), dumps("stale")),
+        )
+        conn.commit()
+        conn.close()
+        rebuilds = perf.counter("store.rebuilds")
+        store = SqliteStore(path)
+        assert store.stats() == {}
+        store.put("job", (1,), "answer")
+        assert store.get("job", (1,)) == "answer"
+        store.close()
+        assert perf.counter("store.rebuilds") == rebuilds
+        conn = sqlite3.connect(path)
+        try:
+            columns = [
+                row[1] for row in conn.execute("PRAGMA table_info(entries)")
+            ]
+            indexes = conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+                " AND name = 'entries_fp'"
+            ).fetchall()
+        finally:
+            conn.close()
+        assert columns == ["ns", "key", "value"]
+        assert indexes == []
+
     def test_corrupt_row_reads_as_miss(self, tmp_path):
         path = str(tmp_path / "results.db")
         store = SqliteStore(path)
@@ -143,7 +175,7 @@ class TestSelfInvalidation:
             (b"not a payload", encode_key((1,))),
         )
         conn.execute(
-            "INSERT INTO entries VALUES ('ns', ?, '2', ?)",
+            "INSERT INTO entries VALUES ('ns', ?, ?)",
             (encode_key((2,)), b'[%d,"wrong version"]' % (PAYLOAD_VERSION + 9)),
         )
         conn.commit()

@@ -1,15 +1,14 @@
-"""Store integration: runtime lifecycle, optimizer warm==cold, CLI surface.
+"""Store integration: runtime lifecycle, job warm==cold, CLI surface.
 
-The headline guarantee of the persistent store is that a disk-warm run is
-*bit-identical* in QoR to a cold run — the store only ever replays results
-the cold computation would have produced.
+The headline guarantee of the persistent store is that a disk-warm job is
+*bit-identical* to a cold one — the store only ever replays the answer
+the cold computation produced.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import pickle
 import sqlite3
 
 import pytest
@@ -17,8 +16,12 @@ import pytest
 from repro.adders import ripple_carry_adder
 from repro.aig import read_aag, write_aag
 from repro.cec import check_equivalence
-from repro.core import LookaheadOptimizer
-from repro.store import MemoryStore, StoreConfig, TieredStore, resolve_store
+from repro.core import (
+    LookaheadOptimizer,
+    execute_optimize_job,
+    normalize_job_config,
+)
+from repro.store import MemoryStore, TieredStore
 from repro.store import runtime as store_runtime
 
 
@@ -36,9 +39,18 @@ def _dump(aig):
     return buf.getvalue()
 
 
-def _optimize(aig, **kwargs):
-    with LookaheadOptimizer(max_rounds=4, workers=1, **kwargs) as opt:
+def _optimize(aig):
+    with LookaheadOptimizer(max_rounds=4, workers=1) as opt:
         return opt.optimize(aig)
+
+
+def _job(aig, store=None):
+    """``_optimize``'s config as a ``lookahead-only`` job on ``store``."""
+    store_runtime.reset()
+    if store is not None:
+        store_runtime.configure(store)
+    config = normalize_job_config({"flow": "lookahead-only", "max_rounds": 4})
+    return execute_optimize_job(aig, config, workers=1)
 
 
 class TestRuntime:
@@ -46,69 +58,20 @@ class TestRuntime:
         store = store_runtime.get_store()
         assert isinstance(store, MemoryStore)
         assert not store_runtime.is_persistent()
-        assert store.limit("redundant") == (
-            store_runtime.MEMORY_LIMITS["redundant"]
-        )
-        assert store.limit("dp") == store_runtime.MEMORY_LIMITS["dp"]
+        assert store.limit("job") == store_runtime.MEMORY_LIMITS["job"]
 
     def test_configure_path_builds_tiered_store(self, tmp_path):
         path = str(tmp_path / "results.db")
         store = store_runtime.configure(path)
         assert isinstance(store, TieredStore)
+        assert store.path == path
         assert store_runtime.is_persistent()
-        assert store.memory.limit("redundant") == (
-            store_runtime.MEMORY_LIMITS["redundant"]
-        )
-        # The shipped spec carries the path, never a live store object.
-        spec = store_runtime.current_spec()
-        assert isinstance(spec, StoreConfig) and spec.path == path
-        pickle.dumps(spec)  # must survive the worker task tuple
+        assert store.memory.limit("job") == store_runtime.MEMORY_LIMITS["job"]
 
     def test_configure_none_reverts_to_default(self, tmp_path):
         store_runtime.configure(str(tmp_path / "results.db"))
         store_runtime.configure(None)
         assert not store_runtime.is_persistent()
-        assert store_runtime.current_spec() is None
-
-    def test_adopt_is_idempotent(self, tmp_path):
-        spec = store_runtime.make_config(str(tmp_path / "results.db"))
-        store_runtime.adopt(spec)
-        first = store_runtime.get_store()
-        store_runtime.adopt(
-            store_runtime.make_config(str(tmp_path / "results.db"))
-        )
-        assert store_runtime.get_store() is first  # no reopen per task
-        store_runtime.adopt(None)
-        assert store_runtime.get_store() is not first
-
-    def test_ready_store_reaches_pool_workers(self, tmp_path):
-        # Pool workers rebuild a ready store from its disk path, so the
-        # cone results they compute land in its database, as with a path.
-        rows = {}
-        for kind in ("path", "object"):
-            store_runtime.reset()
-            path = str(tmp_path / f"{kind}.db")
-            spec = path
-            if kind == "object":
-                spec = resolve_store(store_runtime.make_config(path))
-            with LookaheadOptimizer(
-                store=spec, workers=2, max_rounds=2, walk_modes=("target",)
-            ) as opt:
-                assert store_runtime.current_spec().path == path
-                opt.optimize(ripple_carry_adder(6))
-            store_runtime.reset()
-            conn = sqlite3.connect(path)
-            try:
-                rows[kind] = dict(conn.execute(
-                    "SELECT ns, COUNT(*) FROM entries GROUP BY ns"
-                ).fetchall())
-            finally:
-                conn.close()
-        assert rows["object"] == rows["path"]
-        assert rows["path"]["cone"] > 1
-        # A memory-only store has no path: its workers run storeless.
-        store_runtime.configure(MemoryStore())
-        assert store_runtime.current_spec() is None
 
     def test_default_store_path_resolution(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.db"))
@@ -125,11 +88,9 @@ class TestWarmEqualsCold:
         path = str(tmp_path / "results.db")
         aig = ripple_carry_adder(4)
         nostore = _dump(_optimize(aig))
-        store_runtime.reset()
-        cold = _dump(_optimize(aig, store=path))
+        cold = _dump(_job(aig, path))
         assert os.path.exists(path)
-        store_runtime.reset()  # drop the memory tier: disk-warm, not hot
-        warm = _dump(_optimize(aig, store=path))
+        warm = _dump(_job(aig, path))  # fresh memory tier: disk-warm
         assert warm == cold
         # The store must never change *what* is computed, only how fast.
         assert cold == nostore
@@ -139,50 +100,31 @@ class TestWarmEqualsCold:
 
         path = str(tmp_path / "results.db")
         aig = ripple_carry_adder(4)
-        _optimize(aig, store=path)
-        store_runtime.reset()
-        before = perf.counter("store.spcf.hit")
-        out = _dump(_optimize(aig, store=path))
-        assert perf.counter("store.spcf.hit") > before
+        _job(aig, path)
+        before = perf.counter("store.job.hit")
+        out = _dump(_job(aig, path))
+        assert perf.counter("store.job.hit") == before + 1
         assert check_equivalence(aig, read_aag(io.StringIO(out)))
-
-    def test_warm_run_replays_whole_cone_results(self, tmp_path):
-        from repro import perf
-        from repro.store import SqliteStore
-
-        # rca4 (9 PIs) runs in the truth-table domain, rca8 (17 PIs) in
-        # the BDD domain, whose SPCF payload is recomputed from its Δ.
-        for width in (4, 8):
-            store_runtime.reset()
-            path = str(tmp_path / f"results{width}.db")
-            aig = ripple_carry_adder(width)
-            cold = _dump(_optimize(aig, store=path))
-            store_runtime.reset()
-            disk = SqliteStore(path)
-            assert disk.entries("cone") > 0  # whole task results persisted
-            disk.close()
-            before = perf.counter("store.cone.hit")
-            warm = _dump(_optimize(aig, store=path))
-            # The warm run replays entire per-cone pipeline results
-            # (skipping the primary/secondary work), bit-identically.
-            assert perf.counter("store.cone.hit") > before, width
-            assert warm == cold, width
-
-    def test_memory_only_store_skips_cone_replay(self):
-        from repro import perf
-
-        aig = ripple_carry_adder(4)
-        before = perf.counter("store.cone.miss")
-        _optimize(aig)  # default in-memory store: no cone namespace traffic
-        assert perf.counter("store.cone.miss") == before
-        assert store_runtime.get_store().entries("cone") == 0
+        # Whole job answers are all the store holds.
+        store_runtime.reset()
+        conn = sqlite3.connect(path)
+        try:
+            rows = conn.execute(
+                "SELECT ns, COUNT(*) FROM entries GROUP BY ns"
+            ).fetchall()
+        finally:
+            conn.close()
+        assert rows == [("job", 1)]
 
     def test_explicit_store_object_is_honoured(self):
+        # A ready store is installed as it is; a memory-only one keeps
+        # nothing for a job to replay, so the job runs cold.
         store = MemoryStore()
         aig = ripple_carry_adder(6)
-        out = _optimize(aig, store=store)
+        out = _job(aig, store)
         assert check_equivalence(aig, out)
         assert store_runtime.get_store() is store
+        assert store.stats() == {}
 
 
 class TestCli:
@@ -274,8 +216,7 @@ class TestConfigureFailure:
         # Previous store still installed, still open, still answering.
         assert store_runtime.get_store() is store
         assert store.get("ns", (1,)) == "kept"
-        spec = store_runtime.current_spec()
-        assert spec is not None and spec.path == good
+        assert store.path == good
 
     def test_failed_configure_from_default_store(self, tmp_path):
         before = store_runtime.get_store()  # default in-memory store
@@ -284,4 +225,4 @@ class TestConfigureFailure:
             store_runtime.configure(self._bad_path(tmp_path))
         assert store_runtime.get_store() is before
         assert before.get("ns", (1,)) == "kept"
-        assert store_runtime.current_spec() is None
+        assert not store_runtime.is_persistent()
